@@ -36,7 +36,7 @@ def write_f32_array(fh: BinaryIO, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
+def read_bytes(fh: BinaryIO, n: int, what: str = "bytes") -> bytes:
     data = fh.read(n)
     if len(data) != n:
         raise VersionMismatch(f"truncated file while reading {what}")
@@ -44,24 +44,27 @@ def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
 
 
 def read_u32(fh: BinaryIO, what: str = "u32") -> int:
-    return struct.unpack("<I", _read_exact(fh, 4, what))[0]
+    return struct.unpack("<I", read_bytes(fh, 4, what))[0]
 
 
 def read_u64(fh: BinaryIO, what: str = "u64") -> int:
-    return struct.unpack("<Q", _read_exact(fh, 8, what))[0]
+    return struct.unpack("<Q", read_bytes(fh, 8, what))[0]
 
 
 def read_str(fh: BinaryIO, what: str = "string") -> str:
     length = read_u32(fh, what)
-    return _read_exact(fh, length, what).decode("utf-8")
+    try:
+        return read_bytes(fh, length, what).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise VersionMismatch(f"corrupt UTF-8 while reading {what}: {exc}") from exc
 
 
 def read_f32(fh: BinaryIO, what: str = "f32") -> float:
-    return struct.unpack("<f", _read_exact(fh, 4, what))[0]
+    return struct.unpack("<f", read_bytes(fh, 4, what))[0]
 
 
 def read_f32_array(fh: BinaryIO, count: int, what: str = "f32 array") -> np.ndarray:
-    data = _read_exact(fh, 4 * count, what)
+    data = read_bytes(fh, 4 * count, what)
     return np.frombuffer(data, dtype="<f4").copy()
 
 

@@ -15,7 +15,10 @@ Out-of-vocabulary tokens get deterministic hashed ids and unit Gaussian
 embedding rows keyed by (table.oov_seed, token), so arbitrary text stays
 embeddable.
 
-All arrays are float32; downstream scoring upcasts to float64.
+All arrays are float32; downstream scoring upcasts to float64. A table and
+a projection set copy their arrays when constructed and mark the copies
+read-only, so an object's content never changes after construction and
+retrieval can trust a pair it has already checked against an index.
 """
 
 from __future__ import annotations
@@ -43,6 +46,13 @@ _NORM_EPS = 1e-12
 def _stable_hash64(*parts: str) -> int:
     h = hashlib.blake2b("\x1f".join(parts).encode("utf-8"), digest_size=8)
     return int.from_bytes(h.digest(), "little")
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A read-only float32 C-contiguous copy that no caller can alias."""
+    out = np.array(arr, dtype=np.float32, order="C")
+    out.flags.writeable = False
+    return out
 
 
 def segment(text: str) -> list[str]:
@@ -81,7 +91,7 @@ class EmbeddingTable:
             raise ValueError("matrix must be 2-D with one row per vocab entry")
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("embedding matrix has non-finite entries")
-        object.__setattr__(self, "matrix", np.ascontiguousarray(self.matrix, dtype=np.float32))
+        object.__setattr__(self, "matrix", _frozen(self.matrix))
         object.__setattr__(self, "_ids", {t: i for i, t in enumerate(self.vocab)})
 
     @property
@@ -131,6 +141,10 @@ class ProjectionSet:
     w_sparse: np.ndarray
     w_multi: np.ndarray
     seed: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "w_sparse", _frozen(self.w_sparse))
+        object.__setattr__(self, "w_multi", _frozen(self.w_multi))
 
     @property
     def dim(self) -> int:
@@ -239,7 +253,9 @@ def load_table(path: str | Path) -> EmbeddingTable:
         h = _binio.read_u32(fh, "embedding dim")
         oov_seed = _binio.read_u64(fh, "oov seed")
         vocab = tuple(_binio.read_str(fh, f"token {i}") for i in range(v))
-        matrix = _binio.read_f32_array(fh, v * h, "embedding matrix").reshape(v, h)
+        data = _binio.read_bytes(fh, 4 * v * h, "embedding matrix")
+    # the constructor copies the matrix, so it need not be copied here
+    matrix = np.frombuffer(data, dtype="<f4").reshape(v, h)
     return EmbeddingTable(vocab=vocab, matrix=matrix, oov_seed=oov_seed)
 
 

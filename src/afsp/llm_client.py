@@ -6,13 +6,15 @@ reading ``choices[*].message.content``. A bearer token is taken from the
 ``AFSP_API_KEY`` environment variable when present.
 
 Candidates are requested in one multi-choice call; endpoints that reject
-``n > 1`` are retried as n sequential single-completion calls, which yields
-an identical CandidateSet. Every raw completion passes through
-``extract_translation``; completions that come back empty are dropped.
+``n > 1`` (HTTP 400 or 422) are retried as n sequential single-completion
+calls, which yields an identical CandidateSet; other 4xx fail at once. Every
+raw completion passes through ``extract_translation``; completions that come
+back empty are dropped.
 
 Transient failures (timeouts, connection errors, HTTP 5xx) are retried with
 exponential backoff and jitter inside a total budget of
-``(retries + 1) * timeout`` seconds. HTTP 429 honours Retry-After.
+``(retries + 1) * timeout`` seconds. HTTP 429 honours Retry-After, which
+then replaces the backoff before the next attempt.
 
 For offline runs and tests, :class:`MockClient` serves scripted candidate
 lists keyed by prompt fingerprint through the same interface.
@@ -39,6 +41,10 @@ from .errors import (
 from .prompting import extract_translation
 
 API_KEY_ENV = "AFSP_API_KEY"
+
+# statuses with which an endpoint refuses the request body, e.g. n > 1;
+# any other 4xx (401, 404, ...) would fail a single-choice retry the same way
+_MULTI_CHOICE_REJECTIONS = (400, 422)
 
 
 @dataclass(frozen=True)
@@ -147,10 +153,14 @@ class ChatCompletionsClient:
         retry_after: float | None = None
         for attempt in range(cfg.retries + 1):
             if attempt > 0:
-                delay = min(0.25 * (2 ** (attempt - 1)) + random.uniform(0, 0.1), cfg.timeout)
+                # a 429's Retry-After replaces the backoff, it does not add to it
+                delay = retry_after
+                if delay is None:
+                    delay = min(0.25 * (2 ** (attempt - 1)) + random.uniform(0, 0.1), cfg.timeout)
                 delay = min(delay, max(0.0, deadline - time.monotonic()))
                 if delay > 0:
                     time.sleep(delay)
+                retry_after = None
             if time.monotonic() >= deadline:
                 break
             try:
@@ -163,14 +173,12 @@ class ChatCompletionsClient:
             if resp.status_code == 429:
                 retry_after = _parse_retry_after(resp.headers.get("Retry-After"))
                 last_error = RateLimited("endpoint returned 429", retry_after)
-                if retry_after is not None:
-                    time.sleep(min(retry_after, max(0.0, deadline - time.monotonic())))
                 continue
             if resp.status_code >= 500:
                 last_error = NetworkFailure(f"HTTP {resp.status_code}: {resp.text[:200]}")
                 continue
             if resp.status_code >= 400:
-                if n > 1:
+                if n > 1 and resp.status_code in _MULTI_CHOICE_REJECTIONS:
                     raise _MultiChoiceRejected()
                 raise NetworkFailure(
                     f"endpoint rejected request: HTTP {resp.status_code}: {resp.text[:200]}"

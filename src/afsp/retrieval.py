@@ -17,12 +17,23 @@ callers that want comparable scales.
 
 Scoring is done in float64 on the stored float32 representations, so results
 are identical whether the index was just built or reloaded from disk.
+
+Multi-vector rows come from a context-free embedding layer, so each row
+depends only on its token and a corpus repeats few distinct rows many times.
+The scan keeps one float64 copy of each distinct row (deduped by its exact
+float32 bytes) plus the distinct-row id of every corpus row; a query is
+scored against the distinct rows and the result gathered back to corpus
+rows, which gives the same values as scoring every row. The index checks the
+table fingerprint once per (table, projections) pair, compared by identity;
+their arrays are read-only, so the same objects always hold the same content.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,6 +62,9 @@ from .errors import (
 )
 
 INDEX_MAGIC = b"AFSPIDX1"
+
+# one stored sparse weight: token id, then its float32 weight
+_SPARSE_PAIR = struct.Struct("<If")
 
 
 @dataclass(frozen=True)
@@ -144,37 +158,80 @@ class RetrievalIndex:
         self.entries: tuple[IndexEntry, ...] = tuple(entries)
         self.fingerprint = fingerprint
         self._scan_cache = None
+        self._scan_lock = threading.Lock()
+        self._bound: tuple[EmbeddingTable, ProjectionSet] | None = None
 
     def __len__(self) -> int:
         return len(self.entries)
 
+    def _check_binding(self, table: EmbeddingTable, proj: ProjectionSet) -> None:
+        """Raise FingerprintMismatch unless (table, proj) built this index;
+        the last pair that passed is not hashed again."""
+        bound = self._bound
+        if bound is not None and bound[0] is table and bound[1] is proj:
+            return
+        if self.fingerprint != table_fingerprint(table, proj):
+            raise FingerprintMismatch(
+                "index was built with a different embedding table or projections"
+            )
+        self._bound = (table, proj)
+
     def _scan_arrays(self):
-        """Lazily stacked float64 views used by the batched scan."""
-        if self._scan_cache is None:
-            dense_mat = np.stack(
-                [e.dense.values for e in self.entries]
-            ).astype(np.float64)
-            multi_rows = np.concatenate(
-                [e.multi.rows for e in self.entries]
-            ).astype(np.float64)
-            offsets = np.zeros(len(self.entries), dtype=np.intp)
-            total = 0
-            for i, e in enumerate(self.entries):
-                offsets[i] = total
-                total += e.multi.rows.shape[0]
-            inverted: dict[int, list[tuple[int, float]]] = {}
-            for i, e in enumerate(self.entries):
-                for tid, w in e.sparse.weights.items():
-                    inverted.setdefault(tid, []).append((i, w))
-            sparse_inv = {
-                tid: (
-                    np.array([i for i, _ in hits], dtype=np.intp),
-                    np.array([w for _, w in hits], dtype=np.float64),
+        """Lazily built arrays for the batched scan: the float64 dense
+        matrix, the float64 distinct multi-vector rows, each corpus row's
+        distinct-row id, the offset of each entry's first row, and the
+        inverted sparse lists. Built once, under a lock, so concurrent first
+        queries do not each build a copy."""
+        with self._scan_lock:
+            if self._scan_cache is None:
+                dense_mat = np.stack(
+                    [e.dense.values for e in self.entries]
+                ).astype(np.float64)
+                uniq, row_ids = _distinct_rows([e.multi.rows for e in self.entries])
+                lengths = np.array([e.multi.rows.shape[0] for e in self.entries])
+                offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+                self._scan_cache = (
+                    dense_mat,
+                    uniq.astype(np.float64),
+                    row_ids,
+                    offsets,
+                    _inverted_sparse(self.entries),
                 )
-                for tid, hits in inverted.items()
-            }
-            self._scan_cache = (dense_mat, multi_rows, offsets, sparse_inv)
         return self._scan_cache
+
+
+def _distinct_rows(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Exact dedup of the rows of ``blocks`` taken in order, by their float32
+    bytes: ``(uniq, row_ids)`` with ``uniq[row_ids]`` equal bit for bit to the
+    concatenated rows, and ``uniq`` in order of first appearance."""
+    seen: dict[bytes, int] = {}
+    row_ids = np.fromiter(
+        (seen.setdefault(row.tobytes(), len(seen)) for block in blocks for row in block),
+        dtype=np.intp,
+        count=sum(len(block) for block in blocks),
+    )
+    uniq = np.frombuffer(b"".join(seen), dtype=np.float32).reshape(len(seen), -1)
+    return uniq, row_ids
+
+
+def _inverted_sparse(entries) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """token id -> (entry positions, weights), positions ascending."""
+    counts = np.array([len(e.sparse.weights) for e in entries])
+    total = int(counts.sum())
+    tids = np.fromiter((t for e in entries for t in e.sparse.weights), np.int64, total)
+    weights = np.fromiter(
+        (w for e in entries for w in e.sparse.weights.values()), np.float64, total
+    )
+    positions = np.repeat(np.arange(len(entries)), counts)
+    order = np.argsort(tids, kind="stable")
+    tids, positions, weights = tids[order], positions[order], weights[order]
+    keys, starts = np.unique(tids, return_index=True)
+    return {
+        int(tid): (pos, w)
+        for tid, pos, w in zip(
+            keys, np.split(positions, starts[1:]), np.split(weights, starts[1:])
+        )
+    }
 
 
 def build_index(
@@ -222,10 +279,7 @@ def retrieve_topk(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if index.fingerprint != table_fingerprint(table, proj):
-        raise FingerprintMismatch(
-            "index was built with a different embedding table or projections"
-        )
+    index._check_binding(table, proj)
     try:
         emb = embed_tokens(table, query_text)
     except EmptyText as exc:
@@ -234,7 +288,7 @@ def retrieve_topk(
     q_sparse = sparse_embed(emb, proj)
     q_multi = multi_embed(emb, proj)
 
-    dense_mat, multi_rows, offsets, sparse_inv = index._scan_arrays()
+    dense_mat, uniq_rows, row_ids, offsets, sparse_inv = index._scan_arrays()
     n = len(index)
 
     sd = dense_mat @ q_dense.values.astype(np.float64)
@@ -245,8 +299,10 @@ def retrieve_topk(
         if hit is not None:
             ss[hit[0]] += w * hit[1]
 
-    sims = q_multi.rows.astype(np.float64) @ multi_rows.T
-    per_entry_max = np.maximum.reduceat(sims, offsets, axis=1)
+    # one query row at a time: a 1-D gather and reduceat run faster than
+    # the same over a (query rows, corpus rows) matrix
+    sims = q_multi.rows.astype(np.float64) @ uniq_rows.T
+    per_entry_max = np.stack([np.maximum.reduceat(s[row_ids], offsets) for s in sims])
     sm = per_entry_max.mean(axis=0)
 
     if normalize_scores:
@@ -285,9 +341,9 @@ def save_index(index: RetrievalIndex, path: str | Path) -> None:
                 _binio.write_str(fh, field)
             _binio.write_f32_array(fh, e.dense.values)
             _binio.write_u32(fh, len(e.sparse.weights))
-            for tid in sorted(e.sparse.weights):
-                _binio.write_u32(fh, tid)
-                _binio.write_f32(fh, e.sparse.weights[tid])
+            fh.write(b"".join(
+                _SPARSE_PAIR.pack(tid, e.sparse.weights[tid]) for tid in sorted(e.sparse.weights)
+            ))
             _binio.write_u32(fh, e.multi.rows.shape[0])
             _binio.write_f32_array(fh, e.multi.rows)
 
@@ -312,11 +368,11 @@ def load_index(path: str | Path) -> RetrievalIndex:
             )
             dense = DenseVec(values=_binio.read_f32_array(fh, dim, what))
             nnz = _binio.read_u32(fh, what)
-            sparse: dict[int, float] = {}
-            for _ in range(nnz):
-                tid = _binio.read_u32(fh, what)
-                sparse[tid] = _binio.read_f32(fh, what)
+            block = _binio.read_bytes(fh, _SPARSE_PAIR.size * nnz, what)
+            sparse = dict(_SPARSE_PAIR.iter_unpack(block))
             n_rows = _binio.read_u32(fh, what)
+            if n_rows == 0:
+                raise VersionMismatch(f"{what} has no multi-vector rows")
             multi = _binio.read_f32_array(fh, n_rows * dim, what).reshape(n_rows, dim)
             entries.append(
                 IndexEntry(
@@ -326,4 +382,6 @@ def load_index(path: str | Path) -> RetrievalIndex:
                     multi=MultiVec(rows=multi),
                 )
             )
+        if fh.read(1):
+            raise VersionMismatch(f"trailing bytes after entry {count - 1}")
     return RetrievalIndex(entries, fingerprint)

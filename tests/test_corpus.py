@@ -186,6 +186,22 @@ def test_load_truncated(tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize("field", ["id", "src_text", "tgt_text"])
+def test_load_corrupt_string_is_version_mismatch(tmp_path, field):
+    corpus = synthetic_corpus(5, seed=9)
+    path = tmp_path / "corpus.bin"
+    save(corpus, path)
+    data = bytearray(path.read_bytes())
+    stored = getattr(corpus[2], field).encode("utf-8")
+    at = data.index(stored, data.index(corpus[2].id.encode("utf-8")))
+    for offset in (0, len(stored) - 1):
+        flipped = bytearray(data)
+        flipped[at + offset] ^= 0x80
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(VersionMismatch, match="UTF-8"):
+            load(path)
+
+
 def test_save_is_deterministic(tmp_path):
     corpus = synthetic_corpus(20, seed=10)
     a = tmp_path / "a.bin"

@@ -251,3 +251,80 @@ def test_fingerprint_is_stable_and_distinct():
     assert fingerprint("x") == fingerprint("x")
     assert fingerprint("x") != fingerprint("y")
     assert len(fingerprint("x")) == 64
+
+
+class StubResponse:
+    def __init__(self, status_code, headers=None, payload=None):
+        self.status_code = status_code
+        self.headers = headers or {}
+        self.text = ""
+        self._payload = payload
+
+    def json(self):
+        return self._payload
+
+
+class StubSession:
+    """Answers post() from a queue of responses; an empty queue echoes n
+    choices."""
+
+    def __init__(self, responses=()):
+        self.responses = list(responses)
+        self.bodies = []
+
+    def post(self, url, json, headers, timeout):
+        self.bodies.append(json)
+        if self.responses:
+            return self.responses.pop(0)
+        choices = [{"message": {"content": f"c{i}"}} for i in range(json["n"])]
+        return StubResponse(200, payload={"choices": choices})
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    recorded = []
+    monkeypatch.setattr("afsp.llm_client.time.sleep", recorded.append)
+    return recorded
+
+
+def stub_cfg(**kwargs):
+    return GenerationConfig(**{"timeout": 5.0, "retries": 2, **kwargs})
+
+
+def test_retry_after_replaces_backoff(sleeps):
+    session = StubSession([StubResponse(429, {"Retry-After": "0.05"})])
+    result = ChatCompletionsClient(session).generate_candidates("p", stub_cfg(n_candidates=1))
+    assert result.candidates == ("c0",)
+    assert sleeps == [pytest.approx(0.05)]
+
+
+def test_429_without_retry_after_backs_off(sleeps):
+    session = StubSession([StubResponse(429)])
+    ChatCompletionsClient(session).generate_candidates("p", stub_cfg(n_candidates=1))
+    assert len(sleeps) == 1 and 0.25 <= sleeps[0] <= 0.35
+
+
+def test_retry_after_applies_to_its_next_attempt_only(sleeps):
+    session = StubSession(
+        [StubResponse(429, {"Retry-After": "0"}), StubResponse(503)]
+    )
+    ChatCompletionsClient(session).generate_candidates("p", stub_cfg(n_candidates=1))
+    assert len(session.bodies) == 3
+    # no sleep for Retry-After: 0, then the second backoff step after the 503
+    assert len(sleeps) == 1 and 0.5 <= sleeps[0] <= 0.6
+
+
+@pytest.mark.parametrize("code", [401, 403, 404])
+def test_non_body_4xx_fails_without_fallback(code, sleeps):
+    session = StubSession([StubResponse(code)])
+    with pytest.raises(NetworkFailure, match=str(code)):
+        ChatCompletionsClient(session).generate_candidates("p", stub_cfg(n_candidates=5))
+    assert len(session.bodies) == 1
+    assert sleeps == []
+
+
+def test_422_falls_back_to_single_choice(sleeps):
+    session = StubSession([StubResponse(422)])
+    result = ChatCompletionsClient(session).generate_candidates("p", stub_cfg(n_candidates=3))
+    assert result.candidates == ("c0", "c0", "c0")
+    assert [b["n"] for b in session.bodies] == [3, 1, 1, 1]

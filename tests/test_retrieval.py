@@ -1,9 +1,12 @@
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import afsp.retrieval
 from afsp.corpus import Corpus, DemoPair
 from afsp.embedding import (
     DenseVec,
@@ -23,6 +26,8 @@ from afsp.errors import (
     VersionMismatch,
 )
 from afsp.retrieval import (
+    IndexEntry,
+    RetrievalIndex,
     Weights,
     build_index,
     load_index,
@@ -176,6 +181,44 @@ def test_index_bad_magic_and_truncation(tmp_path, stack):
         load_index(path)
 
 
+def test_index_rejects_entry_without_multi_rows(tmp_path, stack):
+    *_, index = stack
+    first = index.entries[0]
+    hollow = IndexEntry(
+        pair=first.pair,
+        dense=first.dense,
+        sparse=first.sparse,
+        multi=MultiVec(rows=np.zeros((0, first.multi.rows.shape[1]), dtype=np.float32)),
+    )
+    path = tmp_path / "hollow.idx"
+    save_index(RetrievalIndex([hollow, *index.entries[1:]], index.fingerprint), path)
+    with pytest.raises(VersionMismatch, match="entry 0"):
+        load_index(path)
+
+
+def test_index_rejects_trailing_bytes(tmp_path, stack):
+    *_, index = stack
+    path = tmp_path / "x.idx"
+    save_index(index, path)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(VersionMismatch, match="trailing"):
+        load_index(path)
+
+
+def test_index_corrupt_string_is_version_mismatch(tmp_path, stack):
+    *_, index = stack
+    path = tmp_path / "x.idx"
+    save_index(index, path)
+    data = bytearray(path.read_bytes())
+    pair = index.entries[5].pair
+    for text in (pair.id, pair.src_text, pair.tgt_text):
+        flipped = bytearray(data)
+        flipped[data.index(text.encode("utf-8"))] ^= 0x80
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(VersionMismatch, match="UTF-8"):
+            load_index(path)
+
+
 def test_retrieve_identical_source_ranks_first(stack):
     corpus, table, proj, index = stack
     w = Weights()
@@ -324,3 +367,92 @@ def test_self_similarity_on_random_texts(stack):
         m = multi_embed(emb, proj)
         assert score_dense(d, d) == pytest.approx(1.0, abs=1e-6)
         assert score_multi(m, m) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_fingerprint_checked_once_per_pair(monkeypatch):
+    corpus = synthetic_corpus(20, seed=4)
+    table = corpus_table(dim=16)
+    proj = init_projections(16, seed=8)
+    index = build_index(corpus, table, proj)
+    calls = []
+    real = afsp.retrieval.table_fingerprint
+    monkeypatch.setattr(
+        afsp.retrieval, "table_fingerprint", lambda *a: calls.append(a) or real(*a)
+    )
+    for pair in list(corpus)[:8]:
+        retrieve_topk(pair.src_text, index, table, proj, Weights(), k=2)
+    assert len(calls) == 1
+
+
+def test_fingerprint_mismatch_after_successful_queries(stack):
+    _, table, proj, index = stack
+    retrieve_topk("双方同意加强合作", index, table, proj, Weights(), k=2)
+    retrieve_topk("双方同意加强合作", index, table, proj, Weights(), k=2)
+    other = init_projections(32, seed=99)
+    with pytest.raises(FingerprintMismatch):
+        retrieve_topk("双方同意加强合作", index, table, other, Weights(), k=2)
+    with pytest.raises(FingerprintMismatch):
+        retrieve_topk("双方同意加强合作", index, corpus_table(dim=32, seed=6), proj, Weights(), k=2)
+    # a rebuilt but equal pair passes the check again
+    same = init_projections(32, seed=13)
+    assert retrieve_topk("双方同意加强合作", index, table, same, Weights(), k=2)
+
+
+def test_table_and_projection_arrays_are_read_only(stack):
+    _, table, proj, _ = stack
+    with pytest.raises(ValueError):
+        table.matrix[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        proj.w_multi[0] += 1.0
+    with pytest.raises(ValueError):
+        proj.w_sparse[:] = 0.0
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_repeated_tokens_match_oracle(normalize):
+    texts = ["好" * 40, "好好好", "你好" * 15, "好", "世界你好好好", "合作" * 7 + "好"]
+    pairs = [DemoPair(f"r{i}", t, f"text {i}", "zh", "en") for i, t in enumerate(texts)]
+    table = corpus_table(dim=16)
+    proj = init_projections(16, seed=3)
+    index = build_index(Corpus(pairs), table, proj)
+    _, uniq, row_ids, _, _ = index._scan_arrays()
+    assert len(uniq) == 6 and len(row_ids) == sum(e.multi.rows.shape[0] for e in index.entries)
+    w = Weights()
+    for query in ("好好", "你好世界", "合作好", "好" * 9):
+        got = retrieve_topk(query, index, table, proj, w, k=len(pairs), normalize_scores=normalize)
+        want = brute_force(query, index, table, proj, w, normalize=normalize)
+        # texts that repeat one character tie exactly, so ids may swap
+        # places only where the oracle's scores tie too
+        by_id = {index.entries[r[0]].pair.id: r for r in want}
+        for g, r in zip(got, want):
+            assert g.s_rank == pytest.approx(r[4], abs=1e-6)
+            mine = by_id[g.pair.id]
+            assert (g.s_dense, g.s_sparse, g.s_multi, g.s_rank) == pytest.approx(
+                mine[1:], abs=1e-6
+            )
+
+
+def test_binding_check_holds_under_concurrent_queries():
+    corpus = synthetic_corpus(20, seed=4)
+    table = corpus_table(dim=16)
+    good = init_projections(16, seed=8)
+    equal = init_projections(16, seed=8)
+    wrong = init_projections(16, seed=9)
+    index = build_index(corpus, table, good)
+
+    def answers_correctly(i):
+        proj = (good, equal, wrong)[i % 3]
+        try:
+            retrieve_topk("双方同意加强合作", index, table, proj, Weights(), k=1)
+        except FingerprintMismatch:
+            return proj is wrong
+        return proj is not wrong
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(answers_correctly, range(300), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 300 and all(results)
