@@ -57,6 +57,7 @@ from .reranker import (
     QualityScorer,
     TrainReport,
     featurize,
+    featurize_many,
     load_model,
     rank,
     save_model,

@@ -26,7 +26,7 @@ import hashlib
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import requests
 
@@ -105,10 +105,26 @@ def _finalize(
 
 
 class ChatCompletionsClient:
-    """HTTP client for a chat-completions endpoint."""
+    """HTTP client for a chat-completions endpoint.
+
+    A client built without a session opens its own and closes it in
+    ``close()``, which ``with`` calls on exit; a session passed in stays the
+    caller's to close.
+    """
 
     def __init__(self, session: requests.Session | None = None):
+        self._owns_session = session is None
         self._session = session or requests.Session()
+
+    def close(self) -> None:
+        if self._owns_session:
+            self._session.close()
+
+    def __enter__(self) -> "ChatCompletionsClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def generate_candidates(self, prompt: str, cfg: GenerationConfig) -> CandidateSet:
         """Sample cfg.n_candidates completions for one prompt."""
@@ -236,8 +252,9 @@ class MockClient:
 
 
 def generate_candidates(prompt: str, cfg: GenerationConfig) -> CandidateSet:
-    """One-shot helper using a fresh HTTP client."""
-    return ChatCompletionsClient().generate_candidates(prompt, cfg)
+    """One-shot helper using a fresh HTTP client, closed on return."""
+    with ChatCompletionsClient() as client:
+        return client.generate_candidates(prompt, cfg)
 
 
 class EndpointTranslator:
@@ -248,17 +265,7 @@ class EndpointTranslator:
     """
 
     def __init__(self, cfg: GenerationConfig, client: ChatCompletionsClient | None = None):
-        self.cfg = GenerationConfig(
-            endpoint=cfg.endpoint,
-            model=cfg.model,
-            n_candidates=1,
-            temperature=cfg.temperature,
-            top_p=cfg.top_p,
-            max_tokens=cfg.max_tokens,
-            timeout=cfg.timeout,
-            retries=cfg.retries,
-            top_k=cfg.top_k,
-        )
+        self.cfg = replace(cfg, n_candidates=1)
         self.client = client or ChatCompletionsClient()
 
     def __call__(self, text: str, from_lang: str, to_lang: str) -> str:

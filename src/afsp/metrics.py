@@ -19,19 +19,16 @@ lexical resources or pretrained models.
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .embedding import _CJK_RE, _WORD_RE
 from .errors import EmptyCorpus, LengthMismatch
 
 BLEU_ORDER = 4
 CHRF_ORDER = 6
 CHRF_BETA = 2.0
 SENT_BLEU_EPS = 1e-9
-
-_CJK_RE = re.compile(r"[぀-ヿ㐀-䶿一-鿿豈-﫿]")
-_WORD_RE = re.compile(r"\w+", re.UNICODE)
 
 ROUGE_VARIANTS = ("R1", "R2", "RL")
 

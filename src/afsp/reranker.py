@@ -1,6 +1,8 @@
 """Candidate-translation quality scoring.
 
-The scorer contract is anything with ``score(text) -> float in (0, 1)``.
+The scorer contract is anything with ``score_many(texts) -> list[float]``,
+one quality in (0, 1) per text, in input order, each a function of its own
+text alone. ``rank`` makes one such call for all of a line's candidates.
 The reference implementation is a linear-sigmoid regressor over hashed
 character n-gram features (n = 1..4, each order L2-normalized separately so
 high-count unigrams cannot drown the discriminative long grams) plus two
@@ -11,6 +13,13 @@ score, with per-feature Adagrad step scaling: corruption-marker n-grams are
 rare, and uniform steps leave them far too small within a short epoch
 budget. A candidate is scored from its text alone, with no source-sentence
 conditioning.
+
+There is one featurization path, ``featurize_many``: it hashes each
+distinct n-gram once per call, through a gram-to-bucket memo shared by the
+call's texts and dropped when it returns. Candidates for one line are
+corruptions of one sentence and share most of their grams, so ranking them
+together hashes a small fraction of their gram positions. The vectors are
+the per-position definition's, value for value and in the same index order.
 """
 
 from __future__ import annotations
@@ -18,15 +27,16 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
 from . import _binio
 from .degeneration import RerankerExample
-from .embedding import _CJK_RE, segment
+from .embedding import _CJK_RE, _WORD_RE
 from .errors import (
     DegenerateDataset,
     EmptyCandidateList,
@@ -43,9 +53,9 @@ DEFAULT_BATCH_SIZE = 32
 
 
 class QualityScorer(Protocol):
-    """Anything that maps a candidate translation to a quality in (0, 1)."""
+    """Anything that maps candidate translations to qualities in (0, 1)."""
 
-    def score(self, text: str) -> float: ...
+    def score_many(self, texts: Sequence[str]) -> list[float]: ...
 
 
 @dataclass(frozen=True)
@@ -70,34 +80,57 @@ def featurize(
 ) -> FeatureVector:
     """Hashed character n-gram counts (each order L2-normalized) plus the
     two dense slots."""
-    if not text.strip():
+    return featurize_many([text], feature_dim, hash_seed)[0]
+
+
+def featurize_many(
+    texts: Sequence[str], feature_dim: int = DEFAULT_FEATURE_DIM, hash_seed: int = 0
+) -> list[FeatureVector]:
+    """``featurize`` for each text, hashing each distinct gram once per call.
+
+    Within an order, buckets appear in the order of their first gram
+    occurrence and colliding grams' counts are summed, so every vector is
+    bit-identical to hashing gram by gram. Raises EmptyText if any text is
+    blank.
+    """
+    if any(not text.strip() for text in texts):
         raise EmptyText("cannot featurize empty text")
     key = struct.pack("<Q", hash_seed & 0xFFFFFFFFFFFFFFFF)
-    lowered = text.lower()
-    index_parts: list[np.ndarray] = []
-    value_parts: list[np.ndarray] = []
-    for n in range(NGRAM_RANGE[0], NGRAM_RANGE[1] + 1):
-        counts: dict[int, float] = {}
-        for i in range(len(lowered) - n + 1):
-            idx = _gram_index(lowered[i : i + n], feature_dim, key)
-            counts[idx] = counts.get(idx, 0.0) + 1.0
-        if not counts:
-            continue
-        values = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-        values /= np.linalg.norm(values)
-        index_parts.append(np.fromiter(counts.keys(), dtype=np.int64, count=len(counts)))
-        value_parts.append(values)
+    buckets: dict[str, int] = {}
+    dense_indices = np.array([feature_dim, feature_dim + 1], dtype=np.int64)
+    out: list[FeatureVector] = []
+    for text in texts:
+        lowered = text.lower()
+        index_parts: list[np.ndarray] = []
+        value_parts: list[np.ndarray] = []
+        for n in range(NGRAM_RANGE[0], NGRAM_RANGE[1] + 1):
+            counts: dict[int, int] = {}
+            grams = Counter(lowered[i : i + n] for i in range(len(lowered) - n + 1))
+            for gram, count in grams.items():
+                idx = buckets.get(gram)
+                if idx is None:
+                    idx = buckets[gram] = _gram_index(gram, feature_dim, key)
+                counts[idx] = counts.get(idx, 0) + count
+            if not counts:
+                continue
+            values = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+            values /= np.linalg.norm(values)
+            index_parts.append(np.fromiter(counts.keys(), dtype=np.int64, count=len(counts)))
+            value_parts.append(values)
 
-    token_count = len(segment(text))
-    chars = [c for c in text if not c.isspace()]
-    cjk_fraction = (
-        sum(1 for c in chars if _CJK_RE.match(c)) / len(chars) if chars else 0.0
-    )
-    index_parts.append(np.array([feature_dim, feature_dim + 1], dtype=np.int64))
-    value_parts.append(np.array([min(token_count / 100.0, 1.0), cjk_fraction]))
-    return FeatureVector(
-        indices=np.concatenate(index_parts), values=np.concatenate(value_parts)
-    )
+        # segment()'s token count: each CJK character, plus the words of the
+        # runs between them; lowercasing maps no character into or out of
+        # the CJK ranges
+        cjk = len(_CJK_RE.findall(text))
+        token_count = cjk + len(_WORD_RE.findall(_CJK_RE.sub(" ", lowered)))
+        non_space = len(text) - sum(map(str.isspace, text))
+        cjk_fraction = cjk / non_space if non_space else 0.0
+        index_parts.append(dense_indices)
+        value_parts.append(np.array([min(token_count / 100.0, 1.0), cjk_fraction]))
+        out.append(FeatureVector(
+            indices=np.concatenate(index_parts), values=np.concatenate(value_parts)
+        ))
+    return out
 
 
 def _sigmoid(z: float) -> float:
@@ -126,9 +159,15 @@ class NGramRegressor:
 
     def score(self, text: str) -> float:
         """Quality estimate strictly inside (0, 1)."""
-        fv = featurize(text, self.feature_dim, self.hash_seed)
-        z = float(self.weights[fv.indices].astype(np.float64) @ fv.values) + float(self.bias)
-        return _sigmoid(z)
+        return self.score_many([text])[0]
+
+    def score_many(self, texts: Sequence[str]) -> list[float]:
+        """``score`` of each text, featurized in one batch."""
+        bias = float(self.bias)
+        return [
+            _sigmoid(float(self.weights[fv.indices].astype(np.float64) @ fv.values) + bias)
+            for fv in featurize_many(texts, self.feature_dim, self.hash_seed)
+        ]
 
 
 @dataclass
@@ -159,7 +198,7 @@ def train(
     if len({ex.score for ex in examples}) < 2:
         raise DegenerateDataset("all examples have the same score")
 
-    features = [featurize(ex.text, feature_dim, hash_seed) for ex in examples]
+    features = featurize_many([ex.text for ex in examples], feature_dim, hash_seed)
     targets = np.array([ex.score for ex in examples], dtype=np.float64)
 
     weights = np.zeros(feature_dim + DENSE_SLOTS, dtype=np.float64)
@@ -218,10 +257,6 @@ def _model_fingerprint(model: NGramRegressor) -> str:
     return h.hexdigest()
 
 
-def score(model: QualityScorer, text: str) -> float:
-    return model.score(text)
-
-
 def rank(model: QualityScorer, candidates: list[str]) -> list[tuple[int, float]]:
     """Candidates ordered by descending score; ties keep the original order.
 
@@ -229,7 +264,7 @@ def rank(model: QualityScorer, candidates: list[str]) -> list[tuple[int, float]]
     """
     if not candidates:
         raise EmptyCandidateList("no candidates to rank")
-    scored = [(i, model.score(text)) for i, text in enumerate(candidates)]
+    scored = list(enumerate(model.score_many(candidates)))
     return sorted(scored, key=lambda pair: (-pair[1], pair[0]))
 
 

@@ -309,7 +309,6 @@ def retrieve_topk(
         sd, ss, sm = _minmax(sd), _minmax(ss), _minmax(sm)
     fused = weights.alpha1 * sd + weights.alpha2 * ss + weights.alpha3 * sm
 
-    order = np.argsort(-fused, kind="stable")[:k]
     return [
         ScoredDemo(
             pair=index.entries[i].pair,
@@ -318,8 +317,23 @@ def retrieve_topk(
             s_multi=float(sm[i]),
             s_rank=float(fused[i]),
         )
-        for i in order
+        for i in _top_k_stable(fused, k)
     ]
+
+
+def _top_k_stable(scores: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(-scores, kind="stable")[:k]`` without sorting every score.
+
+    Every entry scoring at least the k-th best, ties at the cut included,
+    is sorted in corpus order, so ids and order match the full sort.
+    """
+    neg = -scores
+    k = min(k, len(neg))
+    kth = np.partition(neg, k - 1)[k - 1]
+    # "not above" rather than "at most" also keeps NaNs, which both sorts
+    # put last
+    keep = np.flatnonzero(~(neg > kth))
+    return keep[np.argsort(neg[keep], kind="stable")][:k]
 
 
 def save_index(index: RetrievalIndex, path: str | Path) -> None:

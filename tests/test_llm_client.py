@@ -1,8 +1,12 @@
+import gc
 import json
 import threading
+import warnings
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
 
 from afsp.errors import (
     AllCandidatesEmpty,
@@ -79,6 +83,7 @@ def server():
     finally:
         httpd.shutdown()
         thread.join()
+        httpd.server_close()
 
 
 def endpoint(httpd) -> str:
@@ -219,10 +224,25 @@ def test_one_shot_helper(server):
     assert result.prompt_fingerprint == fingerprint("helper prompt")
 
 
+def test_one_shot_helper_closes_its_session(server, monkeypatch):
+    closed = []
+    close = requests.Session.close
+    monkeypatch.setattr(requests.Session, "close", lambda self: (closed.append(self), close(self)))
+    gc.collect()  # sockets other tests left open are not this call's
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        generate_candidates("helper prompt", cfg(server, n_candidates=2))
+        gc.collect()
+    assert len(closed) == 1
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
 def test_endpoint_translator_round_trip(server):
     server.behaviours.append({"kind": "echo", "contents": ["pivot text"]})
     server.behaviours.append({"kind": "echo", "contents": ["round tripped"]})
-    translator = EndpointTranslator(cfg(server))
+    config = cfg(server, max_in_flight=2, top_k=5)
+    translator = EndpointTranslator(config)
+    assert translator.cfg == replace(config, n_candidates=1)
     assert translator("original", "en", "zh") == "pivot text"
     assert translator("pivot text", "zh", "en") == "round tripped"
     assert server.requests[0]["body"]["n"] == 1
@@ -328,3 +348,21 @@ def test_422_falls_back_to_single_choice(sleeps):
     result = ChatCompletionsClient(session).generate_candidates("p", stub_cfg(n_candidates=3))
     assert result.candidates == ("c0", "c0", "c0")
     assert [b["n"] for b in session.bodies] == [3, 1, 1, 1]
+
+
+def test_client_closes_only_the_session_it_opened():
+    class ClosingSession(StubSession):
+        closed = False
+
+        def close(self):
+            self.closed = True
+
+    given = ClosingSession()
+    with ChatCompletionsClient(given) as client:
+        client.generate_candidates("p", stub_cfg(n_candidates=1))
+    assert not given.closed
+
+    owned = ChatCompletionsClient()
+    owned._session = ClosingSession()
+    owned.close()
+    assert owned._session.closed

@@ -1,7 +1,12 @@
+import hashlib
+import random
+import struct
+
 import numpy as np
 import pytest
 
 from afsp.degeneration import RerankerExample
+from afsp.embedding import _CJK_RE, segment
 from afsp.errors import (
     DegenerateDataset,
     EmptyCandidateList,
@@ -11,14 +16,15 @@ from afsp.errors import (
 from afsp.reranker import (
     DEFAULT_FEATURE_DIM,
     NGramRegressor,
+    _gram_index,
     featurize,
+    featurize_many,
     load_model,
     rank,
     save_model,
-    score,
     train,
 )
-from helpers import synthetic_corpus
+from helpers import en_sentence, synthetic_corpus, zh_sentence
 
 FEATURE_DIM = 1 << 12  # small hash space keeps unit tests fast
 
@@ -208,15 +214,95 @@ def test_model_truncated_file(tmp_path):
         load_model(path)
 
 
-def test_module_level_score_delegates():
-    zero = NGramRegressor(
-        feature_dim=FEATURE_DIM,
-        hash_seed=0,
-        weights=np.zeros(FEATURE_DIM + 2, dtype=np.float32),
-        bias=0.0,
-    )
-    assert score(zero, "text") == 0.5
-
-
 def test_default_feature_dim_is_power_of_two():
     assert DEFAULT_FEATURE_DIM == 2**18
+
+
+def featurize_per_position(text, feature_dim, hash_seed):
+    """Reference: one hash per gram position, counts merged per bucket."""
+    key = struct.pack("<Q", hash_seed & 0xFFFFFFFFFFFFFFFF)
+    lowered = text.lower()
+    index_parts, value_parts = [], []
+    for n in range(1, 5):
+        counts = {}
+        for i in range(len(lowered) - n + 1):
+            idx = _gram_index(lowered[i : i + n], feature_dim, key)
+            counts[idx] = counts.get(idx, 0.0) + 1.0
+        if not counts:
+            continue
+        values = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+        values /= np.linalg.norm(values)
+        index_parts.append(np.fromiter(counts.keys(), dtype=np.int64, count=len(counts)))
+        value_parts.append(values)
+    token_count = len(segment(text))
+    chars = [c for c in text if not c.isspace()]
+    cjk_fraction = sum(1 for c in chars if _CJK_RE.match(c)) / len(chars) if chars else 0.0
+    index_parts.append(np.array([feature_dim, feature_dim + 1], dtype=np.int64))
+    value_parts.append(np.array([min(token_count / 100.0, 1.0), cjk_fraction]))
+    return np.concatenate(index_parts), np.concatenate(value_parts)
+
+
+def random_texts(seed, count=40):
+    """Latin, CJK and mixed texts, with case, odd whitespace and repeats."""
+    rng = random.Random(seed)
+    pieces = ["İstanbul", "ÀÉÎ", "　", "\t", " \n ", "ー・", "123", "x" * 5, "。", "好好好"]
+    texts = []
+    for i in range(count):
+        kind = i % 3
+        parts = []
+        for _ in range(rng.randint(1, 6)):
+            if kind == 0:
+                parts.append(en_sentence(rng))
+            elif kind == 1:
+                parts.append(zh_sentence(rng))
+            else:
+                parts.append(rng.choice([en_sentence(rng), zh_sentence(rng), rng.choice(pieces)]))
+        texts.append(rng.choice(["", " ", "\u3000"]).join(parts))
+    texts += ["a", "ab", "İ", "Ａｂ好", " 好 ", "word " * 300]
+    return texts
+
+
+@pytest.mark.parametrize("feature_dim,hash_seed", [(FEATURE_DIM, 0), (7, 0), (7, 2**64 - 5), (DEFAULT_FEATURE_DIM, 99)])
+def test_featurize_many_matches_per_position_reference(feature_dim, hash_seed):
+    texts = random_texts(seed=feature_dim + hash_seed % 1000)
+    batch = featurize_many(texts, feature_dim, hash_seed)
+    assert len(batch) == len(texts)
+    for text, fv in zip(texts, batch):
+        indices, values = featurize_per_position(text, feature_dim, hash_seed)
+        assert fv.indices.tobytes() == indices.tobytes()
+        assert fv.values.tobytes() == values.tobytes()
+        single = featurize(text, feature_dim, hash_seed)
+        assert single.indices.tobytes() == indices.tobytes()
+        assert single.values.tobytes() == values.tobytes()
+
+
+def test_featurize_many_blank_text_anywhere_raises():
+    for batch in (["   "], ["ok", "\t\n"], ["ok", "fine", "\u3000"], ["", "ok"]):
+        with pytest.raises(EmptyText):
+            featurize_many(batch, FEATURE_DIM)
+    assert featurize_many([], FEATURE_DIM) == []
+
+
+def test_rank_scores_equal_single_text_scores_and_ties_keep_order():
+    model, _ = train(small_dataset(), epochs=8, seed=5, feature_dim=FEATURE_DIM, hash_seed=7)
+    texts = random_texts(seed=3, count=24)
+    candidates = texts + texts[:6]  # six exact ties, later copies rank after earlier
+    ranked = rank(model, candidates)
+    assert model.score_many(candidates) == [model.score(t) for t in candidates]
+    by_index = dict(ranked)
+    assert [by_index[i] for i in range(len(candidates))] == [model.score(t) for t in candidates]
+    assert ranked == sorted(by_index.items(), key=lambda pair: (-pair[1], pair[0]))
+    for i in range(6):
+        order = [j for j, _ in ranked]
+        assert order.index(i) < order.index(len(texts) + i)
+
+
+def test_saved_model_bytes_match_golden(tmp_path):
+    # digest of the model file written before featurization was batched;
+    # a change here means training no longer sees the same feature vectors
+    model, _ = train(small_dataset(), epochs=8, seed=9, feature_dim=FEATURE_DIM, hash_seed=123)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "1cd5e2b3018fed6a673f77850b52932452d745eb24e6c582579a293f9a9d51c2"
+    )

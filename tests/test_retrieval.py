@@ -250,6 +250,42 @@ def test_retrieve_tie_breaks_by_corpus_order():
     assert top[0].s_rank == top[1].s_rank
 
 
+@pytest.mark.parametrize("normalize", [False, True])
+def test_partial_top_k_keeps_ties_at_the_cut(normalize):
+    # 40 entries over 5 source texts: every cut falls in or next to a block
+    # of exact ties, which must come out in corpus order as in a full sort
+    rng = random.Random(12)
+    sources = ["你好世界", "双方同意加强合作", "完全不同的句子内容", "世界", "合作"]
+    pairs = [
+        DemoPair(f"t{i:02d}", rng.choice(sources), f"text {i}", "zh", "en") for i in range(40)
+    ]
+    table = corpus_table(dim=16)
+    proj = init_projections(16, seed=2)
+    index = build_index(Corpus(pairs), table, proj)
+    w = Weights()
+    for query in ("你好", "双方合作", "世界的内容"):
+        full = retrieve_topk(query, index, table, proj, w, k=len(pairs), normalize_scores=normalize)
+        keys = [(-s.s_rank, s.pair.id) for s in full]
+        assert keys == sorted(keys)
+        assert len({s.s_rank for s in full}) <= len(sources)
+        for k in range(1, len(pairs)):
+            top = retrieve_topk(query, index, table, proj, w, k=k, normalize_scores=normalize)
+            assert [(s.pair.id, s.s_rank) for s in top] == [(s.pair.id, s.s_rank) for s in full[:k]]
+
+
+def test_top_k_stable_equals_full_stable_sort():
+    rng = np.random.default_rng(4)
+    for trial in range(200):
+        n = int(rng.integers(1, 60))
+        scores = rng.integers(-3, 4, size=n).astype(np.float64)
+        scores[rng.random(n) < 0.2] = -0.0
+        if trial % 4 == 0:
+            scores[rng.random(n) < 0.2] = np.nan
+        for k in range(1, n + 2):
+            want = np.argsort(-scores, kind="stable")[:k]
+            assert afsp.retrieval._top_k_stable(scores, k).tolist() == want.tolist()
+
+
 def test_retrieve_fingerprint_mismatch(stack):
     _, table, proj, index = stack
     other = init_projections(32, seed=99)
