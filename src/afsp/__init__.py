@@ -49,7 +49,6 @@ from .pipeline import (
     TranslationPipeline,
     TranslationResult,
     load_config,
-    translate,
 )
 from .prompting import PromptRequest, extract_translation, render_prompt
 from .reranker import (

@@ -1,25 +1,37 @@
 """Little-endian binary read/write helpers for the artifact file formats.
 
-All multi-byte integers are little-endian; strings are u32 length-prefixed
-UTF-8; float arrays are raw float32 little-endian.
+All multi-byte integers are little-endian; float arrays are raw float32
+little-endian. Single strings are u32 length-prefixed UTF-8; a string column
+is ``count + 1`` u32 byte offsets (starting at 0) followed by one UTF-8 blob
+holding every string back to back.
+
+A loader reads its whole file in one call and parses it with a
+:class:`Reader`, which checks every size against the bytes that are there
+before it slices them, so a corrupt or truncated file raises
+VersionMismatch and never IndexError, UnicodeDecodeError or an allocation
+sized by a corrupt count.
 """
 
 from __future__ import annotations
 
 import struct
+from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
 
 from .errors import VersionMismatch
 
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+
 
 def write_u32(fh: BinaryIO, value: int) -> None:
-    fh.write(struct.pack("<I", value))
+    fh.write(_U32.pack(value))
 
 
 def write_u64(fh: BinaryIO, value: int) -> None:
-    fh.write(struct.pack("<Q", value & 0xFFFFFFFFFFFFFFFF))
+    fh.write(_U64.pack(value & 0xFFFFFFFFFFFFFFFF))
 
 
 def write_str(fh: BinaryIO, text: str) -> None:
@@ -32,45 +44,98 @@ def write_f32(fh: BinaryIO, value: float) -> None:
     fh.write(struct.pack("<f", value))
 
 
-def write_f32_array(fh: BinaryIO, arr: np.ndarray) -> None:
-    fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+def write_array(fh: BinaryIO, arr: np.ndarray, dtype: str = "<f4") -> None:
+    fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
 
 
-def read_bytes(fh: BinaryIO, n: int, what: str = "bytes") -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise VersionMismatch(f"truncated file while reading {what}")
-    return data
+def write_str_column(fh: BinaryIO, texts) -> None:
+    blobs = [t.encode("utf-8") for t in texts]
+    offsets = np.zeros(len(blobs) + 1, dtype=np.int64)
+    np.cumsum([len(b) for b in blobs], out=offsets[1:])
+    if offsets[-1] > 0xFFFFFFFF:
+        raise ValueError("string column exceeds 4 GiB")
+    write_array(fh, offsets, "<u4")
+    fh.write(b"".join(blobs))
 
 
-def read_u32(fh: BinaryIO, what: str = "u32") -> int:
-    return struct.unpack("<I", read_bytes(fh, 4, what))[0]
+class Reader:
+    """Cursor over the bytes of one artifact file."""
 
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
 
-def read_u64(fh: BinaryIO, what: str = "u64") -> int:
-    return struct.unpack("<Q", read_bytes(fh, 8, what))[0]
+    @classmethod
+    def open(cls, path: str | Path, magic: bytes, hint: str = "") -> Reader:
+        """Read the whole file and check its magic; ``hint`` is appended to
+        the error for a wrong magic."""
+        with open(path, "rb") as fh:
+            reader = cls(fh.read())
+        got = reader.data[: len(magic)]
+        if got != magic:
+            raise VersionMismatch(
+                f"bad header: expected {magic!r}, found {got!r}" + (f"; {hint}" if hint else "")
+            )
+        reader.pos = len(magic)
+        return reader
 
+    def take(self, n: int, what: str) -> bytes:
+        end = self.pos + n
+        if end > len(self.data):
+            raise VersionMismatch(f"truncated file while reading {what}")
+        out = self.data[self.pos : end]
+        self.pos = end
+        return out
 
-def read_str(fh: BinaryIO, what: str = "string") -> str:
-    length = read_u32(fh, what)
-    try:
-        return read_bytes(fh, length, what).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise VersionMismatch(f"corrupt UTF-8 while reading {what}: {exc}") from exc
+    def u32(self, what: str) -> int:
+        return _U32.unpack(self.take(4, what))[0]
 
+    def u64(self, what: str) -> int:
+        return _U64.unpack(self.take(8, what))[0]
 
-def read_f32(fh: BinaryIO, what: str = "f32") -> float:
-    return struct.unpack("<f", read_bytes(fh, 4, what))[0]
+    def f32(self, what: str) -> float:
+        return struct.unpack("<f", self.take(4, what))[0]
 
+    def array(self, dtype: str, count: int, what: str) -> np.ndarray:
+        """A read-only view of the next ``count`` items, no copy."""
+        dt = np.dtype(dtype)
+        if self.pos + count * dt.itemsize > len(self.data):
+            raise VersionMismatch(f"truncated file while reading {what}")
+        arr = np.frombuffer(self.data, dtype=dt, count=count, offset=self.pos)
+        self.pos += count * dt.itemsize
+        return arr
 
-def read_f32_array(fh: BinaryIO, count: int, what: str = "f32 array") -> np.ndarray:
-    data = read_bytes(fh, 4 * count, what)
-    return np.frombuffer(data, dtype="<f4").copy()
+    def strs(self, count: int, what: str) -> list[str]:
+        """``count`` u32 length-prefixed strings."""
+        data, pos, end = self.data, self.pos, len(self.data)
+        out = []
+        try:
+            for _ in range(count):
+                if pos + 4 > end:
+                    raise VersionMismatch(f"truncated file while reading {what}")
+                start = pos + 4
+                pos = start + _U32.unpack_from(data, pos)[0]
+                if pos > end:
+                    raise VersionMismatch(f"truncated file while reading {what}")
+                out.append(data[start:pos].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise VersionMismatch(f"corrupt UTF-8 while reading {what}: {exc}") from exc
+        self.pos = pos
+        return out
 
+    def str_column(self, count: int, what: str) -> list[str]:
+        """One string column of ``count`` strings (see the module docstring)."""
+        offsets = self.array("<u4", count + 1, what)
+        if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
+            raise VersionMismatch(f"{what}: string offsets are not monotone from 0")
+        blob = self.take(int(offsets[-1]), what)
+        bounds = offsets.tolist()
+        try:
+            return [blob[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
+        except UnicodeDecodeError as exc:
+            raise VersionMismatch(f"corrupt UTF-8 while reading {what}: {exc}") from exc
 
-def check_magic(fh: BinaryIO, expected: bytes) -> None:
-    got = fh.read(len(expected))
-    if got != expected:
-        raise VersionMismatch(
-            f"bad header: expected {expected!r}, found {got!r}"
-        )
+    def end(self, what: str) -> None:
+        """Raise VersionMismatch unless every byte has been read."""
+        if self.pos != len(self.data):
+            raise VersionMismatch(f"trailing bytes after {what}")

@@ -26,8 +26,7 @@ from .errors import (
     StageError,
 )
 from .llm_client import EndpointTranslator, GenerationConfig, MockClient
-from .pipeline import PipelineConfig, TranslationPipeline, load_config
-from .prompting import PromptRequest, lang_display_name, render_prompt
+from .pipeline import PipelineConfig, TranslationPipeline, load_config, load_retrieval_stack
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -71,15 +70,6 @@ def _base_config(args) -> PipelineConfig:
     return cfg
 
 
-def _load_retrieval_stack(cfg: PipelineConfig):
-    if not cfg.table_path or not cfg.index_path:
-        raise ValueError("need an embedding table and an index (flags or config file)")
-    table = load_table(cfg.table_path)
-    proj = init_projections(table.dim, cfg.projection_seed)
-    index = retrieval_mod.load_index(cfg.index_path)
-    return table, proj, index
-
-
 def cmd_ingest(args) -> int:
     loaded = corpus_mod.ingest(args.input, format=args.format)
     corpus_mod.save(loaded, args.out)
@@ -108,7 +98,7 @@ def cmd_index(args) -> int:
 
 def cmd_retrieve(args) -> int:
     cfg = _base_config(args)
-    table, proj, index = _load_retrieval_stack(cfg)
+    index, table, proj = load_retrieval_stack(cfg)
     scored = retrieval_mod.retrieve_topk(
         args.query, index, table, proj, cfg.weights, cfg.k,
         normalize_scores=cfg.normalize_scores,
@@ -135,24 +125,8 @@ def cmd_retrieve(args) -> int:
 
 def cmd_prompt(args) -> int:
     cfg = _base_config(args)
-    table, proj, index = _load_retrieval_stack(cfg)
-    demos: tuple[tuple[str, str], ...] = ()
-    if cfg.k >= 1:
-        scored = retrieval_mod.retrieve_topk(
-            args.query, index, table, proj, cfg.weights, cfg.k,
-            normalize_scores=cfg.normalize_scores,
-        )
-        demos = tuple((s.pair.src_text, s.pair.tgt_text) for s in scored)
-    first = index.entries[0].pair
-    prompt = render_prompt(
-        PromptRequest(
-            src_lang_name=lang_display_name(first.src_lang, cfg.lang_names),
-            tgt_lang_name=lang_display_name(first.tgt_lang, cfg.lang_names),
-            input_text=args.query,
-            demos=demos,
-        )
-    )
-    print(prompt)
+    pipeline = TranslationPipeline(*load_retrieval_stack(cfg), config=cfg, client=None)
+    print(pipeline.build_prompt(args.query))
     return EXIT_OK
 
 

@@ -3,8 +3,9 @@
 The canonical interchange format is JSONL with one object per line:
 ``{"id": "0001", "src": "...", "tgt": "...", "src_lang": "zh", "tgt_lang": "en"}``.
 TSV with 4-5 tab-separated columns (``[id] src tgt src_lang tgt_lang``) is
-accepted for convenience. The binary format (magic ``AFSPCOR1``) is used for
-fast reload between pipeline stages.
+accepted for convenience. The binary format (magic ``AFSPCOR2``) is used for
+fast reload between pipeline stages: a u32 pair count, then the pair table,
+which the retrieval index stores too.
 """
 
 from __future__ import annotations
@@ -13,17 +14,23 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO, Sequence
 
 from . import _binio
 from .errors import (
+    AfspError,
     DuplicateId,
     EmptyFile,
     MalformedRecord,
     MixedLanguagePair,
     TestSizeTooLarge,
+    VersionMismatch,
 )
 
-CORPUS_MAGIC = b"AFSPCOR1"
+CORPUS_MAGIC = b"AFSPCOR2"
+
+# the pair table's string columns, in file order
+_PAIR_FIELDS = ("id", "src_text", "tgt_text", "src_lang", "tgt_lang")
 
 
 @dataclass(frozen=True)
@@ -56,17 +63,18 @@ class Corpus:
         if not pairs:
             raise EmptyFile("a corpus needs at least one pair")
         src_lang, tgt_lang = pairs[0].src_lang, pairs[0].tgt_lang
-        seen: set[str] = set()
+        by_id: dict[str, DemoPair] = {}
         for p in pairs:
             if (p.src_lang, p.tgt_lang) != (src_lang, tgt_lang):
                 raise MixedLanguagePair(
                     f"pair {p.id!r} is {p.src_lang}->{p.tgt_lang}, "
                     f"corpus is {src_lang}->{tgt_lang}"
                 )
-            if p.id in seen:
+            if p.id in by_id:
                 raise DuplicateId(p.id)
-            seen.add(p.id)
+            by_id[p.id] = p
         self.pairs: tuple[DemoPair, ...] = tuple(pairs)
+        self._by_id = by_id
         self.src_lang = src_lang
         self.tgt_lang = tgt_lang
 
@@ -83,10 +91,7 @@ class Corpus:
         return isinstance(other, Corpus) and self.pairs == other.pairs
 
     def by_id(self, pair_id: str) -> DemoPair:
-        for p in self.pairs:
-            if p.id == pair_id:
-                return p
-        raise KeyError(pair_id)
+        return self._by_id[pair_id]
 
 
 def _auto_id(index: int) -> str:
@@ -168,35 +173,35 @@ def split(corpus: Corpus, test_size: int, seed: int) -> tuple[Corpus, Corpus]:
     return Corpus(demo), Corpus(test)
 
 
+def write_pair_table(fh: BinaryIO, pairs: Corpus | Sequence[DemoPair]) -> None:
+    """Write the pair table: one string column per DemoPair field."""
+    for field in _PAIR_FIELDS:
+        _binio.write_str_column(fh, [getattr(p, field) for p in pairs])
+
+
+def read_pair_table(reader: _binio.Reader, count: int) -> Corpus:
+    """Read a pair table of ``count`` pairs written by
+    :func:`write_pair_table`; invalid pairs raise VersionMismatch."""
+    columns = [reader.str_column(count, f"pair table {field}") for field in _PAIR_FIELDS]
+    try:
+        return Corpus([DemoPair(*fields) for fields in zip(*columns)])
+    except (ValueError, AfspError) as exc:
+        raise VersionMismatch(f"invalid pair table: {exc}") from exc
+
+
 def save(corpus: Corpus, path: str | Path) -> None:
-    """Write the corpus in the binary format (magic ``AFSPCOR1``)."""
+    """Write the corpus in the binary format (magic ``AFSPCOR2``)."""
     with open(path, "wb") as fh:
         fh.write(CORPUS_MAGIC)
         _binio.write_u32(fh, len(corpus))
-        for p in corpus:
-            _binio.write_str(fh, p.id)
-            _binio.write_str(fh, p.src_text)
-            _binio.write_str(fh, p.tgt_text)
-            _binio.write_str(fh, p.src_lang)
-            _binio.write_str(fh, p.tgt_lang)
+        write_pair_table(fh, corpus)
 
 
 def load(path: str | Path) -> Corpus:
     """Read a corpus written by :func:`save`. Raises VersionMismatch on a
-    bad header or truncated file."""
-    with open(path, "rb") as fh:
-        _binio.check_magic(fh, CORPUS_MAGIC)
-        count = _binio.read_u32(fh, "pair count")
-        pairs = []
-        for i in range(count):
-            what = f"pair {i}"
-            pairs.append(
-                DemoPair(
-                    id=_binio.read_str(fh, what),
-                    src_text=_binio.read_str(fh, what),
-                    tgt_text=_binio.read_str(fh, what),
-                    src_lang=_binio.read_str(fh, what),
-                    tgt_lang=_binio.read_str(fh, what),
-                )
-            )
-    return Corpus(pairs)
+    bad header (an ``AFSPCOR1`` file included), a truncated or corrupt file,
+    or trailing bytes."""
+    reader = _binio.Reader.open(path, CORPUS_MAGIC, hint="rebuild with `afsp ingest`")
+    corpus = read_pair_table(reader, reader.u32("pair count"))
+    reader.end("the pair table")
+    return corpus

@@ -243,19 +243,17 @@ def save_table(table: EmbeddingTable, path: str | Path) -> None:
         _binio.write_u64(fh, table.oov_seed)
         for token in table.vocab:
             _binio.write_str(fh, token)
-        _binio.write_f32_array(fh, table.matrix)
+        _binio.write_array(fh, table.matrix)
 
 
 def load_table(path: str | Path) -> EmbeddingTable:
-    with open(path, "rb") as fh:
-        _binio.check_magic(fh, TABLE_MAGIC)
-        v = _binio.read_u32(fh, "vocab size")
-        h = _binio.read_u32(fh, "embedding dim")
-        oov_seed = _binio.read_u64(fh, "oov seed")
-        vocab = tuple(_binio.read_str(fh, f"token {i}") for i in range(v))
-        data = _binio.read_bytes(fh, 4 * v * h, "embedding matrix")
-    # the constructor copies the matrix, so it need not be copied here
-    matrix = np.frombuffer(data, dtype="<f4").reshape(v, h)
+    reader = _binio.Reader.open(path, TABLE_MAGIC)
+    v = reader.u32("vocab size")
+    h = reader.u32("embedding dim")
+    oov_seed = reader.u64("oov seed")
+    vocab = tuple(reader.strs(v, "vocab"))
+    # the constructor copies the matrix, so the view is not copied here
+    matrix = reader.array("<f4", v * h, "embedding matrix").reshape(v, h)
     return EmbeddingTable(vocab=vocab, matrix=matrix, oov_seed=oov_seed)
 
 

@@ -109,6 +109,17 @@ class BatchSummary:
     wall_time: float = 0.0
 
 
+def load_retrieval_stack(
+    config: PipelineConfig,
+) -> tuple[RetrievalIndex, EmbeddingTable, ProjectionSet]:
+    """The index, table and projections named in the config."""
+    if not config.table_path or not config.index_path:
+        raise ValueError("config must name an embedding table and an index")
+    table = load_table(config.table_path)
+    projections = init_projections(table.dim, config.projection_seed)
+    return load_index(config.index_path), table, projections
+
+
 class TranslationPipeline:
     """Translate with retrieved demonstrations and reranked candidates."""
 
@@ -127,18 +138,13 @@ class TranslationPipeline:
         self.config = config
         self.client = client
         self.scorer = scorer
-        first = index.entries[0].pair
-        self.src_lang_name = lang_display_name(first.src_lang, config.lang_names)
-        self.tgt_lang_name = lang_display_name(first.tgt_lang, config.lang_names)
+        self.src_lang_name = lang_display_name(index.corpus.src_lang, config.lang_names)
+        self.tgt_lang_name = lang_display_name(index.corpus.tgt_lang, config.lang_names)
 
     @classmethod
     def from_config(cls, config: PipelineConfig, client=None) -> "TranslationPipeline":
         """Load all artifacts named in the config from disk."""
-        if not config.table_path or not config.index_path:
-            raise ValueError("config must name an embedding table and an index")
-        table = load_table(config.table_path)
-        projections = init_projections(table.dim, config.projection_seed)
-        index = load_index(config.index_path)
+        index, table, projections = load_retrieval_stack(config)
         scorer: NGramRegressor | None = None
         if config.reranker_path:
             scorer = load_model(config.reranker_path)
@@ -285,9 +291,3 @@ class TranslationPipeline:
                 audit_fh.close()
         summary.wall_time = time.monotonic() - started
         return summary
-
-
-def translate(source_sentence: str, config: PipelineConfig, client=None) -> TranslationResult:
-    """Convenience single-sentence entry point; loads artifacts per call.
-    Use TranslationPipeline directly for batches."""
-    return TranslationPipeline.from_config(config, client=client).translate(source_sentence)

@@ -274,17 +274,16 @@ def save_model(model: NGramRegressor, path: str | Path) -> None:
         fh.write(MODEL_MAGIC)
         _binio.write_u32(fh, model.feature_dim)
         _binio.write_u64(fh, model.hash_seed)
-        _binio.write_f32_array(fh, model.weights)
+        _binio.write_array(fh, model.weights)
         _binio.write_f32(fh, model.bias)
 
 
 def load_model(path: str | Path) -> NGramRegressor:
-    with open(path, "rb") as fh:
-        _binio.check_magic(fh, MODEL_MAGIC)
-        feature_dim = _binio.read_u32(fh, "feature dim")
-        hash_seed = _binio.read_u64(fh, "hash seed")
-        weights = _binio.read_f32_array(fh, feature_dim + DENSE_SLOTS, "weights")
-        bias = _binio.read_f32(fh, "bias")
+    reader = _binio.Reader.open(path, MODEL_MAGIC)
+    feature_dim = reader.u32("feature dim")
+    hash_seed = reader.u64("hash seed")
+    weights = reader.array("<f4", feature_dim + DENSE_SLOTS, "weights").copy()
+    bias = reader.f32("bias")
     return NGramRegressor(
         feature_dim=feature_dim, hash_seed=hash_seed, weights=weights, bias=bias
     )

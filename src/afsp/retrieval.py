@@ -18,29 +18,30 @@ callers that want comparable scales.
 Scoring is done in float64 on the stored float32 representations, so results
 are identical whether the index was just built or reloaded from disk.
 
-Multi-vector rows come from a context-free embedding layer, so each row
-depends only on its token and a corpus repeats few distinct rows many times.
-The scan keeps one float64 copy of each distinct row (deduped by its exact
-float32 bytes) plus the distinct-row id of every corpus row; a query is
-scored against the distinct rows and the result gathered back to corpus
-rows, which gives the same values as scoring every row. The index checks the
-table fingerprint once per (table, projections) pair, compared by identity;
-their arrays are read-only, so the same objects always hold the same content.
+The index is columnar: a pair table, the dense matrix, CSR sparse weights,
+and the multi-vector rows. Multi-vector rows come from a context-free
+embedding layer, so each row depends only on its token and a corpus repeats
+few distinct rows many times; the index stores each distinct row once
+(deduped by its exact float32 bytes) and, per entry, the ids of its distinct
+rows. A query is scored against the distinct rows and the result gathered
+back to entries, which gives the same values as scoring every token row.
+The same arrays are the file format, read back with ``np.frombuffer``. The
+index checks the table fingerprint once per (table, projections) pair,
+compared by identity; their arrays are read-only, so the same objects
+always hold the same content.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import struct
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import _binio
-from .corpus import Corpus, DemoPair
+from .corpus import Corpus, DemoPair, read_pair_table, write_pair_table
 from .embedding import (
     DenseVec,
     EmbeddingTable,
@@ -61,10 +62,11 @@ from .errors import (
     VersionMismatch,
 )
 
-INDEX_MAGIC = b"AFSPIDX1"
+INDEX_MAGIC = b"AFSPIDX2"
 
-# one stored sparse weight: token id, then its float32 weight
-_SPARSE_PAIR = struct.Struct("<If")
+# how far from 1 a loaded dense or multi-vector row's norm may be; rows are
+# normalized in float64 and stored as float32
+_NORM_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -81,14 +83,6 @@ class Weights:
             raise ValueError(f"weights must be finite and non-negative, got {alphas}")
         if not any(a > 0 for a in alphas):
             raise ValueError("at least one weight must be positive")
-
-
-@dataclass(frozen=True)
-class IndexEntry:
-    pair: DemoPair
-    dense: DenseVec
-    sparse: SparseWeights
-    multi: MultiVec
 
 
 @dataclass(frozen=True)
@@ -150,19 +144,68 @@ def table_fingerprint(table: EmbeddingTable, proj: ProjectionSet) -> bytes:
 
 
 class RetrievalIndex:
-    """Precomputed source-side representations for every corpus pair."""
+    """Source-side representations of every corpus pair, as flat arrays.
 
-    def __init__(self, entries: list[IndexEntry], fingerprint: bytes):
-        if not entries:
-            raise ValueError("index needs at least one entry")
-        self.entries: tuple[IndexEntry, ...] = tuple(entries)
+    Entry ``i`` is ``corpus[i]``; it owns
+
+    - dense row ``dense[i]`` (float32, unit norm),
+    - sparse weights ``sparse_weights[a:b]`` of the token ids
+      ``sparse_ids[a:b]`` (ascending), with ``a, b = sparse_indptr[i:i + 2]``,
+    - the multi-vector rows ``multi_rows[multi_row_ids[a:b]]`` with
+      ``a, b = multi_offsets[i:i + 2]``: ``multi_rows`` holds each distinct
+      row once (float32, unit norm, in order of first appearance in the
+      corpus) and an entry lists each of its distinct rows once, in order
+      of first appearance in its text. A max over a set equals the max
+      over the multiset, so late-interaction scores are those of every
+      token row.
+
+    The constructor builds the float64 scan arrays once, so every query
+    scans the same arrays and the first one pays nothing extra.
+    """
+
+    def __init__(
+        self,
+        corpus: Corpus,
+        fingerprint: bytes,
+        *,
+        dense: np.ndarray,
+        sparse_indptr: np.ndarray,
+        sparse_ids: np.ndarray,
+        sparse_weights: np.ndarray,
+        multi_rows: np.ndarray,
+        multi_offsets: np.ndarray,
+        multi_row_ids: np.ndarray,
+    ):
+        self.corpus = corpus
         self.fingerprint = fingerprint
-        self._scan_cache = None
-        self._scan_lock = threading.Lock()
+        self.dense = dense
+        self.sparse_indptr = sparse_indptr
+        self.sparse_ids = sparse_ids
+        self.sparse_weights = sparse_weights
+        self.multi_rows = multi_rows
+        self.multi_offsets = multi_offsets
+        self.multi_row_ids = multi_row_ids
         self._bound: tuple[EmbeddingTable, ProjectionSet] | None = None
 
+        self._dense64 = dense.astype(np.float64)
+        self._rows64 = multi_rows.astype(np.float64)
+        self._row_ids = multi_row_ids.astype(np.intp)
+        self._row_starts = multi_offsets[:-1].astype(np.intp)
+        # inverted sparse lists: token id -> slice of (entry positions
+        # ascending, weights)
+        positions = np.repeat(np.arange(len(corpus)), np.diff(sparse_indptr.astype(np.intp)))
+        order = np.argsort(sparse_ids, kind="stable")
+        tids = sparse_ids[order]
+        self._sparse_pos = positions[order]
+        self._sparse_w = sparse_weights[order].astype(np.float64)
+        keys, starts = np.unique(tids, return_index=True)
+        bounds = starts.tolist() + [len(tids)]
+        self._sparse_cols = {
+            tid: slice(a, b) for tid, a, b in zip(keys.tolist(), bounds, bounds[1:])
+        }
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.corpus)
 
     def _check_binding(self, table: EmbeddingTable, proj: ProjectionSet) -> None:
         """Raise FingerprintMismatch unless (table, proj) built this index;
@@ -176,83 +219,64 @@ class RetrievalIndex:
             )
         self._bound = (table, proj)
 
-    def _scan_arrays(self):
-        """Lazily built arrays for the batched scan: the float64 dense
-        matrix, the float64 distinct multi-vector rows, each corpus row's
-        distinct-row id, the offset of each entry's first row, and the
-        inverted sparse lists. Built once, under a lock, so concurrent first
-        queries do not each build a copy."""
-        with self._scan_lock:
-            if self._scan_cache is None:
-                dense_mat = np.stack(
-                    [e.dense.values for e in self.entries]
-                ).astype(np.float64)
-                uniq, row_ids = _distinct_rows([e.multi.rows for e in self.entries])
-                lengths = np.array([e.multi.rows.shape[0] for e in self.entries])
-                offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-                self._scan_cache = (
-                    dense_mat,
-                    uniq.astype(np.float64),
-                    row_ids,
-                    offsets,
-                    _inverted_sparse(self.entries),
-                )
-        return self._scan_cache
+    def _scores(
+        self, q_dense: DenseVec, q_sparse: SparseWeights, q_multi: MultiVec
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Dense, sparse and multi-vector scores of every entry, in float64."""
+        sd = self._dense64 @ q_dense.values.astype(np.float64)
 
+        ss = np.zeros(len(self))
+        for tid, w in q_sparse.weights.items():
+            hit = self._sparse_cols.get(tid)
+            if hit is not None:
+                ss[self._sparse_pos[hit]] += w * self._sparse_w[hit]
 
-def _distinct_rows(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Exact dedup of the rows of ``blocks`` taken in order, by their float32
-    bytes: ``(uniq, row_ids)`` with ``uniq[row_ids]`` equal bit for bit to the
-    concatenated rows, and ``uniq`` in order of first appearance."""
-    seen: dict[bytes, int] = {}
-    row_ids = np.fromiter(
-        (seen.setdefault(row.tobytes(), len(seen)) for block in blocks for row in block),
-        dtype=np.intp,
-        count=sum(len(block) for block in blocks),
-    )
-    uniq = np.frombuffer(b"".join(seen), dtype=np.float32).reshape(len(seen), -1)
-    return uniq, row_ids
-
-
-def _inverted_sparse(entries) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """token id -> (entry positions, weights), positions ascending."""
-    counts = np.array([len(e.sparse.weights) for e in entries])
-    total = int(counts.sum())
-    tids = np.fromiter((t for e in entries for t in e.sparse.weights), np.int64, total)
-    weights = np.fromiter(
-        (w for e in entries for w in e.sparse.weights.values()), np.float64, total
-    )
-    positions = np.repeat(np.arange(len(entries)), counts)
-    order = np.argsort(tids, kind="stable")
-    tids, positions, weights = tids[order], positions[order], weights[order]
-    keys, starts = np.unique(tids, return_index=True)
-    return {
-        int(tid): (pos, w)
-        for tid, pos, w in zip(
-            keys, np.split(positions, starts[1:]), np.split(weights, starts[1:])
+        # one query row at a time: a 1-D gather and reduceat run faster than
+        # the same over a (query rows, corpus rows) matrix
+        sims = q_multi.rows.astype(np.float64) @ self._rows64.T
+        per_entry_max = np.stack(
+            [np.maximum.reduceat(s[self._row_ids], self._row_starts) for s in sims]
         )
-    }
+        return sd, ss, per_entry_max.mean(axis=0)
 
 
 def build_index(
     corpus: Corpus, table: EmbeddingTable, proj: ProjectionSet
 ) -> RetrievalIndex:
     """Embed every pair's source text; entries keep corpus order."""
-    entries = []
+    dense, sparse, entry_ids = [], [], []
+    # exact dedup of multi-vector rows by their float32 bytes (a void view
+    # makes each row one bytes key); dict order is first appearance, both
+    # over the corpus (seen) and within an entry (fromkeys)
+    seen: dict[bytes, int] = {}
+    row_bytes = np.dtype((np.void, 4 * table.dim))
     for pair in corpus:
         try:
             emb = embed_tokens(table, pair.src_text)
-            entries.append(
-                IndexEntry(
-                    pair=pair,
-                    dense=dense_embed(emb),
-                    sparse=sparse_embed(emb, proj),
-                    multi=multi_embed(emb, proj),
-                )
-            )
+            dense.append(dense_embed(emb).values)
+            sparse.append(sorted(sparse_embed(emb, proj).weights.items()))
+            rows = multi_embed(emb, proj).rows
         except AfspError as exc:
             raise exc.__class__(f"pair {pair.id!r}: {exc}") from exc
-    return RetrievalIndex(entries, table_fingerprint(table, proj))
+        keys = rows.view(row_bytes).ravel().tolist()
+        entry_ids.append(list(dict.fromkeys([seen.setdefault(k, len(seen)) for k in keys])))
+    sparse_pairs = [p for pairs in sparse for p in pairs]
+    return RetrievalIndex(
+        corpus,
+        table_fingerprint(table, proj),
+        dense=np.stack(dense),
+        sparse_indptr=_offsets(len(pairs) for pairs in sparse),
+        sparse_ids=np.array([t for t, _ in sparse_pairs], dtype=np.uint32),
+        sparse_weights=np.array([w for _, w in sparse_pairs], dtype=np.float32),
+        multi_rows=np.frombuffer(b"".join(seen), dtype=np.float32).reshape(len(seen), -1),
+        multi_offsets=_offsets(len(ids) for ids in entry_ids),
+        multi_row_ids=np.array([i for ids in entry_ids for i in ids], dtype=np.uint32),
+    )
+
+
+def _offsets(lengths) -> np.ndarray:
+    """``[0, l0, l0 + l1, ...]`` as uint32."""
+    return np.concatenate(([0], np.cumsum(list(lengths)))).astype(np.uint32)
 
 
 def _minmax(scores: np.ndarray) -> np.ndarray:
@@ -288,22 +312,7 @@ def retrieve_topk(
     q_sparse = sparse_embed(emb, proj)
     q_multi = multi_embed(emb, proj)
 
-    dense_mat, uniq_rows, row_ids, offsets, sparse_inv = index._scan_arrays()
-    n = len(index)
-
-    sd = dense_mat @ q_dense.values.astype(np.float64)
-
-    ss = np.zeros(n)
-    for tid, w in q_sparse.weights.items():
-        hit = sparse_inv.get(tid)
-        if hit is not None:
-            ss[hit[0]] += w * hit[1]
-
-    # one query row at a time: a 1-D gather and reduceat run faster than
-    # the same over a (query rows, corpus rows) matrix
-    sims = q_multi.rows.astype(np.float64) @ uniq_rows.T
-    per_entry_max = np.stack([np.maximum.reduceat(s[row_ids], offsets) for s in sims])
-    sm = per_entry_max.mean(axis=0)
+    sd, ss, sm = index._scores(q_dense, q_sparse, q_multi)
 
     if normalize_scores:
         sd, ss, sm = _minmax(sd), _minmax(ss), _minmax(sm)
@@ -311,7 +320,7 @@ def retrieve_topk(
 
     return [
         ScoredDemo(
-            pair=index.entries[i].pair,
+            pair=index.corpus[i],
             s_dense=float(sd[i]),
             s_sparse=float(ss[i]),
             s_multi=float(sm[i]),
@@ -337,65 +346,83 @@ def _top_k_stable(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def save_index(index: RetrievalIndex, path: str | Path) -> None:
-    """Write the index in the binary format (magic ``AFSPIDX1``)."""
-    dim = index.entries[0].dense.values.shape[0]
+    """Write the index in the binary format (magic ``AFSPIDX2``): the
+    fingerprint, five u32 counts (entries N, dim H, distinct multi-vector
+    rows U, sparse weights, entry row ids), the pair table, then each array
+    as one block in the order of :class:`RetrievalIndex`'s fields."""
     with open(path, "wb") as fh:
         fh.write(INDEX_MAGIC)
         fh.write(index.fingerprint)
-        _binio.write_u32(fh, len(index.entries))
-        _binio.write_u32(fh, dim)
-        for e in index.entries:
-            for field in (
-                e.pair.id,
-                e.pair.src_text,
-                e.pair.tgt_text,
-                e.pair.src_lang,
-                e.pair.tgt_lang,
-            ):
-                _binio.write_str(fh, field)
-            _binio.write_f32_array(fh, e.dense.values)
-            _binio.write_u32(fh, len(e.sparse.weights))
-            fh.write(b"".join(
-                _SPARSE_PAIR.pack(tid, e.sparse.weights[tid]) for tid in sorted(e.sparse.weights)
-            ))
-            _binio.write_u32(fh, e.multi.rows.shape[0])
-            _binio.write_f32_array(fh, e.multi.rows)
+        for count in (
+            len(index.corpus),
+            index.dense.shape[1],
+            len(index.multi_rows),
+            len(index.sparse_ids),
+            len(index.multi_row_ids),
+        ):
+            _binio.write_u32(fh, count)
+        write_pair_table(fh, index.corpus)
+        _binio.write_array(fh, index.dense)
+        _binio.write_array(fh, index.sparse_indptr, "<u4")
+        _binio.write_array(fh, index.sparse_ids, "<u4")
+        _binio.write_array(fh, index.sparse_weights)
+        _binio.write_array(fh, index.multi_rows)
+        _binio.write_array(fh, index.multi_offsets, "<u4")
+        _binio.write_array(fh, index.multi_row_ids, "<u4")
 
 
 def load_index(path: str | Path) -> RetrievalIndex:
-    with open(path, "rb") as fh:
-        _binio.check_magic(fh, INDEX_MAGIC)
-        fingerprint = fh.read(32)
-        if len(fingerprint) != 32:
-            raise VersionMismatch("truncated file while reading fingerprint")
-        count = _binio.read_u32(fh, "entry count")
-        dim = _binio.read_u32(fh, "embedding dim")
-        entries = []
-        for i in range(count):
-            what = f"entry {i}"
-            pair = DemoPair(
-                id=_binio.read_str(fh, what),
-                src_text=_binio.read_str(fh, what),
-                tgt_text=_binio.read_str(fh, what),
-                src_lang=_binio.read_str(fh, what),
-                tgt_lang=_binio.read_str(fh, what),
-            )
-            dense = DenseVec(values=_binio.read_f32_array(fh, dim, what))
-            nnz = _binio.read_u32(fh, what)
-            block = _binio.read_bytes(fh, _SPARSE_PAIR.size * nnz, what)
-            sparse = dict(_SPARSE_PAIR.iter_unpack(block))
-            n_rows = _binio.read_u32(fh, what)
-            if n_rows == 0:
-                raise VersionMismatch(f"{what} has no multi-vector rows")
-            multi = _binio.read_f32_array(fh, n_rows * dim, what).reshape(n_rows, dim)
-            entries.append(
-                IndexEntry(
-                    pair=pair,
-                    dense=dense,
-                    sparse=SparseWeights(weights=sparse),
-                    multi=MultiVec(rows=multi),
-                )
-            )
-        if fh.read(1):
-            raise VersionMismatch(f"trailing bytes after entry {count - 1}")
-    return RetrievalIndex(entries, fingerprint)
+    """Read an index written by :func:`save_index`. A corrupt or structurally
+    invalid file, and an ``AFSPIDX1`` file, raise VersionMismatch."""
+    reader = _binio.Reader.open(path, INDEX_MAGIC, hint="rebuild with `afsp index`")
+    fingerprint = reader.take(32, "fingerprint")
+    n, dim, n_rows, nnz, n_ids = (
+        reader.u32(what)
+        for what in ("entry count", "dim", "row count", "sparse count", "row id count")
+    )
+    corpus = read_pair_table(reader, n)
+    arrays = dict(
+        dense=reader.array("<f4", n * dim, "dense matrix").reshape(n, dim),
+        sparse_indptr=reader.array("<u4", n + 1, "sparse offsets"),
+        sparse_ids=reader.array("<u4", nnz, "sparse ids"),
+        sparse_weights=reader.array("<f4", nnz, "sparse weights"),
+        multi_rows=reader.array("<f4", n_rows * dim, "multi-vector rows").reshape(n_rows, dim),
+        multi_offsets=reader.array("<u4", n + 1, "multi-vector offsets"),
+        multi_row_ids=reader.array("<u4", n_ids, "multi-vector row ids"),
+    )
+    reader.end("the multi-vector row ids")
+    _check_arrays(**arrays)
+    return RetrievalIndex(corpus, fingerprint, **arrays)
+
+
+def _check_arrays(
+    dense, sparse_indptr, sparse_ids, sparse_weights, multi_rows, multi_offsets, multi_row_ids
+) -> None:
+    """Raise VersionMismatch unless the loaded arrays are a valid index."""
+    _check_offsets(sparse_indptr, len(sparse_ids), "sparse")
+    _check_offsets(multi_offsets, len(multi_row_ids), "multi-vector")
+    empty = np.flatnonzero(multi_offsets[1:] == multi_offsets[:-1])
+    if len(empty):
+        raise VersionMismatch(f"entry {empty[0]} has no multi-vector rows")
+    if multi_row_ids.max() >= len(multi_rows):
+        raise VersionMismatch(
+            f"multi-vector row id {multi_row_ids.max()} >= row count {len(multi_rows)}"
+        )
+    for name, rows in (("dense", dense), ("multi-vector", multi_rows)):
+        bad = np.flatnonzero(~(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= _NORM_TOL))
+        if len(bad):
+            raise VersionMismatch(f"{name} row {bad[0]} does not have unit norm")
+    # ids ascend within each entry; a step down or a repeat is allowed only
+    # where the next entry's ids begin
+    rising = np.diff(sparse_ids.astype(np.int64)) > 0
+    starts = sparse_indptr[1:-1].astype(np.intp)
+    rising[starts[(starts > 0) & (starts < len(sparse_ids))] - 1] = True
+    if not rising.all():
+        raise VersionMismatch("sparse token ids are not strictly ascending within an entry")
+    if not np.all(sparse_weights > 0) or not np.all(np.isfinite(sparse_weights)):
+        raise VersionMismatch("sparse weights must be finite and positive")
+
+
+def _check_offsets(offsets: np.ndarray, total: int, what: str) -> None:
+    if offsets[0] != 0 or offsets[-1] != total or np.any(offsets[1:] < offsets[:-1]):
+        raise VersionMismatch(f"{what} offsets are not monotone from 0 to {total}")

@@ -101,25 +101,32 @@ def test_criterion_1_retrieval_oracle_equivalence(retrieval_stack):
     elapsed = time.monotonic() - started
     assert elapsed < 5.0, f"index build + 100 retrievals took {elapsed:.2f}s"
 
+    # the oracle recomputes every pair's representations from its text
+    reps = []
+    for pair in corpus:
+        emb = embed_tokens(table, pair.src_text)
+        reps.append(
+            (
+                dense_embed(emb).values.astype(np.float64),
+                sparse_embed(emb, proj).weights,
+                multi_embed(emb, proj).rows.astype(np.float64),
+            )
+        )
     for query, got in zip(queries, results):
         emb = embed_tokens(table, query)
         qd = dense_embed(emb).values.astype(np.float64)
         qs = sparse_embed(emb, proj).weights
         qm = multi_embed(emb, proj).rows.astype(np.float64)
         scored = []
-        for pos, entry in enumerate(index.entries):
-            sd = float(qd @ entry.dense.values.astype(np.float64))
-            ss = sum(
-                w * entry.sparse.weights[t]
-                for t, w in qs.items()
-                if t in entry.sparse.weights
-            )
-            sims = qm @ entry.multi.rows.astype(np.float64).T
+        for pos, (dense, sparse, multi) in enumerate(reps):
+            sd = float(qd @ dense)
+            ss = sum(w * sparse[t] for t, w in qs.items() if t in sparse)
+            sims = qm @ multi.T
             sm = float(np.mean(np.max(sims, axis=1)))
             scored.append((pos, 0.4 * sd + 0.4 * ss + 0.2 * sm))
         scored.sort(key=lambda r: (-r[1], r[0]))
         want = scored[:3]
-        assert [g.pair.id for g in got] == [index.entries[p].pair.id for p, _ in want]
+        assert [g.pair.id for g in got] == [corpus[p].id for p, _ in want]
         for g, (_, s_rank) in zip(got, want):
             assert g.s_rank == pytest.approx(s_rank, abs=1e-6)
     ok(1, "retrieval oracle equivalence, <5s")

@@ -1,9 +1,23 @@
 import json
+import struct
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from afsp.corpus import Corpus, DemoPair, ingest, load, save, split
+from afsp import _binio
+from afsp.corpus import (
+    CORPUS_MAGIC,
+    Corpus,
+    DemoPair,
+    ingest,
+    load,
+    save,
+    split,
+    write_pair_table,
+)
 from afsp.errors import (
+    AfspError,
     DuplicateId,
     EmptyFile,
     MalformedRecord,
@@ -209,3 +223,94 @@ def test_save_is_deterministic(tmp_path):
     save(corpus, a)
     save(corpus, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_by_id():
+    corpus = synthetic_corpus(50, seed=3)
+    for pair in corpus:
+        assert corpus.by_id(pair.id) is pair
+    with pytest.raises(KeyError):
+        corpus.by_id("missing")
+
+
+def test_load_v1_file_asks_for_a_rebuild(tmp_path):
+    path = tmp_path / "corpus.bin"
+    save(synthetic_corpus(5, seed=9), path)
+    path.write_bytes(b"AFSPCOR1" + path.read_bytes()[8:])
+    with pytest.raises(VersionMismatch, match="rebuild with `afsp ingest`"):
+        load(path)
+
+
+def test_load_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "corpus.bin"
+    save(synthetic_corpus(5, seed=9), path)
+    path.write_bytes(path.read_bytes() + b"x")
+    with pytest.raises(VersionMismatch, match="trailing"):
+        load(path)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [DemoPair("1", "你好", "hello", "zh", "en"), DemoPair("1", "再见", "bye", "zh", "en")],
+        [DemoPair("1", "你好", "hello", "zh", "en"), DemoPair("2", "再见", "bye", "ja", "en")],
+    ],
+)
+def test_load_rejects_an_invalid_pair_table(tmp_path, pairs):
+    # a file holding pairs that Corpus would reject
+    path = tmp_path / "corpus.bin"
+    with open(path, "wb") as fh:
+        fh.write(CORPUS_MAGIC)
+        _binio.write_u32(fh, len(pairs))
+        write_pair_table(fh, pairs)
+    with pytest.raises(VersionMismatch, match="invalid pair table"):
+        load(path)
+
+
+@pytest.fixture(scope="module")
+def small_corpus_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "corpus.bin"
+    save(synthetic_corpus(4, seed=5), path)
+    return path.read_bytes()
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_corrupt_corpus_raises_only_afsp_errors(tmp_path, small_corpus_file, data):
+    good = small_corpus_file
+    if data.draw(st.booleans(), label="truncate"):
+        bad = good[: data.draw(st.integers(0, len(good) - 1), label="length")]
+    else:
+        flips = data.draw(
+            st.lists(st.tuples(st.integers(0, len(good) - 1), st.integers(1, 255)), min_size=1, max_size=4),
+            label="flips",
+        )
+        buf = bytearray(good)
+        for at, mask in flips:
+            buf[at] ^= mask
+        bad = bytes(buf)
+    path = tmp_path / "fuzz.bin"
+    path.write_bytes(bad)
+    try:
+        load(path)
+    except AfspError:
+        pass
+
+
+def test_load_rejects_non_monotone_string_offsets(tmp_path):
+    # the id column's offsets follow the magic and the u32 count; a step
+    # down would cut one id too long and the next one empty
+    path = tmp_path / "corpus.bin"
+    save(synthetic_corpus(3, seed=9), path)
+    data = bytearray(path.read_bytes())
+    third = struct.unpack_from("<I", data, 20)[0]
+    struct.pack_into("<I", data, 16, third + 1)
+    path.write_bytes(bytes(data))
+    with pytest.raises(VersionMismatch, match="monotone"):
+        load(path)

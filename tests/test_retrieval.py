@@ -1,10 +1,14 @@
 import math
 import random
+import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import afsp.retrieval
 from afsp.corpus import Corpus, DemoPair
@@ -19,6 +23,7 @@ from afsp.embedding import (
     sparse_embed,
 )
 from afsp.errors import (
+    AfspError,
     DimensionMismatch,
     EmptyQuery,
     EmptyText,
@@ -26,8 +31,6 @@ from afsp.errors import (
     VersionMismatch,
 )
 from afsp.retrieval import (
-    IndexEntry,
-    RetrievalIndex,
     Weights,
     build_index,
     load_index,
@@ -134,7 +137,7 @@ def stack():
 def test_build_index_order_and_fingerprint(stack):
     corpus, table, proj, index = stack
     assert len(index) == len(corpus)
-    assert [e.pair.id for e in index.entries] == [p.id for p in corpus]
+    assert index.corpus == corpus
     assert index.fingerprint == table_fingerprint(table, proj)
 
 
@@ -151,6 +154,17 @@ def test_build_index_reports_offending_pair():
         build_index(bad, table, proj)
 
 
+ARRAYS = (
+    "dense",
+    "sparse_indptr",
+    "sparse_ids",
+    "sparse_weights",
+    "multi_rows",
+    "multi_offsets",
+    "multi_row_ids",
+)
+
+
 def test_index_round_trip_and_determinism(tmp_path, stack):
     _, table, proj, index = stack
     a, b = tmp_path / "a.idx", tmp_path / "b.idx"
@@ -161,11 +175,32 @@ def test_index_round_trip_and_determinism(tmp_path, stack):
     loaded = load_index(a)
     assert loaded.fingerprint == index.fingerprint
     assert len(loaded) == len(index)
-    for orig, back in zip(index.entries, loaded.entries):
-        assert orig.pair == back.pair
-        assert orig.dense.values.tobytes() == back.dense.values.tobytes()
-        assert orig.sparse.weights == back.sparse.weights
-        assert orig.multi.rows.tobytes() == back.multi.rows.tobytes()
+    assert loaded.corpus == index.corpus
+    for name in ARRAYS:
+        orig, back = getattr(index, name), getattr(loaded, name)
+        assert orig.shape == back.shape
+        assert orig.tobytes() == back.tobytes(), name
+
+
+def test_index_stores_each_distinct_row_once(stack):
+    corpus, table, proj, index = stack
+    assert index.dense.dtype == index.multi_rows.dtype == np.float32
+    assert len({row.tobytes() for row in index.multi_rows}) == len(index.multi_rows)
+    seen = []
+    for i, pair in enumerate(corpus):
+        emb = embed_tokens(table, pair.src_text)
+        assert index.dense[i].tobytes() == dense_embed(emb).values.tobytes()
+        a, b = index.sparse_indptr[i : i + 2]
+        want = sorted(sparse_embed(emb, proj).weights.items())
+        assert list(zip(index.sparse_ids[a:b].tolist(), index.sparse_weights[a:b].tolist())) == want
+        # the entry's distinct rows, in order of first appearance
+        rows = [r.tobytes() for r in multi_embed(emb, proj).rows]
+        a, b = index.multi_offsets[i : i + 2]
+        got = [index.multi_rows[j].tobytes() for j in index.multi_row_ids[a:b]]
+        assert got == list(dict.fromkeys(rows))
+        seen.extend(r for r in rows if r not in seen)
+    # distinct rows in order of first appearance over the corpus
+    assert [r.tobytes() for r in index.multi_rows] == seen
 
 
 def test_index_bad_magic_and_truncation(tmp_path, stack):
@@ -181,19 +216,132 @@ def test_index_bad_magic_and_truncation(tmp_path, stack):
         load_index(path)
 
 
+def test_index_v1_file_asks_for_a_rebuild(tmp_path, stack):
+    *_, index = stack
+    path = tmp_path / "x.idx"
+    save_index(index, path)
+    path.write_bytes(b"AFSPIDX1" + path.read_bytes()[8:])
+    with pytest.raises(VersionMismatch, match="rebuild with `afsp index`"):
+        load_index(path)
+
+
+def save_variant(index, path, **arrays):
+    """Save ``index`` with some of its arrays replaced, without building
+    the scan arrays from them."""
+    fields = {name: getattr(index, name) for name in ARRAYS}
+    fields.update(arrays)
+    save_index(SimpleNamespace(corpus=index.corpus, fingerprint=index.fingerprint, **fields), path)
+
+
 def test_index_rejects_entry_without_multi_rows(tmp_path, stack):
     *_, index = stack
-    first = index.entries[0]
-    hollow = IndexEntry(
-        pair=first.pair,
-        dense=first.dense,
-        sparse=first.sparse,
-        multi=MultiVec(rows=np.zeros((0, first.multi.rows.shape[1]), dtype=np.float32)),
-    )
+    offsets = index.multi_offsets.copy()
+    ids = np.delete(index.multi_row_ids, np.arange(offsets[0], offsets[1]))
+    offsets[1:] -= offsets[1]
     path = tmp_path / "hollow.idx"
-    save_index(RetrievalIndex([hollow, *index.entries[1:]], index.fingerprint), path)
+    save_variant(index, path, multi_offsets=offsets, multi_row_ids=ids)
     with pytest.raises(VersionMismatch, match="entry 0"):
         load_index(path)
+
+
+def test_index_rejects_row_id_out_of_range(tmp_path, stack):
+    *_, index = stack
+    ids = index.multi_row_ids.copy()
+    ids[7] = len(index.multi_rows)
+    path = tmp_path / "x.idx"
+    save_variant(index, path, multi_row_ids=ids)
+    with pytest.raises(VersionMismatch, match="row id"):
+        load_index(path)
+
+
+@pytest.mark.parametrize("name", ["multi_offsets", "sparse_indptr"])
+def test_index_rejects_non_monotone_offsets(tmp_path, stack, name):
+    *_, index = stack
+    offsets = getattr(index, name).copy()
+    offsets[3], offsets[4] = offsets[4], offsets[3]
+    path = tmp_path / "x.idx"
+    save_variant(index, path, **{name: offsets})
+    with pytest.raises(VersionMismatch, match="monotone"):
+        load_index(path)
+
+
+@pytest.mark.parametrize("name", ["dense", "multi_rows"])
+@pytest.mark.parametrize("scale", [0.5, 1.01, np.nan])
+def test_index_rejects_non_unit_rows(tmp_path, stack, name, scale):
+    *_, index = stack
+    rows = getattr(index, name).copy()
+    rows[2] *= scale
+    path = tmp_path / "x.idx"
+    save_variant(index, path, **{name: rows})
+    with pytest.raises(VersionMismatch, match="unit norm"):
+        load_index(path)
+
+
+@pytest.mark.parametrize("fault", ["unsorted", "duplicate"])
+def test_index_rejects_bad_sparse_ids(tmp_path, stack, fault):
+    *_, index = stack
+    a, b = index.sparse_indptr[5:7]
+    assert b - a >= 2
+    ids = index.sparse_ids.copy()
+    if fault == "unsorted":
+        ids[a], ids[a + 1] = ids[a + 1], ids[a]
+    else:
+        ids[a + 1] = ids[a]
+    path = tmp_path / "x.idx"
+    save_variant(index, path, sparse_ids=ids)
+    with pytest.raises(VersionMismatch, match="ascending"):
+        load_index(path)
+
+
+def test_index_allows_sparse_ids_to_restart_per_entry(tmp_path):
+    # entries with no sparse weights at the start, middle and end, and ids
+    # that fall back where a new entry starts
+    pairs = [DemoPair(f"p{i}", t, "x", "zh", "en") for i, t in enumerate(["你好", "世界", "你好世界"])]
+    table = corpus_table(dim=8)
+    proj = init_projections(8, seed=1)
+    index = build_index(Corpus(pairs), table, proj)
+    path = tmp_path / "x.idx"
+    for indptr, ids in (
+        ([0, 0, 2, 2], [9, 10]),
+        ([0, 1, 2, 2], [10, 9]),
+        ([0, 1, 1, 2], [10, 10]),
+    ):
+        save_variant(
+            index,
+            path,
+            sparse_indptr=np.array(indptr, dtype=np.uint32),
+            sparse_ids=np.array(ids, dtype=np.uint32),
+            sparse_weights=np.ones(len(ids), dtype=np.float32),
+        )
+        assert len(load_index(path)) == 3
+
+
+def test_index_rejects_non_positive_sparse_weights(tmp_path, stack):
+    *_, index = stack
+    for bad in (0.0, -1.0, np.inf):
+        weights = index.sparse_weights.copy()
+        weights[4] = bad
+        path = tmp_path / "x.idx"
+        save_variant(index, path, sparse_weights=weights)
+        with pytest.raises(VersionMismatch, match="sparse weights"):
+            load_index(path)
+
+
+# the five u32 counts after the 8-byte magic and the 32-byte fingerprint
+COUNT_AT = {name: 40 + 4 * i for i, name in enumerate(("n", "dim", "rows", "nnz", "ids"))}
+
+
+@pytest.mark.parametrize("name", list(COUNT_AT))
+def test_index_rejects_counts_larger_than_the_file(tmp_path, stack, name):
+    *_, index = stack
+    path = tmp_path / "x.idx"
+    save_index(index, path)
+    data = path.read_bytes()
+    at = COUNT_AT[name]
+    for value in (0xFFFFFFFF, len(data), struct.unpack_from("<I", data, at)[0] + 1):
+        path.write_bytes(data[:at] + struct.pack("<I", value) + data[at + 4 :])
+        with pytest.raises(VersionMismatch):
+            load_index(path)
 
 
 def test_index_rejects_trailing_bytes(tmp_path, stack):
@@ -210,13 +358,54 @@ def test_index_corrupt_string_is_version_mismatch(tmp_path, stack):
     path = tmp_path / "x.idx"
     save_index(index, path)
     data = bytearray(path.read_bytes())
-    pair = index.entries[5].pair
+    pair = index.corpus[5]
     for text in (pair.id, pair.src_text, pair.tgt_text):
         flipped = bytearray(data)
         flipped[data.index(text.encode("utf-8"))] ^= 0x80
         path.write_bytes(bytes(flipped))
         with pytest.raises(VersionMismatch, match="UTF-8"):
             load_index(path)
+
+
+@pytest.fixture(scope="module")
+def small_index_file(tmp_path_factory):
+    corpus = synthetic_corpus(6, seed=2)
+    table = corpus_table(dim=8)
+    proj = init_projections(8, seed=3)
+    path = tmp_path_factory.mktemp("fuzz") / "small.idx"
+    save_index(build_index(corpus, table, proj), path)
+    return path.read_bytes(), table, proj
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_corrupt_index_raises_only_afsp_errors(tmp_path, small_index_file, data):
+    good, table, proj = small_index_file
+    if data.draw(st.booleans(), label="truncate"):
+        bad = good[: data.draw(st.integers(0, len(good) - 1), label="length")]
+    else:
+        flips = data.draw(
+            st.lists(st.tuples(st.integers(0, len(good) - 1), st.integers(1, 255)), min_size=1, max_size=4),
+            label="flips",
+        )
+        buf = bytearray(good)
+        for at, mask in flips:
+            buf[at] ^= mask
+        bad = bytes(buf)
+    path = tmp_path / "fuzz.idx"
+    path.write_bytes(bad)
+    try:
+        index = load_index(path)
+        # what loads must also serve without a non-package error
+        retrieve_topk("双方同意加强合作", index, table, proj, Weights(), k=2)
+    except AfspError:
+        pass
 
 
 def test_retrieve_identical_source_ranks_first(stack):
@@ -299,20 +488,23 @@ def test_retrieve_empty_query(stack):
         retrieve_topk("   ", index, table, proj, Weights(), k=1)
 
 
-def brute_force(query, index, table, proj, weights, normalize=False):
-    """Independent exhaustive scorer built from raw numpy on the entry data."""
+def brute_force(query, corpus, table, proj, weights, normalize=False):
+    """Independent exhaustive scorer over representations recomputed from
+    the corpus text, in raw numpy."""
     emb = embed_tokens(table, query)
     qd = dense_embed(emb).values.astype(np.float64)
     qs = sparse_embed(emb, proj).weights
     qm = multi_embed(emb, proj).rows.astype(np.float64)
     rows = []
-    for pos, entry in enumerate(index.entries):
-        sd = float(qd @ entry.dense.values.astype(np.float64))
+    for pos, pair in enumerate(corpus):
+        p_emb = embed_tokens(table, pair.src_text)
+        p_sparse = sparse_embed(p_emb, proj).weights
+        sd = float(qd @ dense_embed(p_emb).values.astype(np.float64))
         ss = 0.0
         for tid, w in qs.items():
-            if tid in entry.sparse.weights:
-                ss += w * entry.sparse.weights[tid]
-        sims = qm @ entry.multi.rows.astype(np.float64).T
+            if tid in p_sparse:
+                ss += w * p_sparse[tid]
+        sims = qm @ multi_embed(p_emb, proj).rows.astype(np.float64).T
         sm = float(np.mean(np.max(sims, axis=1)))
         rows.append([pos, sd, ss, sm])
     if normalize:
@@ -336,8 +528,8 @@ def test_retrieve_matches_brute_force_oracle(stack):
     for i in range(20):
         query = zh_sentence(rng) if i % 3 else en_sentence(rng)
         got = retrieve_topk(query, index, table, proj, w, k=5)
-        want = brute_force(query, index, table, proj, w)[:5]
-        assert [g.pair.id for g in got] == [index.entries[r[0]].pair.id for r in want]
+        want = brute_force(query, corpus, table, proj, w)[:5]
+        assert [g.pair.id for g in got] == [corpus[r[0]].id for r in want]
         for g, r in zip(got, want):
             assert g.s_dense == pytest.approx(r[1], abs=1e-6)
             assert g.s_sparse == pytest.approx(r[2], abs=1e-6)
@@ -350,13 +542,53 @@ def test_retrieve_normalized_matches_oracle(stack):
     w = Weights()
     query = "双方同意加强双边合作"
     got = retrieve_topk(query, index, table, proj, w, k=4, normalize_scores=True)
-    want = brute_force(query, index, table, proj, w, normalize=True)[:4]
-    assert [g.pair.id for g in got] == [index.entries[r[0]].pair.id for r in want]
+    want = brute_force(query, corpus, table, proj, w, normalize=True)[:4]
+    assert [g.pair.id for g in got] == [corpus[r[0]].id for r in want]
     for g, r in zip(got, want):
         assert g.s_rank == pytest.approx(r[4], abs=1e-6)
         assert g.s_rank == pytest.approx(
             w.alpha1 * g.s_dense + w.alpha2 * g.s_sparse + w.alpha3 * g.s_multi, abs=1e-9
         )
+
+
+def per_row_scan(query, corpus, table, proj):
+    """Float64 scores from a scan over every token row of every entry, with
+    rows deduped over the corpus only: the scan the columnar index replaced,
+    whose values it must keep bit for bit."""
+    emb = embed_tokens(table, query)
+    qd, qs, qm = dense_embed(emb), sparse_embed(emb, proj), multi_embed(emb, proj)
+    reps = [embed_tokens(table, p.src_text) for p in corpus]
+    dense = np.stack([dense_embed(e).values for e in reps]).astype(np.float64)
+    sparse = [sparse_embed(e, proj).weights for e in reps]
+    blocks = [multi_embed(e, proj).rows for e in reps]
+    seen = {}
+    row_ids = np.array([seen.setdefault(r.tobytes(), len(seen)) for b in blocks for r in b])
+    uniq = np.frombuffer(b"".join(seen), dtype=np.float32).reshape(len(seen), -1)
+    starts = np.concatenate(([0], np.cumsum([len(b) for b in blocks])[:-1]))
+    sd = dense @ qd.values.astype(np.float64)
+    ss = np.zeros(len(corpus))
+    for tid, w in qs.weights.items():
+        for pos, weights in enumerate(sparse):
+            if tid in weights:
+                ss[pos] += w * weights[tid]
+    sims = qm.rows.astype(np.float64) @ uniq.astype(np.float64).T
+    sm = np.stack([np.maximum.reduceat(s[row_ids], starts) for s in sims]).mean(axis=0)
+    return sd, ss, sm
+
+
+def test_scores_equal_per_row_scan_bit_for_bit(stack):
+    corpus, table, proj, index = stack
+    rng = random.Random(8)
+    w = Weights()
+    for i in range(10):
+        query = zh_sentence(rng) if i % 2 else en_sentence(rng) + " 好好 中方"
+        sd, ss, sm = per_row_scan(query, corpus, table, proj)
+        got = retrieve_topk(query, index, table, proj, w, k=len(corpus))
+        pos = {p.id: i for i, p in enumerate(corpus)}
+        for g in got:
+            p = pos[g.pair.id]
+            assert (g.s_dense, g.s_sparse, g.s_multi) == (sd[p], ss[p], sm[p])
+            assert g.s_rank == w.alpha1 * sd[p] + w.alpha2 * ss[p] + w.alpha3 * sm[p]
 
 
 def test_alpha_scaling_preserves_order(stack):
@@ -451,15 +683,16 @@ def test_repeated_tokens_match_oracle(normalize):
     table = corpus_table(dim=16)
     proj = init_projections(16, seed=3)
     index = build_index(Corpus(pairs), table, proj)
-    _, uniq, row_ids, _, _ = index._scan_arrays()
-    assert len(uniq) == 6 and len(row_ids) == sum(e.multi.rows.shape[0] for e in index.entries)
+    # 6 distinct characters; each entry lists its distinct ones once
+    assert len(index.multi_rows) == 6
+    assert len(index.multi_row_ids) == sum(len(set(t)) for t in texts) == 12
     w = Weights()
     for query in ("好好", "你好世界", "合作好", "好" * 9):
         got = retrieve_topk(query, index, table, proj, w, k=len(pairs), normalize_scores=normalize)
-        want = brute_force(query, index, table, proj, w, normalize=normalize)
+        want = brute_force(query, index.corpus, table, proj, w, normalize=normalize)
         # texts that repeat one character tie exactly, so ids may swap
         # places only where the oracle's scores tie too
-        by_id = {index.entries[r[0]].pair.id: r for r in want}
+        by_id = {pairs[r[0]].id: r for r in want}
         for g, r in zip(got, want):
             assert g.s_rank == pytest.approx(r[4], abs=1e-6)
             mine = by_id[g.pair.id]
