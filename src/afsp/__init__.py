@@ -32,7 +32,6 @@ from .embedding import (
     save_table,
     sparse_embed,
     synthetic_table,
-    tokenize,
 )
 from .llm_client import (
     CandidateSet,
@@ -40,7 +39,6 @@ from .llm_client import (
     GenerationConfig,
     MockClient,
     fingerprint,
-    generate_candidates,
 )
 from .metrics import EvalReport, bleu4, chrf, evaluate, rouge
 from .pipeline import (

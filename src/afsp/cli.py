@@ -26,7 +26,14 @@ from .errors import (
     StageError,
 )
 from .llm_client import EndpointTranslator, GenerationConfig, MockClient
-from .pipeline import PipelineConfig, TranslationPipeline, load_config, load_retrieval_stack
+from .pipeline import (
+    PipelineConfig,
+    TranslationPipeline,
+    audit_record,
+    load_config,
+    load_retrieval_stack,
+)
+from .retrieval import Weights
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -35,39 +42,35 @@ EXIT_SERVICE = 3
 _SERVICE_ERRORS = (NetworkFailure, RateLimited, MalformedResponse, AllCandidatesEmpty, ScriptMiss)
 
 
-def _parse_alphas(text: str) -> tuple[float, float, float]:
+def _parse_alphas(text: str) -> Weights:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"--alphas needs three comma-separated values, got {text!r}")
-    return float(parts[0]), float(parts[1]), float(parts[2])
+    return Weights(*(float(p) for p in parts))
 
 
 def _base_config(args) -> PipelineConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
-    if getattr(args, "index", None):
-        cfg.index_path = args.index
-    if getattr(args, "embeddings", None):
-        cfg.table_path = args.embeddings
-    if getattr(args, "reranker", None):
-        cfg.reranker_path = args.reranker
-    if getattr(args, "seed", None) is not None:
-        cfg.projection_seed = args.seed
-    if getattr(args, "k", None) is not None:
-        cfg.k = args.k
-    if getattr(args, "alphas", None):
-        cfg.alpha1, cfg.alpha2, cfg.alpha3 = _parse_alphas(args.alphas)
-    if getattr(args, "normalize_scores", False):
-        cfg.normalize_scores = True
-    gen_overrides = {}
-    if getattr(args, "endpoint", None):
-        gen_overrides["endpoint"] = args.endpoint
-    if getattr(args, "model", None):
-        gen_overrides["model"] = args.model
-    if getattr(args, "n_candidates", None) is not None:
-        gen_overrides["n_candidates"] = args.n_candidates
-    if gen_overrides:
-        cfg.generation = replace(cfg.generation, **gen_overrides)
-    return cfg
+    """The config file (or the defaults) with the flags given applied, all
+    checked before any artifact loads."""
+    cfg = load_config(args.config) if args.config else PipelineConfig()
+    overrides = {
+        "index_path": args.index or None,
+        "table_path": args.embeddings or None,
+        "reranker_path": getattr(args, "reranker", None) or None,
+        "projection_seed": args.seed,
+        "k": args.k,
+        "weights": _parse_alphas(args.alphas) if args.alphas else None,
+        "normalize_scores": args.normalize_scores or None,
+    }
+    generation = {
+        "endpoint": getattr(args, "endpoint", None) or None,
+        "model": getattr(args, "model", None) or None,
+        "n_candidates": getattr(args, "n_candidates", None),
+    }
+    generation = {k: v for k, v in generation.items() if v is not None}
+    if generation:
+        overrides["generation"] = replace(cfg.generation, **generation)
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def cmd_ingest(args) -> int:
@@ -184,6 +187,8 @@ def cmd_train_reranker(args) -> int:
 
 def cmd_translate(args) -> int:
     cfg = _base_config(args)
+    if args.text is None and not (args.input and args.out):
+        raise ValueError("translate needs --text, or both --input and --out")
     client = None
     if args.mock_script:
         with open(args.mock_script, encoding="utf-8") as fh:
@@ -194,23 +199,8 @@ def cmd_translate(args) -> int:
         print(result.best)
         if args.audit:
             with open(args.audit, "w", encoding="utf-8") as fh:
-                fh.write(
-                    json.dumps(
-                        {
-                            "input": args.text,
-                            "demos": list(result.demos_used),
-                            "candidates": [
-                                {"text": t, "score": s} for t, s in result.candidates
-                            ],
-                            "best": result.best,
-                        },
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+                fh.write(audit_record(args.text, result))
         return EXIT_OK
-    if not args.input or not args.out:
-        raise ValueError("translate needs --text, or both --input and --out")
     summary = pipeline.translate_file(args.input, args.out, audit_path=args.audit)
     print(
         json.dumps(
@@ -271,22 +261,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_index)
 
-    def add_query_flags(p):
+    def add_config_flags(p):
         p.add_argument("--config")
         p.add_argument("--index")
         p.add_argument("--embeddings")
         p.add_argument("--seed", type=int, default=None, help="projection seed")
-        p.add_argument("--query", required=True)
         p.add_argument("--k", type=int, default=None)
         p.add_argument("--alphas", help="comma-separated fusion weights, e.g. 0.4,0.4,0.2")
         p.add_argument("--normalize-scores", action="store_true")
 
     p = sub.add_parser("retrieve", help="top-k demonstrations for a query")
-    add_query_flags(p)
+    add_config_flags(p)
+    p.add_argument("--query", required=True)
     p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("prompt", help="print the rendered prompt for a query")
-    add_query_flags(p)
+    add_config_flags(p)
+    p.add_argument("--query", required=True)
     p.set_defaults(func=cmd_prompt)
 
     p = sub.add_parser("degrade", help="build the reranker training set")
@@ -311,18 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train_reranker)
 
     p = sub.add_parser("translate", help="translate a sentence or a file")
-    p.add_argument("--config")
+    add_config_flags(p)
     p.add_argument("--text", help="translate one sentence to stdout")
     p.add_argument("--input", help="file with one source sentence per line")
     p.add_argument("--out", help="output file, one translation per line")
     p.add_argument("--audit", help="write per-line audit JSONL here")
-    p.add_argument("--index")
-    p.add_argument("--embeddings")
     p.add_argument("--reranker")
-    p.add_argument("--seed", type=int, default=None, help="projection seed")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--alphas")
-    p.add_argument("--normalize-scores", action="store_true")
     p.add_argument("--endpoint")
     p.add_argument("--model")
     p.add_argument("--n-candidates", type=int, default=None)

@@ -31,14 +31,17 @@ from pathlib import Path
 import numpy as np
 
 from . import _binio
-from .errors import EmptyText, ZeroVector
+from .errors import EmptyText, VersionMismatch, ZeroVector
 
 TABLE_MAGIC = b"AFSPEMB1"
 
 OOV_ID_SPACE = 1 << 20
 
-_CJK_RE = re.compile(r"[぀-ヿ㐀-䶿一-鿿豈-﫿]")
+_CJK = "぀-ヿ㐀-䶿一-鿿豈-﫿"
+_CJK_RE = re.compile(f"[{_CJK}]")
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
+# one CJK character, or a run of word characters outside the CJK ranges
+_TOKEN_RE = re.compile(rf"[{_CJK}]|[^\W{_CJK}]+")
 
 _NORM_EPS = 1e-12
 
@@ -58,22 +61,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 def segment(text: str) -> list[str]:
     """Split text into lowercased word tokens; CJK characters come out one
     token each."""
-    tokens: list[str] = []
-    buf: list[str] = []
-
-    def flush():
-        if buf:
-            tokens.extend(_WORD_RE.findall("".join(buf)))
-            buf.clear()
-
-    for ch in text.lower():
-        if _CJK_RE.match(ch):
-            flush()
-            tokens.append(ch)
-        else:
-            buf.append(ch)
-    flush()
-    return tokens
+    return _TOKEN_RE.findall(text.lower())
 
 
 @dataclass(frozen=True)
@@ -170,14 +158,6 @@ class MultiVec:
     rows: np.ndarray
 
 
-def tokenize(table: EmbeddingTable, text: str) -> list[int]:
-    """Token ids for a text; OOV ids land outside the vocab range."""
-    tokens = segment(text)
-    if not tokens:
-        raise EmptyText(f"no tokens in {text!r}")
-    return [table.token_id(t) for t in tokens]
-
-
 def embed_tokens(table: EmbeddingTable, text: str) -> TextEmbeddings:
     """Look up (or hash-generate) one embedding row per token."""
     tokens = segment(text)
@@ -254,7 +234,10 @@ def load_table(path: str | Path) -> EmbeddingTable:
     vocab = tuple(reader.strs(v, "vocab"))
     # the constructor copies the matrix, so the view is not copied here
     matrix = reader.array("<f4", v * h, "embedding matrix").reshape(v, h)
-    return EmbeddingTable(vocab=vocab, matrix=matrix, oov_seed=oov_seed)
+    try:
+        return EmbeddingTable(vocab=vocab, matrix=matrix, oov_seed=oov_seed)
+    except ValueError as exc:
+        raise VersionMismatch(f"invalid embedding table: {exc}") from exc
 
 
 def synthetic_table(

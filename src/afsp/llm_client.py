@@ -26,7 +26,7 @@ import hashlib
 import os
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import requests
 
@@ -73,7 +73,6 @@ class GenerationConfig:
 class CandidateSet:
     prompt_fingerprint: str
     candidates: tuple[str, ...]
-    raw: tuple[dict, ...] = field(default_factory=tuple)
 
 
 def fingerprint(prompt: str) -> str:
@@ -81,27 +80,19 @@ def fingerprint(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
-def _finalize(
-    prompt: str, raw_texts: list[str], metadata: list[dict]
-) -> CandidateSet:
+def _finalize(prompt: str, raw_texts: list[str]) -> CandidateSet:
     """Apply extraction, drop empties, enforce the at-least-one contract."""
     candidates = []
-    kept_meta = []
-    for text, meta in zip(raw_texts, metadata):
+    for text in raw_texts:
         try:
             candidates.append(extract_translation(text))
-            kept_meta.append(meta)
         except EmptyOutput:
             continue
     if not candidates:
         raise AllCandidatesEmpty(
             f"all {len(raw_texts)} completions were empty after extraction"
         )
-    return CandidateSet(
-        prompt_fingerprint=fingerprint(prompt),
-        candidates=tuple(candidates),
-        raw=tuple(kept_meta),
-    )
+    return CandidateSet(prompt_fingerprint=fingerprint(prompt), candidates=tuple(candidates))
 
 
 class ChatCompletionsClient:
@@ -131,24 +122,19 @@ class ChatCompletionsClient:
         if not prompt.strip():
             raise ValueError("prompt must be non-empty")
         deadline = time.monotonic() + (cfg.retries + 1) * cfg.timeout
-        if cfg.n_candidates == 1:
-            texts, meta = self._request(prompt, cfg, n=1, deadline=deadline)
-        else:
-            try:
-                texts, meta = self._request(
-                    prompt, cfg, n=cfg.n_candidates, deadline=deadline
-                )
-            except _MultiChoiceRejected:
-                texts, meta = [], []
-                for _ in range(cfg.n_candidates):
-                    t, m = self._request(prompt, cfg, n=1, deadline=deadline)
-                    texts.extend(t)
-                    meta.extend(m)
-        return _finalize(prompt, texts, meta)
+        try:
+            texts = self._request(prompt, cfg, n=cfg.n_candidates, deadline=deadline)
+        except _MultiChoiceRejected:
+            texts = [
+                text
+                for _ in range(cfg.n_candidates)
+                for text in self._request(prompt, cfg, n=1, deadline=deadline)
+            ]
+        return _finalize(prompt, texts)
 
     def _request(
         self, prompt: str, cfg: GenerationConfig, n: int, deadline: float
-    ) -> tuple[list[str], list[dict]]:
+    ) -> list[str]:
         body = {
             "model": cfg.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -220,17 +206,11 @@ def _parse_retry_after(value: str | None) -> float | None:
         return None
 
 
-def _parse_choices(resp: requests.Response) -> tuple[list[str], list[dict]]:
+def _parse_choices(resp: requests.Response) -> list[str]:
     try:
-        payload = resp.json()
-        choices = payload["choices"]
-        texts = [str(choice["message"]["content"]) for choice in choices]
+        return [str(choice["message"]["content"]) for choice in resp.json()["choices"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise MalformedResponse(f"cannot parse chat-completions response: {exc}") from exc
-    meta = [
-        {k: v for k, v in choice.items() if k != "message"} for choice in choices
-    ]
-    return texts, meta
 
 
 class MockClient:
@@ -239,22 +219,11 @@ class MockClient:
     def __init__(self, script: dict[str, list[str]]):
         self.script = dict(script)
 
-    @classmethod
-    def from_prompts(cls, prompt_to_candidates: dict[str, list[str]]) -> "MockClient":
-        return cls({fingerprint(p): c for p, c in prompt_to_candidates.items()})
-
     def generate_candidates(self, prompt: str, cfg: GenerationConfig) -> CandidateSet:
         fp = fingerprint(prompt)
         if fp not in self.script:
             raise ScriptMiss(f"no scripted candidates for prompt fingerprint {fp[:12]}...")
-        scripted = self.script[fp][: cfg.n_candidates]
-        return _finalize(prompt, list(scripted), [{} for _ in scripted])
-
-
-def generate_candidates(prompt: str, cfg: GenerationConfig) -> CandidateSet:
-    """One-shot helper using a fresh HTTP client, closed on return."""
-    with ChatCompletionsClient() as client:
-        return client.generate_candidates(prompt, cfg)
+        return _finalize(prompt, list(self.script[fp][: cfg.n_candidates]))
 
 
 class EndpointTranslator:

@@ -17,7 +17,8 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -31,68 +32,94 @@ from .retrieval import RetrievalIndex, Weights, load_index, retrieve_topk
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_ALPHAS = (0.4, 0.4, 0.2)
-DEFAULT_K = 3
 
-
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
-    """Paths plus per-stage settings; defaults follow the standard setup
-    (fusion weights 0.4/0.4/0.2, three demonstrations)."""
+    """Artifact paths plus per-stage settings, checked when built; defaults
+    follow the standard setup (fusion weights 0.4/0.4/0.2, three
+    demonstrations). ``k = 0`` renders a zero-shot prompt."""
 
-    corpus_path: str | None = None
     table_path: str | None = None
     index_path: str | None = None
     reranker_path: str | None = None
-    alpha1: float = DEFAULT_ALPHAS[0]
-    alpha2: float = DEFAULT_ALPHAS[1]
-    alpha3: float = DEFAULT_ALPHAS[2]
-    k: int = DEFAULT_K
+    weights: Weights = Weights()
+    k: int = 3
     normalize_scores: bool = False
     projection_seed: int = 0
-    degrade_seed: int = 0
-    train_seed: int = 0
     lang_names: dict[str, str] = field(default_factory=dict)
     generation: GenerationConfig = field(default_factory=GenerationConfig)
-    tokenize: str = "auto"
 
-    @property
-    def weights(self) -> Weights:
-        return Weights(self.alpha1, self.alpha2, self.alpha3)
+    def __post_init__(self):
+        if self.k < 0:
+            raise ValueError(f"k must be >= 0 (0 is zero-shot), got {self.k}")
+
+
+_PATH_FIELDS = {"table": "table_path", "index": "index_path", "reranker": "reranker_path"}
+
+# the keys each config section accepts; None accepts any key
+_SECTION_KEYS = {
+    "paths": set(_PATH_FIELDS),
+    "retrieval": {"alphas", "k", "normalize_scores"},
+    "seeds": {"projection"},
+    "lang_names": None,
+    "generation": {f.name for f in fields(GenerationConfig)},
+}
+
+
+def _section_fields(name: str, section: dict) -> dict:
+    """The PipelineConfig fields one config section sets."""
+    if name == "paths":
+        if not all(isinstance(value, str) for value in section.values()):
+            raise ValueError("paths must be strings")
+        return {_PATH_FIELDS[key]: value for key, value in section.items()}
+    if name == "retrieval":
+        out = {}
+        if "alphas" in section:
+            alphas = section["alphas"]
+            if not isinstance(alphas, list) or len(alphas) != 3:
+                raise ValueError("alphas must be a list of exactly 3 numbers")
+            out["weights"] = Weights(*(float(a) for a in alphas))
+        if "k" in section:
+            out["k"] = int(section["k"])
+        if "normalize_scores" in section:
+            out["normalize_scores"] = bool(section["normalize_scores"])
+        return out
+    if name == "seeds":
+        return {"projection_seed": int(section["projection"])} if section else {}
+    if name == "lang_names":
+        return {"lang_names": dict(section)}
+    return {"generation": GenerationConfig(**section)}
 
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Read a YAML config file (sections: paths, retrieval, seeds,
-    lang_names, generation, metrics)."""
+    lang_names, generation). Invalid YAML, an unknown section or key, or a
+    value of the wrong shape raises ValueError naming its section."""
     with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
-    cfg = PipelineConfig()
-    paths = raw.get("paths", {})
-    cfg.corpus_path = paths.get("corpus", cfg.corpus_path)
-    cfg.table_path = paths.get("table", cfg.table_path)
-    cfg.index_path = paths.get("index", cfg.index_path)
-    cfg.reranker_path = paths.get("reranker", cfg.reranker_path)
-    retrieval = raw.get("retrieval", {})
-    alphas = retrieval.get("alphas")
-    if alphas is not None:
-        if len(alphas) != 3:
-            raise ValueError("retrieval.alphas must have exactly 3 entries")
-        cfg.alpha1, cfg.alpha2, cfg.alpha3 = (float(a) for a in alphas)
-    cfg.k = int(retrieval.get("k", cfg.k))
-    cfg.normalize_scores = bool(retrieval.get("normalize_scores", cfg.normalize_scores))
-    seeds = raw.get("seeds", {})
-    cfg.projection_seed = int(seeds.get("projection", cfg.projection_seed))
-    cfg.degrade_seed = int(seeds.get("degrade", cfg.degrade_seed))
-    cfg.train_seed = int(seeds.get("train", cfg.train_seed))
-    cfg.lang_names = dict(raw.get("lang_names", {}))
-    gen = raw.get("generation", {})
-    known = {f for f in GenerationConfig.__dataclass_fields__}
-    unknown = set(gen) - known
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"config {path} is not valid YAML: {exc}") from exc
+    raw = {} if raw is None else raw
+    if not isinstance(raw, dict):
+        raise ValueError(f"config {path} must be a mapping of sections")
+    unknown = set(raw) - set(_SECTION_KEYS)
     if unknown:
-        raise ValueError(f"unknown generation settings: {sorted(unknown)}")
-    cfg.generation = replace(GenerationConfig(), **gen)
-    cfg.tokenize = raw.get("metrics", {}).get("tokenize", cfg.tokenize)
-    return cfg
+        raise ValueError(f"unknown config sections: {sorted(unknown)}")
+    overrides = {}
+    for name, known in _SECTION_KEYS.items():
+        section = raw.get(name)
+        section = {} if section is None else section
+        if not isinstance(section, dict):
+            raise ValueError(f"config section {name} must be a mapping")
+        unknown = set(section) - known if known is not None else set()
+        if unknown:
+            raise ValueError(f"unknown {name} settings: {sorted(unknown)}")
+        try:
+            overrides.update(_section_fields(name, section))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"config section {name}: {exc}") from exc
+    return PipelineConfig(**overrides)
 
 
 @dataclass(frozen=True)
@@ -248,46 +275,34 @@ class TranslationPipeline:
             lines = [line.rstrip("\n") for line in fh]
         summary = BatchSummary(count=len(lines))
         workers = max(1, self.config.generation.max_in_flight)
-        audit_fh = open(audit_path, "w", encoding="utf-8") if audit_path else None
-        try:
-            with open(output_path, "w", encoding="utf-8") as out_fh:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    for line, result in zip(lines, pool.map(self._translate_line, lines)):
-                        if isinstance(result, StageError):
-                            summary.failures += 1
-                            logger.error("line failed: %s", result)
-                            out_fh.write("\n")
-                            if audit_fh:
-                                audit_fh.write(
-                                    json.dumps(
-                                        {"input": line, "error": str(result)},
-                                        ensure_ascii=False,
-                                    )
-                                    + "\n"
-                                )
-                        else:
-                            out_fh.write(result.best + "\n")
-                            if audit_fh:
-                                audit_fh.write(
-                                    json.dumps(
-                                        {
-                                            "input": line,
-                                            "demos": list(result.demos_used),
-                                            "candidates": [
-                                                {"text": t, "score": s}
-                                                for t, s in result.candidates
-                                            ],
-                                            "best": result.best,
-                                        },
-                                        ensure_ascii=False,
-                                    )
-                                    + "\n"
-                                )
-                        out_fh.flush()
-                        if audit_fh:
-                            audit_fh.flush()
-        finally:
-            if audit_fh:
-                audit_fh.close()
+        audit = open(audit_path, "w", encoding="utf-8") if audit_path else nullcontext()
+        with audit as audit_fh, open(output_path, "w", encoding="utf-8") as out_fh:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for line, result in zip(lines, pool.map(self._translate_line, lines)):
+                    if isinstance(result, StageError):
+                        summary.failures += 1
+                        logger.error("line failed: %s", result)
+                        out_fh.write("\n")
+                    else:
+                        out_fh.write(result.best + "\n")
+                    if audit_fh:
+                        audit_fh.write(audit_record(line, result))
+                        audit_fh.flush()
+                    out_fh.flush()
         summary.wall_time = time.monotonic() - started
         return summary
+
+
+def audit_record(line: str, result: TranslationResult | StageError) -> str:
+    """The audit JSON line for one input: its demos, scored candidates and
+    pick, or the error that failed it."""
+    if isinstance(result, StageError):
+        record = {"input": line, "error": str(result)}
+    else:
+        record = {
+            "input": line,
+            "demos": list(result.demos_used),
+            "candidates": [{"text": t, "score": s} for t, s in result.candidates],
+            "best": result.best,
+        }
+    return json.dumps(record, ensure_ascii=False) + "\n"

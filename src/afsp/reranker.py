@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _binio
 from .degeneration import RerankerExample
-from .embedding import _CJK_RE, _WORD_RE
+from .embedding import _CJK_RE, _TOKEN_RE
 from .errors import (
     DegenerateDataset,
     EmptyCandidateList,
@@ -118,11 +118,8 @@ def featurize_many(
             index_parts.append(np.fromiter(counts.keys(), dtype=np.int64, count=len(counts)))
             value_parts.append(values)
 
-        # segment()'s token count: each CJK character, plus the words of the
-        # runs between them; lowercasing maps no character into or out of
-        # the CJK ranges
+        token_count = len(_TOKEN_RE.findall(lowered))  # len(segment(text))
         cjk = len(_CJK_RE.findall(text))
-        token_count = cjk + len(_WORD_RE.findall(_CJK_RE.sub(" ", lowered)))
         non_space = len(text) - sum(map(str.isspace, text))
         cjk_fraction = cjk / non_space if non_space else 0.0
         index_parts.append(dense_indices)

@@ -183,3 +183,100 @@ def test_train_reranker_reports_progress(workspace, capsys, tmp_path):
     assert summary["examples"] > 0
     assert summary["final_mse"] <= summary["initial_mse"]
     assert len(summary["fingerprint"]) == 64
+
+
+def write_translate_config(root, path):
+    path.write_text(
+        yaml.safe_dump(
+            {
+                "paths": {
+                    "table": str(root / "table.bin"),
+                    "index": str(root / "index.bin"),
+                    "reranker": str(root / "model.bin"),
+                },
+                "seeds": {"projection": 17},
+                "generation": {"n_candidates": 2},
+            }
+        ),
+        encoding="utf-8",
+    )
+    return path
+
+
+@pytest.mark.parametrize("command", ["retrieve", "prompt", "translate"])
+@pytest.mark.parametrize(
+    "flag, message", [("--alphas=-1,0,0", "weights must be"), ("--k=-2", "k must be >= 0")]
+)
+def test_bad_weights_or_k_exit_2_before_loading(workspace, tmp_path, capsys, command, flag, message):
+    root, _ = workspace
+    argv = [
+        command, "--index", str(tmp_path / "missing.bin"),
+        "--embeddings", str(root / "table.bin"), flag,
+    ]
+    argv += ["--text", "你好"] if command == "translate" else ["--query", "你好"]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--alphas=-1,0,0", "--k=-2"])
+def test_bad_weights_or_k_leave_translate_outputs_alone(workspace, tmp_path, flag):
+    root, pairs = workspace
+    inp, out, audit = tmp_path / "in.txt", tmp_path / "out.txt", tmp_path / "a.jsonl"
+    inp.write_text(pairs[0].src_text + "\n", encoding="utf-8")
+    out.write_text("earlier output\n", encoding="utf-8")
+    audit.write_text("earlier audit\n", encoding="utf-8")
+    script = tmp_path / "script.json"
+    script.write_text("{}", encoding="utf-8")
+    assert main([
+        "translate", "--config", str(write_translate_config(root, tmp_path / "cfg.yaml")),
+        "--input", str(inp), "--out", str(out), "--audit", str(audit),
+        "--mock-script", str(script), flag,
+    ]) == 2
+    assert out.read_text(encoding="utf-8") == "earlier output\n"
+    assert audit.read_text(encoding="utf-8") == "earlier audit\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("paths: [table\n", "not valid YAML"),
+        ("- paths\n- seeds\n", "mapping of sections"),
+        ("paths: 5\n", "section paths"),
+        ("retrieval: {alphas: 0.4}\n", "section retrieval"),
+        ("seeds: {projecton: 17}\n", "projecton"),
+    ],
+    ids=["yaml-syntax", "top-level-list", "section-not-mapping", "alphas-not-list", "unknown-key"],
+)
+def test_malformed_config_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert main(["retrieve", "--config", str(path), "--query", "hi"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_text_audit_record_matches_translate_file(workspace, tmp_path, capsys):
+    root, pairs = workspace
+    config_path = write_translate_config(root, tmp_path / "cfg.yaml")
+    config = PipelineConfig(
+        table_path=str(root / "table.bin"),
+        index_path=str(root / "index.bin"),
+        reranker_path=str(root / "model.bin"),
+        projection_seed=17,
+    )
+    pipeline = TranslationPipeline.from_config(config, client=MockClient({}))
+    text = pairs[6].src_text
+    script = tmp_path / "script.json"
+    script.write_text(
+        json.dumps({fingerprint(pipeline.build_prompt(text)): [pairs[6].tgt_text, "其他"]}),
+        encoding="utf-8",
+    )
+    common = ["translate", "--config", str(config_path), "--mock-script", str(script)]
+    single, batch = tmp_path / "single.jsonl", tmp_path / "batch.jsonl"
+    assert main(common + ["--text", text, "--audit", str(single)]) == 0
+    inp = tmp_path / "in.txt"
+    inp.write_text(text + "\n", encoding="utf-8")
+    assert main(common + [
+        "--input", str(inp), "--out", str(tmp_path / "out.txt"), "--audit", str(batch),
+    ]) == 0
+    assert single.read_bytes() == batch.read_bytes()
+    assert list(json.loads(single.read_text(encoding="utf-8"))) == ["input", "demos", "candidates", "best"]

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from afsp.embedding import (
+    _CJK_RE,
     OOV_ID_SPACE,
     EmbeddingTable,
     ProjectionSet,
@@ -17,7 +19,6 @@ from afsp.embedding import (
     segment,
     sparse_embed,
     synthetic_table,
-    tokenize,
 )
 from afsp.errors import EmptyText, VersionMismatch, ZeroVector
 from helpers import corpus_table, en_sentence, zh_sentence
@@ -45,18 +46,18 @@ def test_segment_mixed_scripts():
 
 def test_tokenize_in_vocab_and_oov():
     table = make_table([[1.0, 0.0], [0.0, 1.0]], ["hello", "world"])
-    assert tokenize(table, "hello world") == [0, 1]
-    oov = tokenize(table, "stranger")[0]
+    assert embed_tokens(table, "hello world").tokens == (0, 1)
+    oov = embed_tokens(table, "stranger").tokens[0]
     assert 2 <= oov < 2 + OOV_ID_SPACE
-    assert tokenize(table, "stranger")[0] == oov
+    assert embed_tokens(table, "stranger").tokens[0] == oov
 
 
 def test_tokenize_empty_raises():
     table = make_table([[1.0, 0.0]], ["hello"])
     with pytest.raises(EmptyText):
-        tokenize(table, "   ")
+        embed_tokens(table, "   ")
     with pytest.raises(EmptyText):
-        tokenize(table, "!!!")
+        embed_tokens(table, "!!!")
 
 
 def test_embed_tokens_uses_table_rows():
@@ -265,3 +266,51 @@ def test_table_truncated(tmp_path):
 def test_table_rejects_duplicate_vocab():
     with pytest.raises(ValueError):
         make_table([[1.0], [2.0]], ["dup", "dup"])
+
+
+def test_table_file_with_repeated_token_is_version_mismatch(tmp_path):
+    path = tmp_path / "table.bin"
+    save_table(make_table([[1.0], [2.0]], ["a", "b"]), path)
+    data = path.read_bytes()
+    at = data.rindex(b"b")  # the second token's only byte
+    path.write_bytes(data[:at] + b"a" + data[at + 1 :])
+    with pytest.raises(VersionMismatch, match="unique"):
+        load_table(path)
+
+
+def test_table_file_with_nan_is_version_mismatch(tmp_path):
+    path = tmp_path / "table.bin"
+    save_table(make_table([[1.0], [2.0]], ["a", "b"]), path)
+    data = path.read_bytes()
+    path.write_bytes(data[:-4] + np.array([np.nan], dtype="<f4").tobytes())
+    with pytest.raises(VersionMismatch, match="non-finite"):
+        load_table(path)
+
+
+def reference_segment(text):
+    """The per-character segmentation that ``segment``'s one regex replaced."""
+    tokens, buf = [], []
+    for ch in text.lower():
+        if _CJK_RE.match(ch):
+            tokens.extend(re.findall(r"\w+", "".join(buf)))
+            buf.clear()
+            tokens.append(ch)
+        else:
+            buf.append(ch)
+    tokens.extend(re.findall(r"\w+", "".join(buf)))
+    return tokens
+
+
+def test_segment_matches_per_character_reference():
+    for cp in range(0x10000):
+        if 0xD800 <= cp < 0xE000:
+            continue
+        text = f"a{chr(cp)}b中{chr(cp)}{chr(cp)} "
+        assert segment(text) == reference_segment(text), hex(cp)
+    pool = [chr(c) for r in ((0x20, 0x250), (0x2FF0, 0x3110), (0x4DB0, 0x4E10),
+                             (0x9FF0, 0xA010), (0xF8F0, 0xFB10), (0x400, 0x460)) for c in range(*r)]
+    pool += ["İ", "ẞ", "　", " ", "\U00020000"]
+    rng = random.Random(5)
+    for _ in range(5000):
+        text = "".join(rng.choice(pool) for _ in range(rng.randint(0, 30)))
+        assert segment(text) == reference_segment(text), repr(text)

@@ -21,7 +21,6 @@ from afsp.llm_client import (
     GenerationConfig,
     MockClient,
     fingerprint,
-    generate_candidates,
 )
 
 
@@ -218,20 +217,22 @@ def test_top_k_passthrough(server):
     assert "top_k" not in server.requests[0]["body"]
 
 
-def test_one_shot_helper(server):
-    result = generate_candidates("helper prompt", cfg(server, n_candidates=2))
+def test_result_carries_prompt_fingerprint(server):
+    with ChatCompletionsClient() as client:
+        result = client.generate_candidates("some prompt", cfg(server, n_candidates=2))
     assert len(result.candidates) == 2
-    assert result.prompt_fingerprint == fingerprint("helper prompt")
+    assert result.prompt_fingerprint == fingerprint("some prompt")
 
 
-def test_one_shot_helper_closes_its_session(server, monkeypatch):
+def test_with_block_closes_the_clients_session(server, monkeypatch):
     closed = []
     close = requests.Session.close
     monkeypatch.setattr(requests.Session, "close", lambda self: (closed.append(self), close(self)))
     gc.collect()  # sockets other tests left open are not this call's
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        generate_candidates("helper prompt", cfg(server, n_candidates=2))
+        with ChatCompletionsClient() as client:
+            client.generate_candidates("some prompt", cfg(server, n_candidates=2))
         gc.collect()
     assert len(closed) == 1
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
@@ -250,7 +251,7 @@ def test_endpoint_translator_round_trip(server):
 
 def test_mock_client_passthrough_and_miss():
     prompt = "scripted prompt"
-    client = MockClient.from_prompts({prompt: ["a", "b", "c", "d", "e"]})
+    client = MockClient({fingerprint(prompt): ["a", "b", "c", "d", "e"]})
     config = GenerationConfig(n_candidates=5)
     result = client.generate_candidates(prompt, config)
     assert result.candidates == ("a", "b", "c", "d", "e")
@@ -262,7 +263,7 @@ def test_mock_client_passthrough_and_miss():
 
 
 def test_mock_client_truncates_to_n_candidates():
-    client = MockClient.from_prompts({"p": ["a", "b", "c"]})
+    client = MockClient({fingerprint("p"): ["a", "b", "c"]})
     result = client.generate_candidates("p", GenerationConfig(n_candidates=2))
     assert result.candidates == ("a", "b")
 

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import fields, replace
 
 import pytest
 import yaml
@@ -14,9 +15,8 @@ from afsp.pipeline import (
     load_config,
 )
 from afsp.reranker import train
-from afsp.retrieval import build_index, save_index
+from afsp.retrieval import Weights, build_index, save_index
 from afsp.reranker import save_model
-from afsp.corpus import save as save_corpus
 from helpers import corpus_table, synthetic_corpus
 
 
@@ -207,10 +207,21 @@ def test_translate_file_full_test_set(stack, tmp_path):
 
 def test_config_defaults_match_standard_settings():
     config = PipelineConfig()
-    assert (config.alpha1, config.alpha2, config.alpha3) == (0.4, 0.4, 0.2)
+    assert config.weights == Weights(0.4, 0.4, 0.2)
     assert config.k == 3
     assert config.generation.n_candidates == 30
     assert config.normalize_scores is False
+    assert len(fields(PipelineConfig)) == 9
+
+
+def test_config_checks_k_and_weights_when_built():
+    assert PipelineConfig(k=0).k == 0  # zero-shot
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        PipelineConfig(k=-1)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        replace(PipelineConfig(), k=-2)
+    with pytest.raises(ValueError, match="weights"):
+        PipelineConfig(weights=Weights(-1.0, 0.0, 0.0))
 
 
 def test_load_config_sections_and_unknowns(tmp_path):
@@ -218,19 +229,20 @@ def test_load_config_sections_and_unknowns(tmp_path):
     path.write_text(
         yaml.safe_dump(
             {
-                "paths": {"corpus": "c.bin", "table": "t.bin", "index": "i.bin", "reranker": "m.bin"},
+                "paths": {"table": "t.bin", "index": "i.bin", "reranker": "m.bin"},
                 "retrieval": {"alphas": [0.5, 0.3, 0.2], "k": 5, "normalize_scores": True},
                 "seeds": {"projection": 99},
                 "lang_names": {"zh": "Mandarin"},
                 "generation": {"endpoint": "http://x/v1", "n_candidates": 5, "temperature": 0.2},
-                "metrics": {"tokenize": "char"},
             }
         ),
         encoding="utf-8",
     )
     config = load_config(path)
     assert config.table_path == "t.bin"
-    assert (config.alpha1, config.alpha2, config.alpha3) == (0.5, 0.3, 0.2)
+    assert config.index_path == "i.bin"
+    assert config.reranker_path == "m.bin"
+    assert config.weights == Weights(0.5, 0.3, 0.2)
     assert config.k == 5
     assert config.normalize_scores is True
     assert config.projection_seed == 99
@@ -238,7 +250,9 @@ def test_load_config_sections_and_unknowns(tmp_path):
     assert config.generation.n_candidates == 5
     assert config.generation.endpoint == "http://x/v1"
     assert config.generation.temperature == 0.2
-    assert config.tokenize == "char"
+
+    path.write_text("", encoding="utf-8")
+    assert load_config(path) == PipelineConfig()
 
     bad = tmp_path / "bad.yaml"
     bad.write_text(yaml.safe_dump({"generation": {"no_such_field": 1}}), encoding="utf-8")
@@ -249,19 +263,49 @@ def test_load_config_sections_and_unknowns(tmp_path):
         load_config(bad)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("metrics: {tokenize: char}\n", "unknown config sections"),
+        ("paths: {corpus: c.bin}\n", "unknown paths settings"),
+        ("retrieval: {kk: 3}\n", "unknown retrieval settings"),
+        ("seeds: {projecton: 17}\n", "unknown seeds settings"),
+        ("seeds: {degrade: 1}\n", "unknown seeds settings"),
+        ("generation: {n_candidate: 5}\n", "unknown generation settings"),
+        ("paths: [table\n", "not valid YAML"),
+        ("- paths\n- seeds\n", "mapping of sections"),
+        ("paths: 5\n", "section paths"),
+        ("paths: {table: 5}\n", "section paths"),
+        ("lang_names: [zh]\n", "section lang_names"),
+        ("retrieval: {alphas: 0.4}\n", "section retrieval"),
+        ("retrieval: {alphas: [[1], 0, 0]}\n", "section retrieval"),
+        ("retrieval: {k: -1}\n", "k must be >= 0"),
+        ("generation: {n_candidates: many}\n", "section generation"),
+    ],
+    ids=[
+        "unknown-section", "unknown-paths-key", "unknown-retrieval-key", "unknown-seeds-key",
+        "removed-seeds-key", "unknown-generation-key", "yaml-syntax", "top-level-list",
+        "paths-not-mapping", "path-not-string", "lang-names-not-mapping", "alphas-not-list",
+        "alpha-not-number", "negative-k", "n-candidates-not-number",
+    ],
+)
+def test_load_config_rejects_with_value_error(tmp_path, text, message):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        load_config(path)
+
+
 def test_from_config_loads_artifacts(stack, tmp_path):
     corpus, table, proj, index, scorer = stack
     table_path = tmp_path / "table.bin"
     index_path = tmp_path / "index.bin"
     model_path = tmp_path / "model.bin"
-    corpus_path = tmp_path / "corpus.bin"
     save_table(table, table_path)
     save_index(index, index_path)
     save_model(scorer, model_path)
-    save_corpus(corpus, corpus_path)
 
     config = PipelineConfig(
-        corpus_path=str(corpus_path),
         table_path=str(table_path),
         index_path=str(index_path),
         reranker_path=str(model_path),
