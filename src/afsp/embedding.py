@@ -27,6 +27,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -159,36 +160,52 @@ class MultiVec:
 
 
 def embed_tokens(table: EmbeddingTable, text: str) -> TextEmbeddings:
-    """Look up (or hash-generate) one embedding row per token."""
+    """Look up (or hash-generate) one embedding row per token of a text."""
     tokens = segment(text)
     if not tokens:
         raise EmptyText(f"no tokens in {text!r}")
+    return lookup_tokens(table, tokens)
+
+
+def lookup_tokens(table: EmbeddingTable, tokens: Sequence[str]) -> TextEmbeddings:
+    """Ids and embedding rows of already segmented tokens, one row each."""
     ids = tuple(table.token_id(t) for t in tokens)
     rows = np.stack([table.token_vector(t) for t in tokens])
     return TextEmbeddings(tokens=ids, vectors=rows)
 
 
-def _unit(vec: np.ndarray, context: str) -> np.ndarray:
-    norm = float(np.linalg.norm(vec.astype(np.float64)))
-    if norm < _NORM_EPS:
-        raise ZeroVector(f"{context}: zero-norm vector cannot be normalized")
-    return (vec.astype(np.float64) / norm).astype(np.float32)
+def unit_rows(rows: np.ndarray, context: str) -> np.ndarray:
+    """Each row of a 2-D array over its L2 norm, in float64, as float32.
+
+    A row's squared norm is its dot product with itself, taken by the same
+    BLAS dot that ``np.linalg.norm`` uses for one vector, so a row comes out
+    the same alone or in a block.
+    """
+    rows64 = rows.astype(np.float64)
+    norms = np.sqrt((rows64[:, None, :] @ rows64[:, :, None])[:, 0, 0])
+    bad = np.flatnonzero(norms < _NORM_EPS)
+    if len(bad):
+        raise ZeroVector(f"{context}: zero-norm vector cannot be normalized", row=int(bad[0]))
+    return (rows64 / norms[:, None]).astype(np.float32)
 
 
 def dense_embed(emb: TextEmbeddings) -> DenseVec:
     """Element-wise max over tokens, then L2 normalization."""
     pooled = emb.vectors.max(axis=0)
-    return DenseVec(values=_unit(pooled, "dense pooling"))
+    return DenseVec(values=unit_rows(pooled[None], "dense pooling")[0])
+
+
+def token_weights(emb: TextEmbeddings, proj: ProjectionSet) -> np.ndarray:
+    """Each token row's ReLU(w_sparse . row), computed in float64 and rounded
+    to float32; 0 where the projection is not positive."""
+    raw = emb.vectors.astype(np.float64) @ proj.w_sparse.astype(np.float64)
+    return np.maximum(raw, 0.0).astype(np.float32)
 
 
 def sparse_embed(emb: TextEmbeddings, proj: ProjectionSet) -> SparseWeights:
-    """Per-token ReLU(w_sparse . row); repeated token ids keep the max."""
-    raw = emb.vectors.astype(np.float64) @ proj.w_sparse.astype(np.float64)
+    """Positive per-token weights; repeated token ids keep the max."""
     weights: dict[int, float] = {}
-    for tid, w in zip(emb.tokens, raw):
-        w = float(np.float32(w))
-        if w <= 0.0:
-            continue
+    for tid, w in zip(emb.tokens, token_weights(emb, proj).tolist()):
         if w > weights.get(tid, 0.0):
             weights[tid] = w
     return SparseWeights(weights=weights)
@@ -198,8 +215,11 @@ def multi_embed(emb: TextEmbeddings, proj: ProjectionSet) -> MultiVec:
     """Project every token row through w_multi and normalize each row."""
     projected = emb.vectors.astype(np.float64) @ proj.w_multi.astype(np.float64)
     norms = np.linalg.norm(projected, axis=1)
-    if np.any(norms < _NORM_EPS):
-        raise ZeroVector("token projection: zero-norm row cannot be normalized")
+    bad = np.flatnonzero(norms < _NORM_EPS)
+    if len(bad):
+        raise ZeroVector(
+            "token projection: zero-norm row cannot be normalized", row=int(bad[0])
+        )
     return MultiVec(rows=(projected / norms[:, None]).astype(np.float32))
 
 
@@ -234,6 +254,7 @@ def load_table(path: str | Path) -> EmbeddingTable:
     vocab = tuple(reader.strs(v, "vocab"))
     # the constructor copies the matrix, so the view is not copied here
     matrix = reader.array("<f4", v * h, "embedding matrix").reshape(v, h)
+    reader.end("the embedding matrix")
     try:
         return EmbeddingTable(vocab=vocab, matrix=matrix, oov_seed=oov_seed)
     except ValueError as exc:

@@ -54,7 +54,12 @@ class EmptyText(AfspError):
 
 
 class ZeroVector(AfspError):
-    """A vector with (near-)zero norm cannot be L2-normalized."""
+    """A vector with (near-)zero norm cannot be L2-normalized. ``row`` is the
+    first such row when the vectors are the rows of a matrix."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 # --- retrieval ------------------------------------------------------------

@@ -67,6 +67,14 @@ class GenerationConfig:
             raise ValueError("temperature must be >= 0")
         if not 0 < self.top_p <= 1:
             raise ValueError("top_p must be in (0, 1]")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be >= 1")
+        if not self.timeout > 0:
+            raise ValueError("timeout must be > 0")
+        if self.retries < 0:
+            raise ValueError("retries must be >= 0")
+        if self.max_in_flight < 1:
+            raise ValueError("max_in_flight must be >= 1")
 
 
 @dataclass(frozen=True)

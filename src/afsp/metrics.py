@@ -19,11 +19,16 @@ lexical resources or pretrained models.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .embedding import _CJK_RE, _WORD_RE
+from .embedding import _CJK, _CJK_RE, _WORD_RE
 from .errors import EmptyCorpus, LengthMismatch
+
+# one character for which str.isalnum() holds, outside the CJK ranges: \w
+# matches exactly the alphanumeric characters and "_"
+_ALNUM_RE = re.compile(rf"[^\W_{_CJK}]")
 
 BLEU_ORDER = 4
 CHRF_ORDER = 6
@@ -42,15 +47,9 @@ class EvalReport:
 
 
 def detect_mode(texts: list[str]) -> str:
-    """'char' when CJK characters outnumber other word characters."""
-    cjk = 0
-    other = 0
-    for text in texts:
-        for ch in text:
-            if _CJK_RE.match(ch):
-                cjk += 1
-            elif ch.isalnum():
-                other += 1
+    """'char' when CJK characters outnumber other alphanumeric characters."""
+    cjk = sum(len(_CJK_RE.findall(text)) for text in texts)
+    other = sum(len(_ALNUM_RE.findall(text)) for text in texts)
     return "char" if cjk > other else "word"
 
 

@@ -274,10 +274,9 @@ class TranslationPipeline:
         with open(input_path, encoding="utf-8") as fh:
             lines = [line.rstrip("\n") for line in fh]
         summary = BatchSummary(count=len(lines))
-        workers = max(1, self.config.generation.max_in_flight)
         audit = open(audit_path, "w", encoding="utf-8") if audit_path else nullcontext()
         with audit as audit_fh, open(output_path, "w", encoding="utf-8") as out_fh:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+            with ThreadPoolExecutor(max_workers=self.config.generation.max_in_flight) as pool:
                 for line, result in zip(lines, pool.map(self._translate_line, lines)):
                     if isinstance(result, StageError):
                         summary.failures += 1

@@ -281,6 +281,7 @@ def load_model(path: str | Path) -> NGramRegressor:
     hash_seed = reader.u64("hash seed")
     weights = reader.array("<f4", feature_dim + DENSE_SLOTS, "weights").copy()
     bias = reader.f32("bias")
+    reader.end("the bias")
     return NGramRegressor(
         feature_dim=feature_dim, hash_seed=hash_seed, weights=weights, bias=bias
     )

@@ -29,6 +29,17 @@ The same arrays are the file format, read back with ``np.frombuffer``. The
 index checks the table fingerprint once per (table, projections) pair,
 compared by identity; their arrays are read-only, so the same objects
 always hold the same content.
+
+Because the embedding layer is context-free, :func:`build_index` works on
+distinct tokens: it segments every source text once, looks up (or
+hash-generates) each distinct token's row once, and computes all sparse
+weights and multi-vector rows in one block. Each pair then gathers its
+entries: the max over its token rows for the dense vector, its tokens'
+weights for the sparse one, and its tokens' deduped row ids. The values
+come from the same functions that embed one query (:func:`embed_tokens`,
+:func:`dense_embed`, :func:`sparse_embed`, :func:`multi_embed`), applied to
+a block of rows, and the index's bytes equal those of embedding each pair
+alone.
 """
 
 from __future__ import annotations
@@ -43,6 +54,7 @@ import numpy as np
 from . import _binio
 from .corpus import Corpus, DemoPair, read_pair_table, write_pair_table
 from .embedding import (
+    OOV_ID_SPACE,
     DenseVec,
     EmbeddingTable,
     MultiVec,
@@ -50,16 +62,20 @@ from .embedding import (
     SparseWeights,
     dense_embed,
     embed_tokens,
+    lookup_tokens,
     multi_embed,
+    segment,
     sparse_embed,
+    token_weights,
+    unit_rows,
 )
 from .errors import (
-    AfspError,
     DimensionMismatch,
     EmptyQuery,
     EmptyText,
     FingerprintMismatch,
     VersionMismatch,
+    ZeroVector,
 )
 
 INDEX_MAGIC = b"AFSPIDX2"
@@ -67,6 +83,10 @@ INDEX_MAGIC = b"AFSPIDX2"
 # how far from 1 a loaded dense or multi-vector row's norm may be; rows are
 # normalized in float64 and stored as float32
 _NORM_TOL = 1e-3
+
+# pairs per block of build_index's dense max-pooling, which bounds the
+# size of its temporaries
+_POOL_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -243,40 +263,96 @@ class RetrievalIndex:
 def build_index(
     corpus: Corpus, table: EmbeddingTable, proj: ProjectionSet
 ) -> RetrievalIndex:
-    """Embed every pair's source text; entries keep corpus order."""
-    dense, sparse, entry_ids = [], [], []
-    # exact dedup of multi-vector rows by their float32 bytes (a void view
-    # makes each row one bytes key); dict order is first appearance, both
-    # over the corpus (seen) and within an entry (fromkeys)
-    seen: dict[bytes, int] = {}
-    row_bytes = np.dtype((np.void, 4 * table.dim))
+    """Embed every pair's source text; entries keep corpus order.
+
+    Each distinct token is looked up, weighted and projected once, and each
+    pair gathers its entries from those per-token results (see the module
+    docstring).
+    """
+    # each token string gets a dense id in order of first appearance; tok is
+    # the id of every token occurrence, pair after pair, and owner its pair
+    ids: dict[str, int] = {}
+    occurrences: list[int] = []
+    lengths = []
     for pair in corpus:
-        try:
-            emb = embed_tokens(table, pair.src_text)
-            dense.append(dense_embed(emb).values)
-            sparse.append(sorted(sparse_embed(emb, proj).weights.items()))
-            rows = multi_embed(emb, proj).rows
-        except AfspError as exc:
-            raise exc.__class__(f"pair {pair.id!r}: {exc}") from exc
-        keys = rows.view(row_bytes).ravel().tolist()
-        entry_ids.append(list(dict.fromkeys([seen.setdefault(k, len(seen)) for k in keys])))
-    sparse_pairs = [p for pairs in sparse for p in pairs]
+        tokens = segment(pair.src_text)
+        if not tokens:
+            raise EmptyText(f"pair {pair.id!r}: no tokens in {pair.src_text!r}")
+        occurrences += [ids.setdefault(t, len(ids)) for t in tokens]
+        lengths.append(len(tokens))
+    tok = np.array(occurrences, dtype=np.intp)
+    owner = np.repeat(np.arange(len(corpus)), lengths)
+    emb = lookup_tokens(table, list(ids))
+    dense = _pool_dense(corpus, emb.vectors, tok, _offsets(lengths).astype(np.intp))
+    try:
+        rows = multi_embed(emb, proj).rows
+    except ZeroVector as exc:
+        first = owner[np.flatnonzero(tok == exc.row)[0]]
+        raise ZeroVector(f"pair {corpus[first].id!r}: {exc}") from exc
+
+    # sparse: each pair's positive weight per token id, ids ascending; the
+    # max where two of its tokens share an id (OOV ids are hashes and can
+    # collide), as sparse_embed keeps
+    weight = token_weights(emb, proj)[tok]
+    tid = np.array(emb.tokens, dtype=np.int64)[tok]
+    hit = np.flatnonzero(weight > 0)
+    key = owner[hit] * (len(table.vocab) + OOV_ID_SPACE) + tid[hit]
+    order = np.lexsort((-weight[hit], key))
+    _, first = np.unique(key[order], return_index=True)
+    sparse = hit[order[first]]
+
+    # exact dedupe of multi-vector rows by their float32 bytes (a void view
+    # makes each row one bytes key), numbered in order of first appearance;
+    # two tokens with equal rows share one; a pair lists its distinct rows
+    # in order of first appearance
+    seen: dict[bytes, int] = {}
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    row = np.array([seen.setdefault(k, len(seen)) for k in keys.tolist()], dtype=np.intp)[tok]
+    _, first = np.unique(owner * len(seen) + row, return_index=True)
+    multi = np.sort(first)
     return RetrievalIndex(
         corpus,
         table_fingerprint(table, proj),
-        dense=np.stack(dense),
-        sparse_indptr=_offsets(len(pairs) for pairs in sparse),
-        sparse_ids=np.array([t for t, _ in sparse_pairs], dtype=np.uint32),
-        sparse_weights=np.array([w for _, w in sparse_pairs], dtype=np.float32),
+        dense=dense,
+        sparse_indptr=_offsets(np.bincount(owner[sparse], minlength=len(corpus))),
+        sparse_ids=tid[sparse].astype(np.uint32),
+        sparse_weights=weight[sparse],
         multi_rows=np.frombuffer(b"".join(seen), dtype=np.float32).reshape(len(seen), -1),
-        multi_offsets=_offsets(len(ids) for ids in entry_ids),
-        multi_row_ids=np.array([i for ids in entry_ids for i in ids], dtype=np.uint32),
+        multi_offsets=_offsets(np.bincount(owner[multi], minlength=len(corpus))),
+        multi_row_ids=row[multi].astype(np.uint32),
     )
+
+
+def _pool_dense(
+    corpus: Corpus, vectors: np.ndarray, tok: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """Each pair's dense vector as :func:`dense_embed` makes it: the
+    element-wise max over the pair's token rows
+    ``vectors[tok[starts[i]:starts[i + 1]]]``, then L2 normalization.
+
+    ``_POOL_CHUNK`` pairs at a time take the max token position by token
+    position, which runs faster than ``np.maximum.reduceat`` over the
+    gathered rows and allocates no more than one block of pooled rows.
+    """
+    dense = np.empty((len(corpus), vectors.shape[1]), dtype=np.float32)
+    for a in range(0, len(corpus), _POOL_CHUNK):
+        b = min(a + _POOL_CHUNK, len(corpus))
+        first = starts[a:b]
+        lengths = starts[a + 1 : b + 1] - first
+        pooled = vectors[tok[first]]
+        for k in range(1, lengths.max()):
+            longer = np.flatnonzero(lengths > k)
+            pooled[longer] = np.maximum(pooled[longer], vectors[tok[first[longer] + k]])
+        try:
+            dense[a:b] = unit_rows(pooled, "dense pooling")
+        except ZeroVector as exc:
+            raise ZeroVector(f"pair {corpus[a + exc.row].id!r}: {exc}") from exc
+    return dense
 
 
 def _offsets(lengths) -> np.ndarray:
     """``[0, l0, l0 + l1, ...]`` as uint32."""
-    return np.concatenate(([0], np.cumsum(list(lengths)))).astype(np.uint32)
+    return np.concatenate(([0], np.cumsum(lengths))).astype(np.uint32)
 
 
 def _minmax(scores: np.ndarray) -> np.ndarray:

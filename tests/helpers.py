@@ -4,8 +4,19 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from afsp.corpus import Corpus, DemoPair
-from afsp.embedding import EmbeddingTable, synthetic_table
+from afsp.embedding import (
+    EmbeddingTable,
+    dense_embed,
+    embed_tokens,
+    multi_embed,
+    sparse_embed,
+    synthetic_table,
+)
+from afsp.errors import AfspError
+from afsp.retrieval import RetrievalIndex, table_fingerprint
 
 # A small recurring phrase inventory: diplomatic-register chunks compose
 # into sentences whose n-gram statistics are stable across the corpus, the
@@ -115,3 +126,40 @@ def write_jsonl(path, pairs: list[DemoPair]) -> None:
                 )
                 + "\n"
             )
+
+
+def reference_build_index(corpus, table, proj) -> RetrievalIndex:
+    """The per-pair index build that ``build_index`` replaced: each pair's
+    text is embedded on its own, and multi-vector rows are deduped by their
+    float32 bytes as they come."""
+    dense, sparse, entry_ids = [], [], []
+    # dict order is first appearance, both over the corpus (seen) and
+    # within an entry (fromkeys)
+    seen: dict[bytes, int] = {}
+    row_bytes = np.dtype((np.void, 4 * table.dim))
+    for pair in corpus:
+        try:
+            emb = embed_tokens(table, pair.src_text)
+            dense.append(dense_embed(emb).values)
+            sparse.append(sorted(sparse_embed(emb, proj).weights.items()))
+            rows = multi_embed(emb, proj).rows
+        except AfspError as exc:
+            raise exc.__class__(f"pair {pair.id!r}: {exc}") from exc
+        keys = rows.view(row_bytes).ravel().tolist()
+        entry_ids.append(list(dict.fromkeys([seen.setdefault(k, len(seen)) for k in keys])))
+    sparse_pairs = [p for pairs in sparse for p in pairs]
+
+    def offsets(lists):
+        return np.concatenate(([0], np.cumsum([len(x) for x in lists]))).astype(np.uint32)
+
+    return RetrievalIndex(
+        corpus,
+        table_fingerprint(table, proj),
+        dense=np.stack(dense),
+        sparse_indptr=offsets(sparse),
+        sparse_ids=np.array([t for t, _ in sparse_pairs], dtype=np.uint32),
+        sparse_weights=np.array([w for _, w in sparse_pairs], dtype=np.float32),
+        multi_rows=np.frombuffer(b"".join(seen), dtype=np.float32).reshape(len(seen), -1),
+        multi_offsets=offsets(entry_ids),
+        multi_row_ids=np.array([i for ids in entry_ids for i in ids], dtype=np.uint32),
+    )

@@ -244,8 +244,12 @@ def test_bad_weights_or_k_leave_translate_outputs_alone(workspace, tmp_path, fla
         ("paths: 5\n", "section paths"),
         ("retrieval: {alphas: 0.4}\n", "section retrieval"),
         ("seeds: {projecton: 17}\n", "projecton"),
+        ("generation: {retries: -1}\n", "section generation: retries must be >= 0"),
     ],
-    ids=["yaml-syntax", "top-level-list", "section-not-mapping", "alphas-not-list", "unknown-key"],
+    ids=[
+        "yaml-syntax", "top-level-list", "section-not-mapping", "alphas-not-list", "unknown-key",
+        "negative-retries",
+    ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "cfg.yaml"

@@ -263,6 +263,14 @@ def test_table_truncated(tmp_path):
         load_table(path)
 
 
+def test_table_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "table.bin"
+    save_table(corpus_table(dim=16), path)
+    path.write_bytes(path.read_bytes() + b"garbage!")
+    with pytest.raises(VersionMismatch, match="trailing"):
+        load_table(path)
+
+
 def test_table_rejects_duplicate_vocab():
     with pytest.raises(ValueError):
         make_table([[1.0], [2.0]], ["dup", "dup"])

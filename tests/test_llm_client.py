@@ -104,6 +104,29 @@ def test_generation_config_validation():
         GenerationConfig(top_p=0.0)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("retries", -1, "retries must be >= 0"),
+        ("timeout", 0.0, "timeout must be > 0"),
+        ("timeout", -5.0, "timeout must be > 0"),
+        ("timeout", float("nan"), "timeout must be > 0"),
+        ("max_tokens", 0, "max_tokens must be >= 1"),
+        ("max_in_flight", 0, "max_in_flight must be >= 1"),
+    ],
+)
+def test_generation_config_rejects_bad_limits(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        GenerationConfig(**{field: value})
+    with pytest.raises(ValueError, match=message):
+        replace(GenerationConfig(), **{field: value})
+
+
+def test_generation_config_accepts_smallest_limits():
+    config = GenerationConfig(retries=0, timeout=0.01, max_tokens=1, max_in_flight=1)
+    assert (config.retries, config.max_tokens, config.max_in_flight) == (0, 1, 1)
+
+
 def test_multi_choice_single_request(server):
     config = cfg(server, n_candidates=30)
     result = ChatCompletionsClient().generate_candidates("translate this", config)

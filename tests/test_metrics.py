@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from afsp.embedding import _CJK_RE
 from afsp.errors import EmptyCorpus, LengthMismatch
 from afsp.metrics import (
     EvalReport,
@@ -217,6 +218,34 @@ def test_detect_mode():
     assert detect_mode(["你好世界", "外交部"]) == "char"
     assert detect_mode(["hello world"]) == "word"
     assert detect_mode(["你好 hello world wide web"]) == "word"
+
+
+def reference_detect_mode(texts):
+    """The per-character loop that ``detect_mode``'s two regexes replaced."""
+    cjk = other = 0
+    for text in texts:
+        for ch in text:
+            if _CJK_RE.match(ch):
+                cjk += 1
+            elif ch.isalnum():
+                other += 1
+    return "char" if cjk > other else "word"
+
+
+def test_detect_mode_matches_per_character_reference():
+    # a CJK character turns both probes to "char", an other alphanumeric
+    # character turns both to "word", any other character only the second
+    for cp in range(0x10000):
+        ch = chr(cp)
+        for text in (f"{ch}{ch}a", f"{ch}中", f" {ch}x{ch}字 "):
+            assert detect_mode([text]) == reference_detect_mode([text]), hex(cp)
+    pool = [chr(c) for r in ((0x20, 0x250), (0x2FF0, 0x3110), (0x4DB0, 0x4E10), (0x9FF0, 0xA010),
+                             (0xF8F0, 0xFB10), (0x400, 0x460), (0x660, 0x670)) for c in range(*r)]
+    pool += ["_", "²", "½", "Ⅻ", "　", "\U00020000", "\U0001D7CE"]
+    rng = random.Random(11)
+    for _ in range(5000):
+        texts = ["".join(rng.choice(pool) for _ in range(rng.randint(0, 12))) for _ in range(3)]
+        assert detect_mode(texts) == reference_detect_mode(texts), repr(texts)
 
 
 def test_tokens_modes():

@@ -281,12 +281,17 @@ def test_load_config_sections_and_unknowns(tmp_path):
         ("retrieval: {alphas: [[1], 0, 0]}\n", "section retrieval"),
         ("retrieval: {k: -1}\n", "k must be >= 0"),
         ("generation: {n_candidates: many}\n", "section generation"),
+        ("generation: {retries: -1}\n", "section generation: retries must be >= 0"),
+        ("generation: {timeout: 0}\n", "section generation: timeout must be > 0"),
+        ("generation: {max_tokens: 0}\n", "section generation: max_tokens must be >= 1"),
+        ("generation: {max_in_flight: 0}\n", "section generation: max_in_flight must be >= 1"),
     ],
     ids=[
         "unknown-section", "unknown-paths-key", "unknown-retrieval-key", "unknown-seeds-key",
         "removed-seeds-key", "unknown-generation-key", "yaml-syntax", "top-level-list",
         "paths-not-mapping", "path-not-string", "lang-names-not-mapping", "alphas-not-list",
-        "alpha-not-number", "negative-k", "n-candidates-not-number",
+        "alpha-not-number", "negative-k", "n-candidates-not-number", "negative-retries",
+        "zero-timeout", "zero-max-tokens", "zero-max-in-flight",
     ],
 )
 def test_load_config_rejects_with_value_error(tmp_path, text, message):

@@ -214,6 +214,15 @@ def test_model_truncated_file(tmp_path):
         load_model(path)
 
 
+def test_model_rejects_trailing_bytes(tmp_path):
+    model, _ = train(small_dataset(), epochs=4, seed=9, feature_dim=FEATURE_DIM)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    path.write_bytes(path.read_bytes() + b"garbage!")
+    with pytest.raises(VersionMismatch, match="trailing"):
+        load_model(path)
+
+
 def test_default_feature_dim_is_power_of_two():
     assert DEFAULT_FEATURE_DIM == 2**18
 
