@@ -63,18 +63,17 @@ class Corpus:
         if not pairs:
             raise EmptyFile("a corpus needs at least one pair")
         src_lang, tgt_lang = pairs[0].src_lang, pairs[0].tgt_lang
-        by_id: dict[str, DemoPair] = {}
+        seen: set[str] = set()
         for p in pairs:
             if (p.src_lang, p.tgt_lang) != (src_lang, tgt_lang):
                 raise MixedLanguagePair(
                     f"pair {p.id!r} is {p.src_lang}->{p.tgt_lang}, "
                     f"corpus is {src_lang}->{tgt_lang}"
                 )
-            if p.id in by_id:
+            if p.id in seen:
                 raise DuplicateId(p.id)
-            by_id[p.id] = p
+            seen.add(p.id)
         self.pairs: tuple[DemoPair, ...] = tuple(pairs)
-        self._by_id = by_id
         self.src_lang = src_lang
         self.tgt_lang = tgt_lang
 
@@ -89,9 +88,6 @@ class Corpus:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Corpus) and self.pairs == other.pairs
-
-    def by_id(self, pair_id: str) -> DemoPair:
-        return self._by_id[pair_id]
 
 
 def _auto_id(index: int) -> str:

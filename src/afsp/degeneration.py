@@ -38,8 +38,8 @@ from typing import Callable
 import numpy as np
 
 from .corpus import Corpus, DemoPair
-from .embedding import EmbeddingTable, _stable_hash64
-from .errors import MissingEmbeddingTable, MissingTranslator, NoOpPerturbation
+from .embedding import _CJK, EmbeddingTable, _stable_hash64
+from .errors import MalformedRecord, MissingEmbeddingTable, MissingTranslator, NoOpPerturbation
 
 logger = logging.getLogger(__name__)
 
@@ -134,9 +134,10 @@ def score_of(combo: OpCombination) -> float:
 # --- surface tokenization ---------------------------------------------------
 # Degeneration edits operate on surface tokens (whitespace-delimited runs,
 # CJK-wide characters one by one) so punctuation and casing survive untouched
-# in the parts an operation does not edit.
+# in the parts an operation does not edit. Wide characters are the
+# segmentation's CJK ranges plus CJK punctuation and the fullwidth forms.
 
-_WIDE = "　-〿぀-ヿ㐀-䶿一-鿿豈-﫿＀-￯"
+_WIDE = f"\u3000-\u303f{_CJK}\uff00-\uffef"
 _TOKEN_RE = re.compile(f"[{_WIDE}]|[^\\s{_WIDE}]+")
 _WIDE_RE = re.compile(f"^[{_WIDE}]")
 
@@ -429,16 +430,32 @@ def save_examples(examples: list[RerankerExample], path: str | Path) -> None:
 
 
 def load_examples(path: str | Path) -> list[RerankerExample]:
+    """Read save_examples' JSONL. Raises MalformedRecord, with the line
+    number, for a line that is not a JSON object with a string text, a
+    finite numeric score, a pair_id and a list of ops."""
     examples = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
+            if not isinstance(rec, dict):
+                raise MalformedRecord(line_no, "record is not a JSON object")
+            for name in ("text", "score", "pair_id", "ops"):
+                if name not in rec:
+                    raise MalformedRecord(line_no, f"missing field {name!r}")
+            score = rec["score"]
+            if isinstance(score, bool) or not isinstance(score, (int, float)) or not math.isfinite(score):
+                raise MalformedRecord(line_no, f"score must be a finite number, got {score!r}")
+            if not isinstance(rec["text"], str) or not isinstance(rec["ops"], list):
+                raise MalformedRecord(line_no, "text must be a string and ops a list")
             examples.append(
                 RerankerExample(
                     text=rec["text"],
-                    score=float(rec["score"]),
+                    score=float(score),
                     pair_id=rec["pair_id"],
                     ops=tuple(rec["ops"]),
                 )

@@ -12,6 +12,10 @@ aggregated over the corpus by total counts; orders absent from both sides
 are excluded from the average. ROUGE corpus scores are the mean of
 per-sentence F1.
 
+Each pair's word and character n-grams are counted once: corpus scores
+come from the counts summed over pairs, sentence scores from one pair's
+counts, and ROUGE-1/2 from the same order-1/2 counts as BLEU.
+
 METEOR and COMET-style metrics are not implemented here; they need external
 lexical resources or pretrained models.
 """
@@ -22,6 +26,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .embedding import _CJK, _CJK_RE, _WORD_RE
 from .errors import EmptyCorpus, LengthMismatch
@@ -74,8 +79,44 @@ def _check(hyps: list[str], refs: list[str]) -> None:
         raise EmptyCorpus("no sentence pairs to score")
 
 
-def _ngram_counts(toks: list[str], n: int) -> Counter:
-    return Counter(tuple(toks[i : i + n]) for i in range(len(toks) - n + 1))
+def _ngram_stats(hyp: Sequence, ref: Sequence, orders: int) -> list[tuple[int, int, int]]:
+    """(clipped matches, hypothesis n-grams, reference n-grams) for each
+    order 1..orders of one pair: token tuples for BLEU and ROUGE, strings
+    with whitespace removed for chrF. Every score is computed from these."""
+    stats = []
+    for n in range(1, orders + 1):
+        hc = Counter(hyp[i : i + n] for i in range(len(hyp) - n + 1))
+        rc = Counter(ref[i : i + n] for i in range(len(ref) - n + 1))
+        stats.append((sum((hc & rc).values()), max(len(hyp) - n + 1, 0), max(len(ref) - n + 1, 0)))
+    return stats
+
+
+def _total(per_pair: list[list[tuple[int, int, int]]]) -> list[tuple[int, int, int]]:
+    """Per-order stats summed over the corpus."""
+    return [tuple(map(sum, zip(*order))) for order in zip(*per_pair)]
+
+
+def _token_pairs(
+    hypotheses: list[str], references: list[str], mode: str
+) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+    return [(tuple(tokens(h, mode)), tuple(tokens(r, mode))) for h, r in zip(hypotheses, references)]
+
+
+def _char_stats(hypothesis: str, reference: str) -> list[tuple[int, int, int]]:
+    return _ngram_stats("".join(hypothesis.split()), "".join(reference.split()), CHRF_ORDER)
+
+
+def _bleu(stats: list[tuple[int, int, int]], smooth: bool) -> float:
+    """BLEU-4 from per-order stats. smooth (per-sentence) adds SENT_BLEU_EPS
+    to every match count and skips orders longer than the hypothesis."""
+    hyp_len, ref_len = stats[0][1], stats[0][2]
+    if smooth:
+        stats = [(match + SENT_BLEU_EPS, hyp, ref) for match, hyp, ref in stats if hyp]
+    if not hyp_len or not ref_len or any(match == 0 for match, _, _ in stats):
+        return 0.0
+    log_precision = sum(math.log(match / hyp) for match, hyp, _ in stats) / len(stats)
+    bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return 100.0 * bp * math.exp(log_precision)
 
 
 def bleu4(hypotheses: list[str], references: list[str], tokenize: str = "auto") -> float:
@@ -83,27 +124,8 @@ def bleu4(hypotheses: list[str], references: list[str], tokenize: str = "auto") 
     no smoothing. Range 0-100."""
     _check(hypotheses, references)
     mode = _resolve_mode(tokenize, hypotheses, references)
-    clipped = [0] * BLEU_ORDER
-    totals = [0] * BLEU_ORDER
-    hyp_len = 0
-    ref_len = 0
-    for hyp, ref in zip(hypotheses, references):
-        ht = tokens(hyp, mode)
-        rt = tokens(ref, mode)
-        hyp_len += len(ht)
-        ref_len += len(rt)
-        for n in range(1, BLEU_ORDER + 1):
-            hc = _ngram_counts(ht, n)
-            rc = _ngram_counts(rt, n)
-            totals[n - 1] += sum(hc.values())
-            clipped[n - 1] += sum(min(count, rc[gram]) for gram, count in hc.items())
-    if hyp_len == 0:
-        return 0.0
-    if any(c == 0 for c in clipped) or any(t == 0 for t in totals):
-        return 0.0
-    log_precision = sum(math.log(c / t) for c, t in zip(clipped, totals)) / BLEU_ORDER
-    bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return 100.0 * bp * math.exp(log_precision)
+    pairs = _token_pairs(hypotheses, references, mode)
+    return _bleu(_total([_ngram_stats(ht, rt, BLEU_ORDER) for ht, rt in pairs]), smooth=False)
 
 
 def sentence_bleu4(hypothesis: str, reference: str, tokenize: str = "auto") -> float:
@@ -113,58 +135,19 @@ def sentence_bleu4(hypothesis: str, reference: str, tokenize: str = "auto") -> f
     hypothesis are skipped.
     """
     mode = _resolve_mode(tokenize, [hypothesis], [reference])
-    ht = tokens(hypothesis, mode)
-    rt = tokens(reference, mode)
-    if not ht or not rt:
+    ((ht, rt),) = _token_pairs([hypothesis], [reference], mode)
+    return _bleu(_ngram_stats(ht, rt, BLEU_ORDER), smooth=True)
+
+
+def _chrf(stats: list[tuple[int, int, int]]) -> float:
+    present = [(match, hyp, ref) for match, hyp, ref in stats if hyp or ref]
+    if not present:
         return 0.0
-    log_sum = 0.0
-    orders = 0
-    for n in range(1, BLEU_ORDER + 1):
-        hc = _ngram_counts(ht, n)
-        total = sum(hc.values())
-        if total == 0:
-            continue
-        rc = _ngram_counts(rt, n)
-        match = sum(min(count, rc[gram]) for gram, count in hc.items())
-        log_sum += math.log((match + SENT_BLEU_EPS) / total)
-        orders += 1
-    if orders == 0:
-        return 0.0
-    bp = 1.0 if len(ht) > len(rt) else math.exp(1.0 - len(rt) / len(ht))
-    return 100.0 * bp * math.exp(log_sum / orders)
-
-
-def _char_ngrams(text: str, n: int) -> Counter:
-    chars = "".join(text.split())
-    return Counter(chars[i : i + n] for i in range(len(chars) - n + 1))
-
-
-def _chrf_from_pairs(pairs: list[tuple[str, str]]) -> float:
-    precisions = []
-    recalls = []
-    for n in range(1, CHRF_ORDER + 1):
-        match = 0
-        hyp_total = 0
-        ref_total = 0
-        for hyp, ref in pairs:
-            hc = _char_ngrams(hyp, n)
-            rc = _char_ngrams(ref, n)
-            hyp_total += sum(hc.values())
-            ref_total += sum(rc.values())
-            match += sum(min(count, rc[gram]) for gram, count in hc.items())
-        if hyp_total == 0 and ref_total == 0:
-            continue
-        precisions.append(match / hyp_total if hyp_total else 0.0)
-        recalls.append(match / ref_total if ref_total else 0.0)
-    if not precisions:
-        return 0.0
-    avg_p = sum(precisions) / len(precisions)
-    avg_r = sum(recalls) / len(recalls)
-    beta_sq = CHRF_BETA**2
+    avg_p = sum(match / hyp if hyp else 0.0 for match, hyp, _ in present) / len(present)
+    avg_r = sum(match / ref if ref else 0.0 for match, _, ref in present) / len(present)
     if avg_p == 0.0 and avg_r == 0.0:
         return 0.0
-    if beta_sq * avg_p + avg_r == 0.0:
-        return 0.0
+    beta_sq = CHRF_BETA**2
     return 100.0 * (1 + beta_sq) * avg_p * avg_r / (beta_sq * avg_p + avg_r)
 
 
@@ -172,25 +155,24 @@ def chrf(hypotheses: list[str], references: list[str]) -> float:
     """Character n-gram F-score (orders 1-6, beta=2), corpus-aggregated by
     total counts. Range 0-100."""
     _check(hypotheses, references)
-    return _chrf_from_pairs(list(zip(hypotheses, references)))
+    return _chrf(_total([_char_stats(h, r) for h, r in zip(hypotheses, references)]))
 
 
 def sentence_chrf(hypothesis: str, reference: str) -> float:
-    return _chrf_from_pairs([(hypothesis, reference)])
+    return _chrf(_char_stats(hypothesis, reference))
 
 
-def _f1(match: float, hyp_total: float, ref_total: float, beta: float = 1.0) -> float:
+def _f1(match: int, hyp_total: int, ref_total: int) -> float:
     if hyp_total == 0 or ref_total == 0:
         return 0.0
     p = match / hyp_total
     r = match / ref_total
     if p == 0.0 and r == 0.0:
         return 0.0
-    beta_sq = beta**2
-    return (1 + beta_sq) * p * r / (beta_sq * p + r)
+    return 2 * p * r / (p + r)
 
 
-def _lcs_length(a: list[str], b: list[str]) -> int:
+def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     if not a or not b:
         return 0
     prev = [0] * (len(b) + 1)
@@ -200,19 +182,6 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
             cur[j] = prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1])
         prev = cur
     return prev[-1]
-
-
-def sentence_rouge(hypothesis: str, reference: str, variant: str, tokenize: str = "auto") -> float:
-    mode = _resolve_mode(tokenize, [hypothesis], [reference])
-    ht = tokens(hypothesis, mode)
-    rt = tokens(reference, mode)
-    if variant == "RL":
-        return _f1(_lcs_length(ht, rt), len(ht), len(rt))
-    n = 1 if variant == "R1" else 2
-    hc = _ngram_counts(ht, n)
-    rc = _ngram_counts(rt, n)
-    match = sum(min(count, rc[gram]) for gram, count in hc.items())
-    return _f1(match, sum(hc.values()), sum(rc.values()))
 
 
 def rouge(
@@ -225,13 +194,8 @@ def rouge(
     Range 0-1."""
     if variant not in ROUGE_VARIANTS:
         raise ValueError(f"variant must be one of {ROUGE_VARIANTS}, got {variant!r}")
-    _check(hypotheses, references)
-    mode = _resolve_mode(tokenize, hypotheses, references)
-    scores = [
-        sentence_rouge(h, r, variant, tokenize=mode)
-        for h, r in zip(hypotheses, references)
-    ]
-    return sum(scores) / len(scores)
+    name = {"R1": "rouge1", "R2": "rouge2", "RL": "rougeL"}[variant]
+    return evaluate(hypotheses, references, metrics=(name,), tokenize=tokenize).corpus[name]
 
 
 _METRIC_NAMES = ("bleu", "chrf", "rouge1", "rouge2", "rougeL")
@@ -256,18 +220,25 @@ def evaluate(
             "meteor and comet-style metrics are not implemented (external resources)",
         ),
     )
-    pairs = list(zip(hypotheses, references))
+    words = _token_pairs(hypotheses, references, mode)
+    word_stats = []
+    if {"bleu", "rouge1", "rouge2"} & set(metrics):
+        orders = BLEU_ORDER if "bleu" in metrics else 2
+        word_stats = [_ngram_stats(ht, rt, orders) for ht, rt in words]
     if "bleu" in metrics:
-        report.corpus["bleu"] = bleu4(hypotheses, references, tokenize=mode)
-        report.per_sentence["bleu"] = [
-            sentence_bleu4(h, r, tokenize=mode) for h, r in pairs
-        ]
+        report.corpus["bleu"] = _bleu(_total(word_stats), smooth=False)
+        report.per_sentence["bleu"] = [_bleu(stats, smooth=True) for stats in word_stats]
     if "chrf" in metrics:
-        report.corpus["chrf"] = chrf(hypotheses, references)
-        report.per_sentence["chrf"] = [sentence_chrf(h, r) for h, r in pairs]
-    for name, variant in (("rouge1", "R1"), ("rouge2", "R2"), ("rougeL", "RL")):
+        char_stats = [_char_stats(h, r) for h, r in zip(hypotheses, references)]
+        report.corpus["chrf"] = _chrf(_total(char_stats))
+        report.per_sentence["chrf"] = [_chrf(stats) for stats in char_stats]
+    # ROUGE-1/2 are F1 over BLEU's order-1/2 counts; 0 marks the LCS variant
+    for name, order in (("rouge1", 1), ("rouge2", 2), ("rougeL", 0)):
         if name in metrics:
-            per = [sentence_rouge(h, r, variant, tokenize=mode) for h, r in pairs]
+            if order:
+                per = [_f1(*stats[order - 1]) for stats in word_stats]
+            else:
+                per = [_f1(_lcs_length(ht, rt), len(ht), len(rt)) for ht, rt in words]
             report.corpus[name] = sum(per) / len(per)
             report.per_sentence[name] = per
     return report

@@ -143,16 +143,6 @@ class NGramRegressor:
     hash_seed: int
     weights: np.ndarray
     bias: float
-    train_seed: int | None = None
-
-    @property
-    def metadata(self) -> dict:
-        return {
-            "features": "hashed char 1-4gram counts (L2) + token length/100 + CJK fraction",
-            "feature_dim": self.feature_dim,
-            "hash_seed": self.hash_seed,
-            "train_seed": self.train_seed,
-        }
 
     def score(self, text: str) -> float:
         """Quality estimate strictly inside (0, 1)."""
@@ -185,10 +175,14 @@ def train(
 ) -> tuple[NGramRegressor, TrainReport]:
     """Seeded mini-batch gradient descent on the squared-error objective.
 
-    Deterministic for a fixed (dataset, seed). Raises DegenerateDataset when
-    the data cannot supervise a regressor and NonFiniteLoss if optimization
+    Deterministic for a fixed (dataset, seed). Raises ValueError when
+    epochs, feature_dim or batch_size is below 1, DegenerateDataset when the
+    data cannot supervise a regressor and NonFiniteLoss if optimization
     diverges.
     """
+    for name, value in (("epochs", epochs), ("feature_dim", feature_dim), ("batch_size", batch_size)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     examples = list(dataset)
     if len(examples) < 10:
         raise DegenerateDataset(f"need at least 10 examples, got {len(examples)}")
@@ -240,7 +234,6 @@ def train(
         hash_seed=hash_seed,
         weights=weights.astype(np.float32),
         bias=float(np.float32(bias)),
-        train_seed=seed,
     )
     report.fingerprint = _model_fingerprint(model)
     return model, report

@@ -185,6 +185,46 @@ def test_train_reranker_reports_progress(workspace, capsys, tmp_path):
     assert len(summary["fingerprint"]) == 64
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--epochs", "0", "epochs must be at least 1"), ("--feature-dim", "0", "feature_dim must be at least 1")],
+)
+def test_train_reranker_bad_limits_exit_2(workspace, capsys, tmp_path, flag, value, message):
+    root, _ = workspace
+    out = tmp_path / "m.bin"
+    assert main(["train-reranker", "--data", str(root / "degraded.jsonl"), flag, value, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ('{"text": "a b"', "invalid JSON"),
+        ('["a b", 0.5, "p1", []]', "not a JSON object"),
+        ('{"score": 0.5, "pair_id": "p1", "ops": []}', "missing field 'text'"),
+        ('{"text": "a b", "pair_id": "p1", "ops": []}', "missing field 'score'"),
+        ('{"text": "a b", "score": 0.5, "ops": []}', "missing field 'pair_id'"),
+        ('{"text": "a b", "score": 0.5, "pair_id": "p1"}', "missing field 'ops'"),
+        ('{"text": "a b", "score": "high", "pair_id": "p1", "ops": []}', "score must be a finite number"),
+        ('{"text": "a b", "score": NaN, "pair_id": "p1", "ops": []}', "score must be a finite number"),
+        ('{"text": 7, "score": 0.5, "pair_id": "p1", "ops": []}', "text must be a string"),
+    ],
+    ids=[
+        "invalid-json", "list-line", "no-text", "no-score", "no-pair-id", "no-ops", "non-numeric-score",
+        "nan-score", "text-not-string",
+    ],
+)
+def test_train_reranker_malformed_example_exit_2(workspace, capsys, tmp_path, record, message):
+    root, _ = workspace
+    data = tmp_path / "degraded.jsonl"
+    lines = (root / "degraded.jsonl").read_text(encoding="utf-8").splitlines()
+    data.write_text("\n".join(lines[:2] + [record] + lines[2:]) + "\n", encoding="utf-8")
+    assert main(["train-reranker", "--data", str(data), "--out", str(tmp_path / "m.bin")]) == 2
+    err = capsys.readouterr().err
+    assert "line 3:" in err and message in err
+
+
 def write_translate_config(root, path):
     path.write_text(
         yaml.safe_dump(

@@ -225,14 +225,6 @@ def test_save_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_by_id():
-    corpus = synthetic_corpus(50, seed=3)
-    for pair in corpus:
-        assert corpus.by_id(pair.id) is pair
-    with pytest.raises(KeyError):
-        corpus.by_id("missing")
-
-
 def test_load_v1_file_asks_for_a_rebuild(tmp_path):
     path = tmp_path / "corpus.bin"
     save(synthetic_corpus(5, seed=9), path)
