@@ -227,6 +227,8 @@ def init_projections(dim: int, seed: int) -> ProjectionSet:
     """Draw the sparse/multi projections from N(0, 1/dim) with a fixed seed."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
+    if seed < 0:
+        raise ValueError(f"projection seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     std = 1.0 / np.sqrt(dim)
     w_sparse = (rng.standard_normal(dim) * std).astype(np.float32)

@@ -18,7 +18,7 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
@@ -52,6 +52,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.k < 0:
             raise ValueError(f"k must be >= 0 (0 is zero-shot), got {self.k}")
+        if self.projection_seed < 0:
+            raise ValueError(f"projection seed must be >= 0, got {self.projection_seed}")
 
 
 _PATH_FIELDS = {"table": "table_path", "index": "index_path", "reranker": "reranker_path"}
@@ -106,7 +108,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     unknown = set(raw) - set(_SECTION_KEYS)
     if unknown:
         raise ValueError(f"unknown config sections: {sorted(unknown)}")
-    overrides = {}
+    config = PipelineConfig()
     for name, known in _SECTION_KEYS.items():
         section = raw.get(name)
         section = {} if section is None else section
@@ -115,11 +117,13 @@ def load_config(path: str | Path) -> PipelineConfig:
         unknown = set(section) - known if known is not None else set()
         if unknown:
             raise ValueError(f"unknown {name} settings: {sorted(unknown)}")
+        # each section is applied on its own, so the config's own checks
+        # name the section that failed them
         try:
-            overrides.update(_section_fields(name, section))
+            config = replace(config, **_section_fields(name, section))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"config section {name}: {exc}") from exc
-    return PipelineConfig(**overrides)
+    return config
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,10 @@ few distinct rows many times; the index stores each distinct row once
 (deduped by its exact float32 bytes) and, per entry, the ids of its distinct
 rows. A query is scored against the distinct rows and the result gathered
 back to entries, which gives the same values as scoring every token row.
-The same arrays are the file format, read back with ``np.frombuffer``. The
+The gather runs over jagged diagonals: with entries sorted by row count,
+the k-th row of every entry that has one forms one column, so each column
+takes one gather and one running max for all query rows at once. The
+same arrays are the file format, read back with ``np.frombuffer``. The
 index checks the table fingerprint once per (table, projections) pair,
 compared by identity; their arrays are read-only, so the same objects
 always hold the same content.
@@ -179,8 +182,14 @@ class RetrievalIndex:
       over the multiset, so late-interaction scores are those of every
       token row.
 
-    The constructor builds the float64 scan arrays once, so every query
-    scans the same arrays and the first one pays nothing extra.
+    The constructor builds the scan arrays once, so every query scans the
+    same arrays and the first one pays nothing extra: float64 copies of the
+    dense matrix and the distinct rows, inverted sparse lists, and the
+    multi-vector row ids as jagged diagonals. Entries are sorted by their
+    count of distinct rows, longest first (``_by_len``, undone by
+    ``_unsort``), and column k of ``_columns`` holds the k-th row id of each
+    entry with more than k rows, a prefix of that order; there are as many
+    columns as the longest entry has rows.
     """
 
     def __init__(
@@ -209,8 +218,16 @@ class RetrievalIndex:
 
         self._dense64 = dense.astype(np.float64)
         self._rows64 = multi_rows.astype(np.float64)
-        self._row_ids = multi_row_ids.astype(np.intp)
-        self._row_starts = multi_offsets[:-1].astype(np.intp)
+        # the jagged diagonals (see above); longer[k] counts the entries
+        # with more than k rows
+        counts = np.diff(multi_offsets.astype(np.intp))
+        self._by_len = np.argsort(-counts, kind="stable")
+        self._unsort = np.empty_like(self._by_len)
+        self._unsort[self._by_len] = np.arange(len(counts))
+        starts = multi_offsets[:-1].astype(np.intp)[self._by_len]
+        ids = multi_row_ids.astype(np.intp)
+        longer = len(counts) - np.cumsum(np.bincount(counts))[:-1]
+        self._columns = [ids[starts[:n] + k] for k, n in enumerate(longer.tolist())]
         # inverted sparse lists: token id -> slice of (entry positions
         # ascending, weights)
         positions = np.repeat(np.arange(len(corpus)), np.diff(sparse_indptr.astype(np.intp)))
@@ -251,13 +268,23 @@ class RetrievalIndex:
             if hit is not None:
                 ss[self._sparse_pos[hit]] += w * self._sparse_w[hit]
 
-        # one query row at a time: a 1-D gather and reduceat run faster than
-        # the same over a (query rows, corpus rows) matrix
-        sims = q_multi.rows.astype(np.float64) @ self._rows64.T
-        per_entry_max = np.stack(
-            [np.maximum.reduceat(s[self._row_ids], self._row_starts) for s in sims]
-        )
-        return sd, ss, per_entry_max.mean(axis=0)
+        # the product must be (query rows, distinct rows): rows64 @ q.T
+        # rounds some entries differently. Its transpose, copied, holds each
+        # distinct row's sims contiguously, so one gather per diagonal column
+        # serves every query row, and the running max over a column's prefix
+        # of entries needs no padding.
+        by_row = np.ascontiguousarray((q_multi.rows.astype(np.float64) @ self._rows64.T).T)
+        best = by_row[self._columns[0]]
+        for col in self._columns[1:]:
+            head = best[: len(col)]
+            np.maximum(head, by_row[col], out=head)
+        # the mean sums query rows in order, one at a time, as a mean over
+        # axis 0 of the (query rows, entries) maxima does; best.mean(axis=1)
+        # sums pairwise and rounds differently
+        total = best[:, 0].copy()
+        for j in range(1, best.shape[1]):
+            total += best[:, j]
+        return sd, ss, (total / best.shape[1])[self._unsort]
 
 
 def build_index(

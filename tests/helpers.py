@@ -163,3 +163,28 @@ def reference_build_index(corpus, table, proj) -> RetrievalIndex:
         multi_offsets=offsets(entry_ids),
         multi_row_ids=np.array([i for ids in entry_ids for i in ids], dtype=np.uint32),
     )
+
+
+def per_row_scan(query, corpus, table, proj):
+    """Float64 scores from a scan over every token row of every entry, with
+    rows deduped over the corpus only: the scan the columnar index replaced,
+    whose values it must keep bit for bit."""
+    emb = embed_tokens(table, query)
+    qd, qs, qm = dense_embed(emb), sparse_embed(emb, proj), multi_embed(emb, proj)
+    reps = [embed_tokens(table, p.src_text) for p in corpus]
+    dense = np.stack([dense_embed(e).values for e in reps]).astype(np.float64)
+    sparse = [sparse_embed(e, proj).weights for e in reps]
+    blocks = [multi_embed(e, proj).rows for e in reps]
+    seen = {}
+    row_ids = np.array([seen.setdefault(r.tobytes(), len(seen)) for b in blocks for r in b])
+    uniq = np.frombuffer(b"".join(seen), dtype=np.float32).reshape(len(seen), -1)
+    starts = np.concatenate(([0], np.cumsum([len(b) for b in blocks])[:-1]))
+    sd = dense @ qd.values.astype(np.float64)
+    ss = np.zeros(len(corpus))
+    for tid, w in qs.weights.items():
+        for pos, weights in enumerate(sparse):
+            if tid in weights:
+                ss[pos] += w * weights[tid]
+    sims = qm.rows.astype(np.float64) @ uniq.astype(np.float64).T
+    sm = np.stack([np.maximum.reduceat(s[row_ids], starts) for s in sims]).mean(axis=0)
+    return sd, ss, sm

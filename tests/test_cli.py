@@ -258,6 +258,19 @@ def test_bad_weights_or_k_exit_2_before_loading(workspace, tmp_path, capsys, com
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["index", "retrieve"])
+def test_negative_projection_seed_exits_2_naming_it(workspace, tmp_path, capsys, command):
+    root, _ = workspace
+    argv = [command, "--embeddings", str(root / "table.bin"), "--seed", "-1"]
+    if command == "index":
+        argv += ["--corpus", str(root / "corpus.bin"), "--out", str(tmp_path / "index.bin")]
+    else:
+        argv += ["--index", str(root / "index.bin"), "--query", "你好"]
+    assert main(argv) == 2
+    assert "projection seed" in capsys.readouterr().err
+    assert not (tmp_path / "index.bin").exists()
+
+
 @pytest.mark.parametrize("flag", ["--alphas=-1,0,0", "--k=-2"])
 def test_bad_weights_or_k_leave_translate_outputs_alone(workspace, tmp_path, flag):
     root, pairs = workspace

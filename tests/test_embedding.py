@@ -212,6 +212,11 @@ def test_init_projections_gaussian_scale():
     assert float(proj.w_multi.std()) == pytest.approx(1.0 / 16.0, rel=0.05)
 
 
+def test_init_projections_rejects_negative_seed():
+    with pytest.raises(ValueError, match="projection seed must be >= 0, got -1"):
+        init_projections(4, seed=-1)
+
+
 def test_init_projections_boundary_dim():
     proj = init_projections(1, seed=5)
     assert proj.w_sparse.shape == (1,)

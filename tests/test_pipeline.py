@@ -222,6 +222,9 @@ def test_config_checks_k_and_weights_when_built():
         replace(PipelineConfig(), k=-2)
     with pytest.raises(ValueError, match="weights"):
         PipelineConfig(weights=Weights(-1.0, 0.0, 0.0))
+    assert PipelineConfig(projection_seed=0).projection_seed == 0
+    with pytest.raises(ValueError, match="projection seed must be >= 0"):
+        PipelineConfig(projection_seed=-1)
 
 
 def test_load_config_sections_and_unknowns(tmp_path):
@@ -280,6 +283,7 @@ def test_load_config_sections_and_unknowns(tmp_path):
         ("retrieval: {alphas: 0.4}\n", "section retrieval"),
         ("retrieval: {alphas: [[1], 0, 0]}\n", "section retrieval"),
         ("retrieval: {k: -1}\n", "k must be >= 0"),
+        ("seeds: {projection: -1}\n", "section seeds: projection seed must be >= 0"),
         ("generation: {n_candidates: many}\n", "section generation"),
         ("generation: {retries: -1}\n", "section generation: retries must be >= 0"),
         ("generation: {timeout: 0}\n", "section generation: timeout must be > 0"),
@@ -290,8 +294,8 @@ def test_load_config_sections_and_unknowns(tmp_path):
         "unknown-section", "unknown-paths-key", "unknown-retrieval-key", "unknown-seeds-key",
         "removed-seeds-key", "unknown-generation-key", "yaml-syntax", "top-level-list",
         "paths-not-mapping", "path-not-string", "lang-names-not-mapping", "alphas-not-list",
-        "alpha-not-number", "negative-k", "n-candidates-not-number", "negative-retries",
-        "zero-timeout", "zero-max-tokens", "zero-max-in-flight",
+        "alpha-not-number", "negative-k", "negative-projection-seed", "n-candidates-not-number",
+        "negative-retries", "zero-timeout", "zero-max-tokens", "zero-max-in-flight",
     ],
 )
 def test_load_config_rejects_with_value_error(tmp_path, text, message):

@@ -42,7 +42,14 @@ from afsp.retrieval import (
     score_sparse,
     table_fingerprint,
 )
-from helpers import corpus_table, en_sentence, synthetic_corpus, zh_sentence
+from helpers import (
+    corpus_table,
+    corpus_vocab,
+    en_sentence,
+    per_row_scan,
+    synthetic_corpus,
+    zh_sentence,
+)
 
 
 def unit(values):
@@ -551,31 +558,6 @@ def test_retrieve_normalized_matches_oracle(stack):
         )
 
 
-def per_row_scan(query, corpus, table, proj):
-    """Float64 scores from a scan over every token row of every entry, with
-    rows deduped over the corpus only: the scan the columnar index replaced,
-    whose values it must keep bit for bit."""
-    emb = embed_tokens(table, query)
-    qd, qs, qm = dense_embed(emb), sparse_embed(emb, proj), multi_embed(emb, proj)
-    reps = [embed_tokens(table, p.src_text) for p in corpus]
-    dense = np.stack([dense_embed(e).values for e in reps]).astype(np.float64)
-    sparse = [sparse_embed(e, proj).weights for e in reps]
-    blocks = [multi_embed(e, proj).rows for e in reps]
-    seen = {}
-    row_ids = np.array([seen.setdefault(r.tobytes(), len(seen)) for b in blocks for r in b])
-    uniq = np.frombuffer(b"".join(seen), dtype=np.float32).reshape(len(seen), -1)
-    starts = np.concatenate(([0], np.cumsum([len(b) for b in blocks])[:-1]))
-    sd = dense @ qd.values.astype(np.float64)
-    ss = np.zeros(len(corpus))
-    for tid, w in qs.weights.items():
-        for pos, weights in enumerate(sparse):
-            if tid in weights:
-                ss[pos] += w * weights[tid]
-    sims = qm.rows.astype(np.float64) @ uniq.astype(np.float64).T
-    sm = np.stack([np.maximum.reduceat(s[row_ids], starts) for s in sims]).mean(axis=0)
-    return sd, ss, sm
-
-
 def test_scores_equal_per_row_scan_bit_for_bit(stack):
     corpus, table, proj, index = stack
     rng = random.Random(8)
@@ -589,6 +571,119 @@ def test_scores_equal_per_row_scan_bit_for_bit(stack):
             p = pos[g.pair.id]
             assert (g.s_dense, g.s_sparse, g.s_multi) == (sd[p], ss[p], sm[p])
             assert g.s_rank == w.alpha1 * sd[p] + w.alpha2 * ss[p] + w.alpha3 * sm[p]
+
+
+# CJK characters are one token each; the last three are not in the table
+ZH_CHARS = [t for t in corpus_vocab() if not t.isascii()] + list("鑫淼犇")
+
+
+@st.composite
+def jagged_corpora(draw):
+    """Texts whose distinct-token counts take the shapes that stress the
+    diagonal layout: all 1, all equal, one far longer, many ties, or free."""
+    n = draw(st.integers(1, 12), label="entries")
+    shape = draw(st.sampled_from(["single", "equal", "one_long", "ties", "free"]), label="shape")
+    if shape == "single":
+        lengths = [1] * n
+    elif shape == "equal":
+        lengths = [draw(st.integers(1, 6), label="length")] * n
+    elif shape == "one_long":
+        lengths = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n), label="lengths")
+        lengths[draw(st.integers(0, n - 1), label="long")] = draw(st.integers(15, 40), label="max")
+    elif shape == "ties":
+        lengths = draw(st.lists(st.sampled_from([2, 3]), min_size=n, max_size=n), label="lengths")
+    else:
+        lengths = draw(st.lists(st.integers(1, 10), min_size=n, max_size=n), label="lengths")
+    texts = []
+    for size in lengths:
+        chars = draw(st.lists(st.sampled_from(ZH_CHARS), min_size=size, max_size=size, unique=True))
+        repeats = draw(st.lists(st.sampled_from(chars), max_size=3))
+        texts.append("".join(draw(st.permutations(chars + repeats))))
+    return Corpus([DemoPair(f"j{i}", text, f"text {i}", "zh", "en") for i, text in enumerate(texts)])
+
+
+queries = st.one_of(
+    st.sampled_from(ZH_CHARS),
+    st.builds(lambda c, n, rest: c * n + rest, st.sampled_from(ZH_CHARS), st.integers(2, 6),
+              st.text(st.sampled_from(ZH_CHARS), max_size=4)),
+    st.text(st.sampled_from(ZH_CHARS), min_size=1, max_size=12),
+)
+
+
+def minmax(scores):
+    lo, hi = scores.min(), scores.max()
+    return np.zeros_like(scores) if hi - lo < 1e-12 else (scores - lo) / (hi - lo)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(corpus=jagged_corpora(), query=queries)
+def test_diagonal_scan_equals_per_row_scan_on_jagged_corpora(tmp_path, corpus, query):
+    table = corpus_table(dim=16)
+    proj = init_projections(16, seed=3)
+    built = build_index(corpus, table, proj)
+    save_index(built, tmp_path / "jagged.idx")
+    reloaded = load_index(tmp_path / "jagged.idx")
+    raw = per_row_scan(query, corpus, table, proj)
+    w = Weights()
+    pos = {p.id: i for i, p in enumerate(corpus)}
+    for index in (built, reloaded):
+        for normalize, want in ((False, raw), (True, [minmax(s) for s in raw])):
+            sd, ss, sm = want
+            got = retrieve_topk(query, index, table, proj, w, k=len(corpus), normalize_scores=normalize)
+            assert len(got) == len(corpus)
+            for g in got:
+                p = pos[g.pair.id]
+                assert (g.s_dense, g.s_sparse, g.s_multi) == (sd[p], ss[p], sm[p])
+                assert g.s_rank == w.alpha1 * sd[p] + w.alpha2 * ss[p] + w.alpha3 * sm[p]
+
+
+def test_wide_corpus_scores_equal_per_row_scan_bit_for_bit():
+    # 301 distinct rows and queries of 12 or more rows: from 193 rows up,
+    # at counts not a multiple of 8, OpenBLAS on x86-64 rounds some
+    # similarities against the last rows differently in rows @ q.T than in
+    # q @ rows.T. Entries made of one of those rows alone take them as
+    # their max, so this catches a scan that multiplies the other way round.
+    chars = [chr(0x4E00 + i) for i in range(301)]
+    rng = random.Random(5)
+    texts = ["".join(chars)] + chars[-8:]
+    texts += ["".join(rng.sample(chars, rng.randint(2, 30))) for _ in range(40)]
+    corpus = Corpus([DemoPair(f"w{i}", t, f"text {i}", "zh", "en") for i, t in enumerate(texts)])
+    table = corpus_table(dim=16)
+    proj = init_projections(16, seed=3)
+    index = build_index(corpus, table, proj)
+    assert len(index.multi_rows) == 301
+    pos = {p.id: i for i, p in enumerate(corpus)}
+    for n in (12, 17, 30):
+        query = "".join(rng.choice(chars) for _ in range(n))
+        _, _, sm = per_row_scan(query, corpus, table, proj)
+        got = retrieve_topk(query, index, table, proj, Weights(), k=len(corpus))
+        assert [g.s_multi for g in got] == [sm[pos[g.pair.id]] for g in got]
+
+
+def test_diagonal_columns_cover_every_entry_row_once(stack):
+    texts = ["好" * 3, "你好世界", "双方同意加强双边合作", "好", "世界你好", "合作"]
+    pairs = [DemoPair(f"d{i}", t, f"text {i}", "zh", "en") for i, t in enumerate(texts)]
+    table = corpus_table(dim=16)
+    small = build_index(Corpus(pairs), table, init_projections(16, seed=3))
+    for index in (stack[3], small):
+        counts = np.diff(index.multi_offsets.astype(np.intp))
+        lengths = [len(col) for col in index._columns]
+        assert len(lengths) == counts.max()
+        assert lengths[0] == len(index)
+        assert all(a >= b for a, b in zip(lengths, lengths[1:]))
+        assert sum(lengths) == len(index.multi_row_ids)
+        # sorted position p lists entry by_len[p]'s row ids, in entry order
+        assert index._unsort[index._by_len].tolist() == list(range(len(index)))
+        for p, entry in enumerate(index._by_len.tolist()):
+            a, b = index.multi_offsets[entry : entry + 2]
+            got = [col[p] for col in index._columns if p < len(col)]
+            assert got == index.multi_row_ids[a:b].tolist()
 
 
 def test_alpha_scaling_preserves_order(stack):
