@@ -53,7 +53,22 @@ def _stable_hash64(*parts: str) -> int:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    """A read-only float32 C-contiguous copy that no caller can alias."""
+    """A read-only float32 C-contiguous array that no caller can alias.
+
+    A read-only C-contiguous float32 view of immutable ``bytes`` (what
+    ``_binio.Reader.array`` returns) can never change, so it is kept as it
+    is; anything else is copied.
+    """
+    root = arr
+    while isinstance(root, np.ndarray):
+        root = root.base
+    if (
+        isinstance(root, bytes)
+        and arr.dtype == np.float32
+        and arr.flags.c_contiguous
+        and not arr.flags.writeable
+    ):
+        return arr
     out = np.array(arr, dtype=np.float32, order="C")
     out.flags.writeable = False
     return out
@@ -254,7 +269,7 @@ def load_table(path: str | Path) -> EmbeddingTable:
     h = reader.u32("embedding dim")
     oov_seed = reader.u64("oov seed")
     vocab = tuple(reader.strs(v, "vocab"))
-    # the constructor copies the matrix, so the view is not copied here
+    # a read-only view of the file's bytes: the constructor keeps it uncopied
     matrix = reader.array("<f4", v * h, "embedding matrix").reshape(v, h)
     reader.end("the embedding matrix")
     try:

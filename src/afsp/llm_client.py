@@ -161,6 +161,7 @@ class ChatCompletionsClient:
 
         last_error: Exception | None = None
         retry_after: float | None = None
+        sent = 0
         for attempt in range(cfg.retries + 1):
             if attempt > 0:
                 # a 429's Retry-After replaces the backoff, it does not add to it
@@ -173,6 +174,7 @@ class ChatCompletionsClient:
                 retry_after = None
             if time.monotonic() >= deadline:
                 break
+            sent += 1
             try:
                 resp = self._session.post(
                     url, json=body, headers=headers, timeout=cfg.timeout
@@ -196,9 +198,10 @@ class ChatCompletionsClient:
             return _parse_choices(resp)
         if isinstance(last_error, RateLimited):
             raise last_error
-        raise NetworkFailure(
-            f"request failed after {cfg.retries + 1} attempts: {last_error}"
-        )
+        if not sent:
+            # the n x single-choice fallback shares the first request's deadline
+            raise NetworkFailure("the request deadline passed before a request was sent")
+        raise NetworkFailure(f"request failed after {sent} attempt(s): {last_error}")
 
 
 class _MultiChoiceRejected(Exception):

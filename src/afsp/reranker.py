@@ -14,12 +14,24 @@ rare, and uniform steps leave them far too small within a short epoch
 budget. A candidate is scored from its text alone, with no source-sentence
 conditioning.
 
-There is one featurization path, ``featurize_many``: it hashes each
-distinct n-gram once per call, through a gram-to-bucket memo shared by the
-call's texts and dropped when it returns. Candidates for one line are
-corruptions of one sentence and share most of their grams, so ranking them
-together hashes a small fraction of their gram positions. The vectors are
-the per-position definition's, value for value and in the same index order.
+There is one featurization path, ``_featurize_csr``: one vectorized pass
+over all of a call's texts that returns a CSR matrix (``indptr``,
+``indices``, ``values``), one row per text. ``featurize_many`` returns row
+views of it, ``score_many`` gathers the weights once per call and takes one
+dot product per row, and ``train`` reads its rows. The pass lowercases and
+joins the texts and maps code points to dense character ids. Each order's
+gram ids extend the previous order's dense ids by one character and are
+re-densified, so no key overflows int64 whatever the alphabet. Each distinct
+gram is hashed once per call, from a keyed blake2b state copied per gram.
+One sort of (bucket, position) keys per order counts each (text, bucket)
+pair, merges grams that collide in a bucket and finds the pair's first
+position. The counts are integers, so each order's segmented sum of squares
+gives the same norm as ``np.linalg.norm``, bit for bit. A row holds orders
+1-4, each with its buckets in order of first occurrence, then the two dense
+slots: the values of the per-position definition, in the same index order.
+Candidates for one line are corruptions of one sentence and share most of
+their grams, so ranking them together hashes a small fraction of their
+gram positions.
 """
 
 from __future__ import annotations
@@ -27,8 +39,8 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
@@ -42,6 +54,7 @@ from .errors import (
     EmptyCandidateList,
     EmptyText,
     NonFiniteLoss,
+    VersionMismatch,
 )
 
 MODEL_MAGIC = b"AFSPRRK1"
@@ -70,11 +83,6 @@ class FeatureVector:
     values: np.ndarray
 
 
-def _gram_index(gram: str, feature_dim: int, key: bytes) -> int:
-    digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, key=key).digest()
-    return int.from_bytes(digest, "little") % feature_dim
-
-
 def featurize(
     text: str, feature_dim: int = DEFAULT_FEATURE_DIM, hash_seed: int = 0
 ) -> FeatureVector:
@@ -86,48 +94,154 @@ def featurize(
 def featurize_many(
     texts: Sequence[str], feature_dim: int = DEFAULT_FEATURE_DIM, hash_seed: int = 0
 ) -> list[FeatureVector]:
-    """``featurize`` for each text, hashing each distinct gram once per call.
+    """``featurize`` for each text: row views of one ``_featurize_csr`` pass.
 
-    Within an order, buckets appear in the order of their first gram
-    occurrence and colliding grams' counts are summed, so every vector is
-    bit-identical to hashing gram by gram. Raises EmptyText if any text is
-    blank.
+    Raises EmptyText if any text is blank.
+    """
+    indptr, indices, values = _featurize_csr(texts, feature_dim, hash_seed)
+    bounds = indptr.tolist()
+    return [
+        FeatureVector(indices=indices[a:b], values=values[a:b])
+        for a, b in zip(bounds, bounds[1:])
+    ]
+
+
+def _featurize_csr(
+    texts: Sequence[str], feature_dim: int, hash_seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every text's feature vector as one CSR matrix ``(indptr, indices,
+    values)``; row t is ``featurize(texts[t])``.
+
+    Raises EmptyText if any text is blank.
     """
     if any(not text.strip() for text in texts):
         raise EmptyText("cannot featurize empty text")
-    key = struct.pack("<Q", hash_seed & 0xFFFFFFFFFFFFFFFF)
-    buckets: dict[str, int] = {}
-    dense_indices = np.array([feature_dim, feature_dim + 1], dtype=np.int64)
-    out: list[FeatureVector] = []
-    for text in texts:
-        lowered = text.lower()
-        index_parts: list[np.ndarray] = []
-        value_parts: list[np.ndarray] = []
-        for n in range(NGRAM_RANGE[0], NGRAM_RANGE[1] + 1):
-            counts: dict[int, int] = {}
-            grams = Counter(lowered[i : i + n] for i in range(len(lowered) - n + 1))
-            for gram, count in grams.items():
-                idx = buckets.get(gram)
-                if idx is None:
-                    idx = buckets[gram] = _gram_index(gram, feature_dim, key)
-                counts[idx] = counts.get(idx, 0) + count
-            if not counts:
-                continue
-            values = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-            values /= np.linalg.norm(values)
-            index_parts.append(np.fromiter(counts.keys(), dtype=np.int64, count=len(counts)))
-            value_parts.append(values)
+    lowered = [text.lower() for text in texts]
+    lengths = np.array([len(text) for text in lowered], dtype=np.int64)
+    codes = np.frombuffer("".join(lowered).encode("utf-32-le"), dtype="<u4")
+    alphabet, char_ids = np.unique(codes, return_inverse=True)
+    chars = [chr(code) for code in alphabet.tolist()]
+    text_ids = np.repeat(np.arange(len(texts)), lengths)
+    orders = _gram_features(chars, char_ids, text_ids, np.cumsum(lengths), feature_dim, hash_seed)
 
-        token_count = len(_TOKEN_RE.findall(lowered))  # len(segment(text))
-        cjk = len(_CJK_RE.findall(text))
-        non_space = len(text) - sum(map(str.isspace, text))
-        cjk_fraction = cjk / non_space if non_space else 0.0
-        index_parts.append(dense_indices)
-        value_parts.append(np.array([min(token_count / 100.0, 1.0), cjk_fraction]))
-        out.append(FeatureVector(
-            indices=np.concatenate(index_parts), values=np.concatenate(value_parts)
-        ))
+    per_text = [np.bincount(text, minlength=len(texts)) for text, _, _ in orders]
+    indptr = np.zeros(len(texts) + 1, dtype=np.int64)
+    np.cumsum(sum(per_text, DENSE_SLOTS), out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    values = np.empty(indptr[-1], dtype=np.float64)
+    offset = indptr[:-1].copy()
+    for (text, bucket, value), k in zip(orders, per_text):
+        # a text's features of one order sit together, after its lower orders
+        dest = np.arange(len(text)) + (offset - (np.cumsum(k) - k))[text]
+        indices[dest] = bucket
+        values[dest] = value
+        offset += k
+    indices[offset] = feature_dim
+    indices[offset + 1] = feature_dim + 1
+    values[offset], values[offset + 1] = _dense_slots(texts, chars, char_ids, text_ids)
+    return indptr, indices, values
+
+
+def _gram_features(
+    chars: list[str],
+    char_ids: np.ndarray,
+    text_ids: np.ndarray,
+    ends: np.ndarray,
+    feature_dim: int,
+    hash_seed: int,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """For each n-gram order, every (text, bucket) feature as (text id,
+    bucket, normalized count) arrays, ordered by text and then by the
+    bucket's first position in the text.
+
+    ``char_ids`` holds the joined lowercased texts as ids into ``chars``,
+    ``text_ids`` each position's text and ``ends`` each text's end.
+    """
+    size = len(char_ids)
+    base = hashlib.blake2b(digest_size=8, key=struct.pack("<Q", hash_seed & 0xFFFFFFFFFFFFFFFF))
+    remaining = ends[text_ids] - np.arange(size)  # characters left in the text
+    at, ids, grams = np.arange(size), char_ids, chars  # gram start, dense gram id, gram
+    out = []
+    for n in range(NGRAM_RANGE[0], NGRAM_RANGE[1] + 1):
+        if n > 1:
+            # extend order n-1's dense ids by one character: keys stay below
+            # size * len(chars), whatever the alphabet
+            fits = remaining[at] >= n
+            at = at[fits]
+            keys = ids[fits] * len(chars) + char_ids[at + n - 1]
+            distinct, ids = np.unique(keys, return_inverse=True)
+            prefix, last = np.divmod(distinct, len(chars))
+            grams = [grams[a] + chars[b] for a, b in zip(prefix.tolist(), last.tolist())]
+        out.append(_bucket_counts(at, ids, text_ids, _hash_grams(grams, base, feature_dim)))
     return out
+
+
+def _bucket_counts(
+    at: np.ndarray, ids: np.ndarray, text_ids: np.ndarray, gram_buckets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One order's features from its gram starts ``at`` (ascending) and
+    their gram ids into ``gram_buckets``.
+
+    Grams of one text that share a bucket (hash collisions) make one
+    feature: counts summed, placed at the earliest of their positions, so
+    each text's features match hashing gram by gram.
+    """
+    size = len(text_ids)
+    buckets, bucket_ids = np.unique(gram_buckets, return_inverse=True)
+    # sort by (bucket, position), in keys below size**2: a run of one bucket
+    # within one text is one feature, first seen at the run's first position
+    key = bucket_ids[ids]
+    key *= size
+    key += at
+    key.sort()
+    pos = key % size
+    key //= size  # the bucket id at each sorted position
+    text_at = text_ids[pos]
+    new_run = np.ones(len(pos), dtype=bool)
+    new_run[1:] = (key[1:] != key[:-1]) | (text_at[1:] != text_at[:-1])
+    starts = np.flatnonzero(new_run)
+    # runs back into position order: each run's first position is distinct
+    first = pos[starts]
+    order = np.argsort(first)
+    count = np.diff(starts, append=len(pos))[order]
+    bucket = buckets[key[starts[order]]]
+    text = text_ids[first[order]]
+    # integer counts: the segmented sum of squares is exact, so the norm
+    # equals np.linalg.norm of the text's counts bit for bit
+    norms = np.sqrt(np.bincount(text, weights=count * count))
+    return text, bucket, count / norms[text]
+
+
+def _dense_slots(
+    texts: Sequence[str], chars: list[str], char_ids: np.ndarray, text_ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each text's token count / 100 (capped at 1) and CJK fraction of its
+    non-space characters, from per-character classes of the lowercased
+    texts: lower() keeps every code point's count of whitespace and CJK
+    characters."""
+    is_cjk = np.array([_CJK_RE.match(c) is not None for c in chars], dtype=bool)
+    is_word = np.array([_TOKEN_RE.match(c) is not None for c in chars], dtype=bool) & ~is_cjk
+    is_space = np.array([c.isspace() for c in chars], dtype=bool)
+    word = is_word[char_ids]
+    run_start = word.copy()  # a token is a CJK character or a run of word characters
+    run_start[1:] &= ~word[:-1] | (text_ids[1:] != text_ids[:-1])
+    count = partial(np.bincount, text_ids, minlength=len(texts))
+    cjk = count(weights=is_cjk[char_ids])
+    tokens = cjk + count(weights=run_start)  # len(segment(text))
+    non_space = np.array([len(text) for text in texts]) - count(weights=is_space[char_ids])
+    return np.minimum(tokens / 100.0, 1.0), cjk / non_space  # non_space >= 1: no text is blank
+
+
+def _hash_grams(grams: list[str], base, feature_dim: int) -> np.ndarray:
+    """Each gram's bucket: its keyed 8-byte blake2b digest, read
+    little-endian, mod feature_dim. ``base`` is the keyed state, copied per
+    gram so the key is set up once."""
+    digests = bytearray()
+    for gram in grams:
+        h = base.copy()
+        h.update(gram.encode("utf-8"))
+        digests += h.digest()
+    return (np.frombuffer(digests, dtype="<u8") % feature_dim).astype(np.int64)
 
 
 def _sigmoid(z: float) -> float:
@@ -150,10 +264,13 @@ class NGramRegressor:
 
     def score_many(self, texts: Sequence[str]) -> list[float]:
         """``score`` of each text, featurized in one batch."""
+        indptr, indices, values = _featurize_csr(texts, self.feature_dim, self.hash_seed)
+        weights = self.weights[indices].astype(np.float64)
         bias = float(self.bias)
+        bounds = indptr.tolist()
         return [
-            _sigmoid(float(self.weights[fv.indices].astype(np.float64) @ fv.values) + bias)
-            for fv in featurize_many(texts, self.feature_dim, self.hash_seed)
+            _sigmoid(float(weights[a:b] @ values[a:b]) + bias)
+            for a, b in zip(bounds, bounds[1:])
         ]
 
 
@@ -189,7 +306,9 @@ def train(
     if len({ex.score for ex in examples}) < 2:
         raise DegenerateDataset("all examples have the same score")
 
-    features = featurize_many([ex.text for ex in examples], feature_dim, hash_seed)
+    indptr, indices, values = _featurize_csr([ex.text for ex in examples], feature_dim, hash_seed)
+    bounds = indptr.tolist()
+    rows = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
     targets = np.array([ex.score for ex in examples], dtype=np.float64)
 
     weights = np.zeros(feature_dim + DENSE_SLOTS, dtype=np.float64)
@@ -204,9 +323,7 @@ def train(
         batch_losses = []
         for start in range(0, len(order), batch_size):
             batch = order[start : start + batch_size]
-            z = np.array(
-                [weights[features[i].indices] @ features[i].values for i in batch]
-            ) + bias
+            z = np.array([weights[indices[rows[i]]] @ values[rows[i]] for i in batch]) + bias
             p = 1.0 / (1.0 + np.exp(-np.clip(z, -30.0, 30.0)))
             err = p - targets[batch]
             loss = float(np.mean(err**2))
@@ -216,10 +333,8 @@ def train(
             # d(mse)/dz = 2 * err * p * (1 - p), averaged over the batch;
             # per-feature Adagrad scaling keeps rare corruption markers moving
             coef = 2.0 * err * p * (1.0 - p) / len(batch)
-            all_idx = np.concatenate([features[i].indices for i in batch])
-            all_grad = np.concatenate(
-                [c * features[i].values for c, i in zip(coef, batch)]
-            )
+            all_idx = np.concatenate([indices[rows[i]] for i in batch])
+            all_grad = np.concatenate([c * values[rows[i]] for c, i in zip(coef, batch)])
             np.add.at(grad_sq, all_idx, all_grad**2)
             np.add.at(
                 weights, all_idx, -learning_rate * all_grad / np.sqrt(grad_sq[all_idx])
@@ -269,12 +384,18 @@ def save_model(model: NGramRegressor, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> NGramRegressor:
+    """Read a ``save_model`` file; raises VersionMismatch if it is corrupt,
+    truncated or holds non-finite weights."""
     reader = _binio.Reader.open(path, MODEL_MAGIC)
     feature_dim = reader.u32("feature dim")
     hash_seed = reader.u64("hash seed")
     weights = reader.array("<f4", feature_dim + DENSE_SLOTS, "weights").copy()
     bias = reader.f32("bias")
     reader.end("the bias")
+    if feature_dim < 1:
+        raise VersionMismatch("invalid reranker model: feature dim is 0")
+    if not (np.all(np.isfinite(weights)) and math.isfinite(bias)):
+        raise VersionMismatch("invalid reranker model: non-finite weights or bias")
     return NGramRegressor(
         feature_dim=feature_dim, hash_seed=hash_seed, weights=weights, bias=bias
     )

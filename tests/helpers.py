@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import numpy as np
+from hypothesis import strategies as st
 
 from afsp.corpus import Corpus, DemoPair
 from afsp.embedding import (
@@ -188,3 +189,17 @@ def per_row_scan(query, corpus, table, proj):
     sims = qm.rows.astype(np.float64) @ uniq.astype(np.float64).T
     sm = np.stack([np.maximum.reduceat(s[row_ids], starts) for s in sims]).mean(axis=0)
     return sd, ss, sm
+
+
+def draw_corruption(data, good: bytes) -> bytes:
+    """A truncation of ``good`` or one to four byte flips, drawn by hypothesis."""
+    if data.draw(st.booleans(), label="truncate"):
+        return good[: data.draw(st.integers(0, len(good) - 1), label="length")]
+    flips = data.draw(
+        st.lists(st.tuples(st.integers(0, len(good) - 1), st.integers(1, 255)), min_size=1, max_size=4),
+        label="flips",
+    )
+    buf = bytearray(good)
+    for at, mask in flips:
+        buf[at] ^= mask
+    return bytes(buf)

@@ -25,7 +25,7 @@ from afsp.errors import (
     TestSizeTooLarge,
     VersionMismatch,
 )
-from helpers import synthetic_corpus, synthetic_pairs, write_jsonl
+from helpers import draw_corruption, synthetic_corpus, synthetic_pairs, write_jsonl
 
 
 def test_demo_pair_rejects_blank_text():
@@ -276,17 +276,7 @@ def small_corpus_file(tmp_path_factory):
 @given(data=st.data())
 def test_corrupt_corpus_raises_only_afsp_errors(tmp_path, small_corpus_file, data):
     good = small_corpus_file
-    if data.draw(st.booleans(), label="truncate"):
-        bad = good[: data.draw(st.integers(0, len(good) - 1), label="length")]
-    else:
-        flips = data.draw(
-            st.lists(st.tuples(st.integers(0, len(good) - 1), st.integers(1, 255)), min_size=1, max_size=4),
-            label="flips",
-        )
-        buf = bytearray(good)
-        for at, mask in flips:
-            buf[at] ^= mask
-        bad = bytes(buf)
+    bad = draw_corruption(data, good)
     path = tmp_path / "fuzz.bin"
     path.write_bytes(bad)
     try:

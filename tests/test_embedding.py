@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from afsp.embedding import (
     _CJK_RE,
@@ -20,8 +22,8 @@ from afsp.embedding import (
     sparse_embed,
     synthetic_table,
 )
-from afsp.errors import EmptyText, VersionMismatch, ZeroVector
-from helpers import corpus_table, en_sentence, zh_sentence
+from afsp.errors import AfspError, EmptyText, VersionMismatch, ZeroVector
+from helpers import corpus_table, draw_corruption, en_sentence, zh_sentence
 
 import random
 
@@ -244,6 +246,29 @@ def test_table_round_trip(tmp_path):
     assert loaded.matrix.tobytes() == table.matrix.tobytes()
 
 
+def test_loaded_table_matrix_is_a_view_of_the_file_bytes(tmp_path):
+    path = tmp_path / "table.bin"
+    save_table(corpus_table(dim=16), path)
+    matrix = load_table(path).matrix
+    root = matrix
+    while isinstance(root, np.ndarray):
+        root = root.base
+    assert isinstance(root, bytes) and root == path.read_bytes()
+    assert not matrix.flags.writeable
+
+
+def test_table_copies_and_freezes_a_caller_array():
+    rows = np.ones((2, 3), dtype=np.float32)
+    read_only_view = rows.view()
+    read_only_view.flags.writeable = False
+    for matrix in (rows, read_only_view):
+        table = EmbeddingTable(vocab=("a", "b"), matrix=matrix, oov_seed=0)
+        assert not np.shares_memory(table.matrix, rows)
+        assert not table.matrix.flags.writeable
+    rows[0, 0] = 5.0
+    assert table.matrix[0, 0] == 1.0
+
+
 def test_table_save_deterministic(tmp_path):
     table = corpus_table(dim=16)
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -327,3 +352,27 @@ def test_segment_matches_per_character_reference():
     for _ in range(5000):
         text = "".join(rng.choice(pool) for _ in range(rng.randint(0, 30)))
         assert segment(text) == reference_segment(text), repr(text)
+
+
+@pytest.fixture(scope="module")
+def small_table_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "table.bin"
+    save_table(synthetic_table(["a", "bb", "好"], dim=3, seed=4), path)
+    return path.read_bytes()
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_corrupt_table_raises_only_afsp_errors(tmp_path, small_table_file, data):
+    path = tmp_path / "fuzz.bin"
+    path.write_bytes(draw_corruption(data, small_table_file))
+    try:
+        load_table(path)
+    except AfspError:
+        pass

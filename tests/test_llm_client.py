@@ -374,6 +374,34 @@ def test_422_falls_back_to_single_choice(sleeps):
     assert [b["n"] for b in session.bodies] == [3, 1, 1, 1]
 
 
+class DeadlineSession(StubSession):
+    """Each request takes 1e6 s of a fake monotonic clock: the first one
+    uses up any deadline."""
+
+    def __init__(self, monkeypatch, responses=()):
+        super().__init__(responses)
+        self.now = 0.0
+        monkeypatch.setattr("afsp.llm_client.time.monotonic", lambda: self.now)
+
+    def post(self, url, json, headers, timeout):
+        self.now += 1e6
+        return super().post(url, json, headers, timeout)
+
+
+def test_fallback_after_the_shared_deadline_says_no_request_was_sent(monkeypatch, sleeps):
+    session = DeadlineSession(monkeypatch, [StubResponse(400)])
+    with pytest.raises(NetworkFailure, match="deadline passed before a request was sent"):
+        ChatCompletionsClient(session).generate_candidates("p", stub_cfg(n_candidates=3))
+    assert [b["n"] for b in session.bodies] == [3]
+
+
+def test_failure_counts_only_the_attempts_sent(monkeypatch, sleeps):
+    session = DeadlineSession(monkeypatch, [StubResponse(503)])
+    with pytest.raises(NetworkFailure, match=r"after 1 attempt\(s\): HTTP 503"):
+        ChatCompletionsClient(session).generate_candidates("p", stub_cfg(n_candidates=1))
+    assert len(session.bodies) == 1
+
+
 def test_client_closes_only_the_session_it_opened():
     class ClosingSession(StubSession):
         closed = False

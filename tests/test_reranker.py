@@ -4,10 +4,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from afsp.degeneration import RerankerExample
 from afsp.embedding import _CJK_RE, segment
 from afsp.errors import (
+    AfspError,
     DegenerateDataset,
     EmptyCandidateList,
     EmptyText,
@@ -16,7 +19,6 @@ from afsp.errors import (
 from afsp.reranker import (
     DEFAULT_FEATURE_DIM,
     NGramRegressor,
-    _gram_index,
     featurize,
     featurize_many,
     load_model,
@@ -24,7 +26,7 @@ from afsp.reranker import (
     save_model,
     train,
 )
-from helpers import en_sentence, synthetic_corpus, zh_sentence
+from helpers import draw_corruption, en_sentence, synthetic_corpus, zh_sentence
 
 FEATURE_DIM = 1 << 12  # small hash space keeps unit tests fast
 
@@ -223,8 +225,65 @@ def test_model_rejects_trailing_bytes(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["weight", "bias"])
+def test_model_rejects_non_finite_weights(tmp_path, bad, where):
+    model, _ = train(small_dataset(), epochs=4, seed=9, feature_dim=FEATURE_DIM)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    data = bytearray(path.read_bytes())
+    # the bias is the last four bytes; the first weight follows the
+    # magic, the u32 feature dim and the u64 hash seed
+    at = len(data) - 4 if where == "bias" else 8 + 4 + 8
+    data[at : at + 4] = np.array([bad], dtype="<f4").tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(VersionMismatch, match="non-finite"):
+        load_model(path)
+
+
+def test_model_rejects_zero_feature_dim(tmp_path):
+    path = tmp_path / "model.bin"
+    save_model(NGramRegressor(feature_dim=0, hash_seed=0, weights=np.zeros(2, np.float32), bias=0.0), path)
+    with pytest.raises(VersionMismatch, match="feature dim"):
+        load_model(path)
+
+
+@pytest.fixture(scope="module")
+def small_model_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "model.bin"
+    model = NGramRegressor(
+        feature_dim=5, hash_seed=3, weights=np.linspace(-1, 1, 7, dtype=np.float32), bias=0.5
+    )
+    save_model(model, path)
+    return path.read_bytes()
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_corrupt_model_raises_only_afsp_errors(tmp_path, small_model_file, data):
+    path = tmp_path / "fuzz.bin"
+    path.write_bytes(draw_corruption(data, small_model_file))
+    try:
+        model = load_model(path)
+        # what loads must also score without a non-package error
+        assert 0.0 < model.score("ok 好") < 1.0
+    except AfspError:
+        pass
+
+
 def test_default_feature_dim_is_power_of_two():
     assert DEFAULT_FEATURE_DIM == 2**18
+
+
+def _gram_index(gram, feature_dim, key):
+    digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, key=key).digest()
+    return int.from_bytes(digest, "little") % feature_dim
 
 
 def featurize_per_position(text, feature_dim, hash_seed):
@@ -315,3 +374,52 @@ def test_saved_model_bytes_match_golden(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "1cd5e2b3018fed6a673f77850b52932452d745eb24e6c582579a293f9a9d51c2"
     )
+
+
+# pieces whose lowercase changes length (İ, ẞ), astral-plane characters,
+# CJK, final-sigma context and whitespace-only separators
+_PIECES = ["a", "Ab", "İ", "ẞ", "ß", "ΑΣ", "ς", "好", "語", "ー", "𝔘", "😀", "\U00020000", "x1_", "。"]
+_SEPARATORS = [" ", "\t", "\n", "\u3000", "\u00a0", "  \u2028 "]
+_texts = st.one_of(
+    st.lists(st.sampled_from(_PIECES + _SEPARATORS), min_size=1, max_size=12).map("".join),
+    st.sampled_from(_PIECES),
+    st.text(min_size=1, max_size=30),
+).filter(str.strip)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    texts=st.lists(_texts, min_size=1, max_size=40),
+    feature_dim=st.sampled_from([1, 7, FEATURE_DIM]),
+    hash_seed=st.integers(0, 2**64 - 1),
+)
+def test_featurize_many_matches_reference_on_drawn_batches(texts, feature_dim, hash_seed):
+    for text, fv in zip(texts, featurize_many(texts, feature_dim, hash_seed), strict=True):
+        indices, values = featurize_per_position(text, feature_dim, hash_seed)
+        assert fv.indices.tobytes() == indices.tobytes()
+        assert fv.values.tobytes() == values.tobytes()
+
+
+def test_featurize_many_with_more_distinct_characters_than_fit_in_16_bits():
+    # four orders of 70,000 distinct ids would overflow int64 without the
+    # per-order re-densification
+    chars = [chr(c) for c in range(0x4E00, 0x30000) if chr(c).isprintable() and not chr(c).isspace()]
+    chars = chars[:70_000]
+    rng = random.Random(4)
+    texts = ["".join(chars[i : i + 700]) for i in range(0, len(chars), 700)]
+    texts += ["".join(rng.choices(chars, k=300)) + " " + texts[0][:50] for _ in range(5)]
+    assert len(set("".join(texts))) > 65_536
+    for text, fv in zip(texts, featurize_many(texts, DEFAULT_FEATURE_DIM, 11), strict=True):
+        indices, values = featurize_per_position(text, DEFAULT_FEATURE_DIM, 11)
+        assert fv.indices.tobytes() == indices.tobytes()
+        assert fv.values.tobytes() == values.tobytes()
+
+
+def test_lowercasing_keeps_every_code_points_whitespace_and_cjk_count():
+    # the dense slots classify characters of the lowercased text
+    for code in range(0x110000):
+        char = chr(code)
+        lowered = char.lower()
+        if lowered != char:
+            assert sum(map(str.isspace, lowered)) == char.isspace(), hex(code)
+            assert len(_CJK_RE.findall(lowered)) == len(_CJK_RE.findall(char)), hex(code)

@@ -44,6 +44,7 @@ from afsp.retrieval import (
 )
 from helpers import (
     corpus_table,
+    draw_corruption,
     corpus_vocab,
     en_sentence,
     per_row_scan,
@@ -394,17 +395,7 @@ def small_index_file(tmp_path_factory):
 @given(data=st.data())
 def test_corrupt_index_raises_only_afsp_errors(tmp_path, small_index_file, data):
     good, table, proj = small_index_file
-    if data.draw(st.booleans(), label="truncate"):
-        bad = good[: data.draw(st.integers(0, len(good) - 1), label="length")]
-    else:
-        flips = data.draw(
-            st.lists(st.tuples(st.integers(0, len(good) - 1), st.integers(1, 255)), min_size=1, max_size=4),
-            label="flips",
-        )
-        buf = bytearray(good)
-        for at, mask in flips:
-            buf[at] ^= mask
-        bad = bytes(buf)
+    bad = draw_corruption(data, good)
     path = tmp_path / "fuzz.idx"
     path.write_bytes(bad)
     try:
