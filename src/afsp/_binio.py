@@ -10,11 +10,26 @@ A loader reads its whole file in one call and parses it with a
 before it slices them, so a corrupt or truncated file raises
 VersionMismatch and never IndexError, UnicodeDecodeError or an allocation
 sized by a corrupt count.
+
+A buffer of at least ``_MAP_MIN_BYTES`` -- a loaded file's bytes, or an
+array made by :func:`empty` such as the index's float64 copies -- lives in
+an anonymous memory map of its own rather than on the malloc heap. Once the
+last array over a map is freed, the map is kept as a spare and handed to
+the next buffer of exactly its size. Reloading the same artifacts then
+reuses the same pages, and a reload never depends on how the heap is
+fragmented: on the heap, a small long-lived allocation that lands in the
+hole a freed buffer left can push the next buffer of that size past the
+top, growing the process by the buffer's whole size, depending on what ran
+in between. A spare is only freed with the process.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
+import os
 import struct
+import weakref
 from pathlib import Path
 from typing import BinaryIO
 
@@ -24,6 +39,57 @@ from .errors import VersionMismatch
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
+
+# buffers of at least this many bytes get a memory map of their own
+_MAP_MIN_BYTES = 1 << 20
+
+# freed maps by size, each kept for the next buffer of that size
+_spare_maps: dict[int, list[mmap.mmap]] = {}
+
+# root arrays over mapped file bytes, which nothing writes (see sealed())
+_sealed: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
+
+
+def _map(nbytes: int) -> mmap.mmap:
+    """A spare map of ``nbytes``, or a new one."""
+    try:
+        return _spare_maps[nbytes].pop()
+    except (KeyError, IndexError):
+        pass
+    buf = mmap.mmap(-1, nbytes)
+    if nbytes >= 1 << 22 and hasattr(mmap, "MADV_HUGEPAGE"):
+        # as numpy does for its own arrays this large
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return buf
+
+
+def _map_array(buf: mmap.mmap, dtype) -> np.ndarray:
+    """A 1-D array over all of ``buf`` that hands ``buf`` back as a spare
+    once it and every view of it are freed."""
+    root = np.frombuffer(buf, dtype=dtype)
+    weakref.finalize(root, _spare_maps.setdefault(len(buf), []).append, buf).atexit = False
+    return root
+
+
+def empty(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised C-contiguous array; a large one lives in a memory
+    map of its own (see the module docstring)."""
+    dt = np.dtype(dtype)
+    nbytes = math.prod(shape) * dt.itemsize
+    if nbytes < _MAP_MIN_BYTES:
+        return np.empty(shape, dtype=dt)
+    return _map_array(_map(nbytes), dt).reshape(shape)
+
+
+def sealed(arr: np.ndarray) -> bool:
+    """True if ``arr`` views bytes that nothing can write: a ``bytes``
+    object, or a file that a :class:`Reader` read into a memory map."""
+    root = arr
+    while isinstance(root, np.ndarray):
+        if _sealed.get(id(root)) is root:
+            return True
+        root = root.base
+    return isinstance(root, bytes)
 
 
 def write_u32(fh: BinaryIO, value: int) -> None:
@@ -61,16 +127,29 @@ def write_str_column(fh: BinaryIO, texts) -> None:
 class Reader:
     """Cursor over the bytes of one artifact file."""
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes | mmap.mmap):
         self.data = data
         self.pos = 0
+        if isinstance(data, mmap.mmap):
+            self._root = _map_array(data, np.uint8)
+            self._root.flags.writeable = False
+            _sealed[id(self._root)] = self._root
+        else:
+            self._root = np.frombuffer(data, dtype=np.uint8)
 
     @classmethod
     def open(cls, path: str | Path, magic: bytes, hint: str = "") -> Reader:
         """Read the whole file and check its magic; ``hint`` is appended to
         the error for a wrong magic."""
         with open(path, "rb") as fh:
-            reader = cls(fh.read())
+            size = os.fstat(fh.fileno()).st_size
+            if size < _MAP_MIN_BYTES:
+                reader = cls(fh.read())
+            else:
+                buf = _map(size)
+                if fh.readinto(buf) != size or fh.read(1):
+                    raise VersionMismatch("file changed size while it was read")
+                reader = cls(buf)
         got = reader.data[: len(magic)]
         if got != magic:
             raise VersionMismatch(
@@ -101,8 +180,9 @@ class Reader:
         dt = np.dtype(dtype)
         if self.pos + count * dt.itemsize > len(self.data):
             raise VersionMismatch(f"truncated file while reading {what}")
-        arr = np.frombuffer(self.data, dtype=dt, count=count, offset=self.pos)
-        self.pos += count * dt.itemsize
+        end = self.pos + count * dt.itemsize
+        arr = self._root[self.pos : end].view(dt)
+        self.pos = end
         return arr
 
     def strs(self, count: int, what: str) -> list[str]:

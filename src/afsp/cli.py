@@ -193,15 +193,15 @@ def cmd_translate(args) -> int:
     if args.mock_script:
         with open(args.mock_script, encoding="utf-8") as fh:
             client = MockClient(json.load(fh))
-    pipeline = TranslationPipeline.from_config(cfg, client=client)
-    if args.text is not None:
-        result = pipeline.translate(args.text)
-        print(result.best)
-        if args.audit:
-            with open(args.audit, "w", encoding="utf-8") as fh:
-                fh.write(audit_record(args.text, result))
-        return EXIT_OK
-    summary = pipeline.translate_file(args.input, args.out, audit_path=args.audit)
+    with TranslationPipeline.from_config(cfg, client=client) as pipeline:
+        if args.text is not None:
+            result = pipeline.translate(args.text)
+            print(result.best)
+            if args.audit:
+                with open(args.audit, "w", encoding="utf-8") as fh:
+                    fh.write(audit_record(args.text, result))
+            return EXIT_OK
+        summary = pipeline.translate_file(args.input, args.out, audit_path=args.audit)
     print(
         json.dumps(
             {

@@ -55,15 +55,12 @@ def _stable_hash64(*parts: str) -> int:
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """A read-only float32 C-contiguous array that no caller can alias.
 
-    A read-only C-contiguous float32 view of immutable ``bytes`` (what
-    ``_binio.Reader.array`` returns) can never change, so it is kept as it
-    is; anything else is copied.
+    A read-only C-contiguous float32 view of file bytes that nothing can
+    write (what ``_binio.Reader.array`` returns) can never change, so it is
+    kept as it is; anything else is copied.
     """
-    root = arr
-    while isinstance(root, np.ndarray):
-        root = root.base
     if (
-        isinstance(root, bytes)
+        _binio.sealed(arr)
         and arr.dtype == np.float32
         and arr.flags.c_contiguous
         and not arr.flags.writeable

@@ -9,7 +9,8 @@ Candidates are requested in one multi-choice call; endpoints that reject
 ``n > 1`` (HTTP 400 or 422) are retried as n sequential single-completion
 calls, which yields an identical CandidateSet; other 4xx fail at once. Every
 raw completion passes through ``extract_translation``; completions that come
-back empty are dropped.
+back empty, or that cannot be encoded as UTF-8 (a lone surrogate), are
+dropped.
 
 Transient failures (timeouts, connection errors, HTTP 5xx) are retried with
 exponential backoff and jitter inside a total budget of
@@ -89,16 +90,20 @@ def fingerprint(prompt: str) -> str:
 
 
 def _finalize(prompt: str, raw_texts: list[str]) -> CandidateSet:
-    """Apply extraction, drop empties, enforce the at-least-one contract."""
+    """Apply extraction, drop empties and completions that are not valid
+    text (a lone surrogate, which a JSON ``\\ud800`` escape decodes to, has
+    no UTF-8 encoding), enforce the at-least-one contract."""
     candidates = []
     for text in raw_texts:
         try:
-            candidates.append(extract_translation(text))
-        except EmptyOutput:
+            candidate = extract_translation(text)
+            candidate.encode("utf-8")
+        except (EmptyOutput, UnicodeEncodeError):
             continue
+        candidates.append(candidate)
     if not candidates:
         raise AllCandidatesEmpty(
-            f"all {len(raw_texts)} completions were empty after extraction"
+            f"all {len(raw_texts)} completions were empty or not valid UTF-8 after extraction"
         )
     return CandidateSet(prompt_fingerprint=fingerprint(prompt), candidates=tuple(candidates))
 

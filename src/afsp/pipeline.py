@@ -6,9 +6,12 @@ translates one sentence or a file of sentences. Configuration comes from a
 YAML file with flat per-module sections; CLI flags override file values,
 which override defaults.
 
-Stage failures are wrapped in StageError with a stage label (retrieval /
-prompt / generation / rerank) so batch runs stay debuggable. With everything
-seeded and a mock client, a translation run is fully deterministic.
+Any error a stage raises is wrapped in StageError with a stage label
+(retrieval / prompt / generation / rerank) so batch runs stay debuggable; in
+a batch it fails its own line only. A file is retrieved block by block on the
+calling thread, one scoring pass per block, while a pool of workers prompts,
+generates and reranks the lines already retrieved. With everything seeded and
+a mock client, a translation run is fully deterministic.
 """
 
 from __future__ import annotations
@@ -16,9 +19,11 @@ from __future__ import annotations
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields, replace
+from itertools import islice
 from pathlib import Path
 
 import yaml
@@ -28,9 +33,20 @@ from .errors import AfspError, StageError
 from .llm_client import ChatCompletionsClient, GenerationConfig
 from .prompting import PromptRequest, lang_display_name, render_prompt
 from .reranker import NGramRegressor, QualityScorer, load_model, rank
-from .retrieval import RetrievalIndex, Weights, load_index, retrieve_topk
+from .retrieval import (
+    RetrievalIndex,
+    ScoredDemo,
+    Weights,
+    load_index,
+    retrieve_many,
+    retrieve_topk,
+)
 
 logger = logging.getLogger(__name__)
+
+# translate_file retrieves this many lines per block, shared among the
+# workers (see translate_file)
+_BLOCK_LINES = 16
 
 
 @dataclass(frozen=True)
@@ -152,7 +168,12 @@ def load_retrieval_stack(
 
 
 class TranslationPipeline:
-    """Translate with retrieved demonstrations and reranked candidates."""
+    """Translate with retrieved demonstrations and reranked candidates.
+
+    A pipeline built by :meth:`from_config` without a client opens its own
+    and closes it in ``close()``, which ``with`` calls on exit; a client
+    passed in stays the caller's to close.
+    """
 
     def __init__(
         self,
@@ -171,6 +192,7 @@ class TranslationPipeline:
         self.scorer = scorer
         self.src_lang_name = lang_display_name(index.corpus.src_lang, config.lang_names)
         self.tgt_lang_name = lang_display_name(index.corpus.tgt_lang, config.lang_names)
+        self._owned_client: ChatCompletionsClient | None = None
 
     @classmethod
     def from_config(cls, config: PipelineConfig, client=None) -> "TranslationPipeline":
@@ -179,19 +201,33 @@ class TranslationPipeline:
         scorer: NGramRegressor | None = None
         if config.reranker_path:
             scorer = load_model(config.reranker_path)
-        return cls(
+        owned = client is None
+        pipeline = cls(
             index=index,
             table=table,
             projections=projections,
             config=config,
-            client=client or ChatCompletionsClient(),
+            client=ChatCompletionsClient() if owned else client,
             scorer=scorer,
         )
+        if owned:
+            pipeline._owned_client = pipeline.client
+        return pipeline
+
+    def close(self) -> None:
+        if self._owned_client is not None:
+            self._owned_client.close()
+
+    def __enter__(self) -> "TranslationPipeline":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def _retrieve(self, text: str) -> tuple[tuple[tuple[str, str], ...], tuple[str, ...]]:
         if self.config.k < 1:
             return (), ()
-        try:
+        with _stage("retrieval"):
             scored = retrieve_topk(
                 text,
                 self.index,
@@ -201,11 +237,30 @@ class TranslationPipeline:
                 self.config.k,
                 normalize_scores=self.config.normalize_scores,
             )
-        except AfspError as exc:
-            raise StageError("retrieval", exc) from exc
-        demos = tuple((s.pair.src_text, s.pair.tgt_text) for s in scored)
-        ids = tuple(s.pair.id for s in scored)
-        return demos, ids
+        return _demos(scored)
+
+    def _retrieve_block(self, lines: list[str]) -> list[tuple | StageError]:
+        """Each line's demos and demo ids, or its retrieval failure; an
+        error that fails the whole block fails each of its lines."""
+        if self.config.k < 1:
+            return [((), ())] * len(lines)
+        try:
+            results = retrieve_many(
+                lines,
+                self.index,
+                self.table,
+                self.projections,
+                self.config.weights,
+                self.config.k,
+                normalize_scores=self.config.normalize_scores,
+            )
+        except Exception as exc:
+            logger.exception("retrieval failed for a block of %d lines", len(lines))
+            return [StageError("retrieval", exc) for _ in lines]
+        return [
+            StageError("retrieval", r) if isinstance(r, AfspError) else _demos(r)
+            for r in results
+        ]
 
     def build_prompt(self, text: str) -> str:
         """The exact prompt translate() would send for this input."""
@@ -213,7 +268,7 @@ class TranslationPipeline:
         return self._render(text, demos)
 
     def _render(self, text: str, demos: tuple[tuple[str, str], ...]) -> str:
-        try:
+        with _stage("prompt"):
             return render_prompt(
                 PromptRequest(
                     src_lang_name=self.src_lang_name,
@@ -222,47 +277,47 @@ class TranslationPipeline:
                     demos=demos,
                 )
             )
-        except AfspError as exc:
-            raise StageError("prompt", exc) from exc
 
     def translate(self, text: str) -> TranslationResult:
         """Best candidate plus the full scored list and demo provenance.
 
         With n_candidates == 1 the reranker is bypassed and the sole
-        candidate is returned directly (its score slot is None).
+        candidate is returned directly (its score slot is None). Any error
+        is raised as a StageError labelled with the stage that failed.
         """
-        demos, demo_ids = self._retrieve(text)
-        prompt = self._render(text, demos)
-        try:
-            candidate_set = self.client.generate_candidates(prompt, self.config.generation)
-        except AfspError as exc:
-            raise StageError("generation", exc) from exc
-        candidates = list(candidate_set.candidates)
-        if self.config.generation.n_candidates == 1:
-            return TranslationResult(
-                best=candidates[0],
-                candidates=((candidates[0], None),),
-                demos_used=demo_ids,
-            )
-        if self.scorer is None:
-            raise StageError(
-                "rerank",
-                ValueError(
-                    "no reranker model configured; set n_candidates=1 to skip reranking"
-                ),
-            )
-        try:
-            ranked = rank(self.scorer, candidates)
-        except AfspError as exc:
-            raise StageError("rerank", exc) from exc
-        ordered = tuple((candidates[i], s) for i, s in ranked)
-        return TranslationResult(
-            best=ordered[0][0], candidates=ordered, demos_used=demo_ids
-        )
+        return self._complete(text, *self._retrieve(text))
 
-    def _translate_line(self, line: str):
+    def _complete(
+        self, text: str, demos: tuple[tuple[str, str], ...], demo_ids: tuple[str, ...]
+    ) -> TranslationResult:
+        """Prompt, generate and rerank one input whose demos are retrieved."""
+        prompt = self._render(text, demos)
+        with _stage("generation"):
+            candidate_set = self.client.generate_candidates(prompt, self.config.generation)
+            candidates = list(candidate_set.candidates)
+            if self.config.generation.n_candidates == 1:
+                return TranslationResult(
+                    best=candidates[0],
+                    candidates=((candidates[0], None),),
+                    demos_used=demo_ids,
+                )
+        with _stage("rerank"):
+            if self.scorer is None:
+                raise ValueError(
+                    "no reranker model configured; set n_candidates=1 to skip reranking"
+                )
+            ordered = tuple((candidates[i], s) for i, s in rank(self.scorer, candidates))
+            return TranslationResult(
+                best=ordered[0][0], candidates=ordered, demos_used=demo_ids
+            )
+
+    def _complete_line(
+        self, line: str, retrieved: tuple | StageError
+    ) -> TranslationResult | StageError:
+        if isinstance(retrieved, StageError):
+            return retrieved
         try:
-            return self.translate(line)
+            return self._complete(line, *retrieved)
         except StageError as exc:
             return exc
 
@@ -272,28 +327,72 @@ class TranslationPipeline:
         output_path: str | Path,
         audit_path: str | Path | None = None,
     ) -> BatchSummary:
-        """One translation per input line, order preserved; failed lines
-        produce an empty output line and count as failures."""
+        """One translation per input line, order preserved; a line that
+        fails in any stage gives an empty output line and an audit error
+        record, counts as a failure, and the batch carries on.
+
+        The input is read in blocks of ``max(1, 16 // max_in_flight)``
+        lines. The calling thread retrieves a block in one pass
+        (:func:`retrieve_many`) and submits each line's prompt, generation
+        and rerank to ``max_in_flight`` workers, then retrieves the next
+        block while they work; at most two blocks are in flight.
+        """
         started = time.monotonic()
+        # input that is not UTF-8 fails here, before any output is touched
         with open(input_path, encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh]
-        summary = BatchSummary(count=len(lines))
+            for _ in fh:
+                pass
+        workers = self.config.generation.max_in_flight
+        block = max(1, _BLOCK_LINES // workers)
+        summary = BatchSummary()
+        pending: deque[tuple[str, Future]] = deque()
         audit = open(audit_path, "w", encoding="utf-8") if audit_path else nullcontext()
-        with audit as audit_fh, open(output_path, "w", encoding="utf-8") as out_fh:
-            with ThreadPoolExecutor(max_workers=self.config.generation.max_in_flight) as pool:
-                for line, result in zip(lines, pool.map(self._translate_line, lines)):
-                    if isinstance(result, StageError):
-                        summary.failures += 1
-                        logger.error("line failed: %s", result)
-                        out_fh.write("\n")
-                    else:
-                        out_fh.write(result.best + "\n")
-                    if audit_fh:
-                        audit_fh.write(audit_record(line, result))
-                        audit_fh.flush()
-                    out_fh.flush()
+        with (
+            open(input_path, encoding="utf-8") as in_fh,
+            audit as audit_fh,
+            open(output_path, "w", encoding="utf-8") as out_fh,
+            ThreadPoolExecutor(max_workers=workers) as pool,
+        ):
+
+            def write_next() -> None:
+                line, future = pending.popleft()
+                result = future.result()
+                summary.count += 1
+                if isinstance(result, StageError):
+                    summary.failures += 1
+                    logger.error("line failed: %s", result)
+                    out_fh.write("\n")
+                else:
+                    out_fh.write(result.best + "\n")
+                if audit_fh:
+                    audit_fh.write(audit_record(line, result))
+                    audit_fh.flush()
+                out_fh.flush()
+
+            while lines := [line.rstrip("\n") for line in islice(in_fh, block)]:
+                for line, retrieved in zip(lines, self._retrieve_block(lines)):
+                    pending.append((line, pool.submit(self._complete_line, line, retrieved)))
+                while len(pending) > block:
+                    write_next()
+            while pending:
+                write_next()
         summary.wall_time = time.monotonic() - started
         return summary
+
+
+@contextmanager
+def _stage(name: str):
+    """Raise any error from the block as a StageError labelled ``name``."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+
+
+def _demos(scored: list[ScoredDemo]) -> tuple[tuple[tuple[str, str], ...], tuple[str, ...]]:
+    """The (source, target) demonstrations and their pair ids."""
+    demos = tuple((s.pair.src_text, s.pair.tgt_text) for s in scored)
+    return demos, tuple(s.pair.id for s in scored)
 
 
 def audit_record(line: str, result: TranslationResult | StageError) -> str:

@@ -33,6 +33,20 @@ index checks the table fingerprint once per (table, projections) pair,
 compared by identity; their arrays are read-only, so the same objects
 always hold the same content.
 
+Queries are scored in blocks: :func:`retrieve_many` scores a list of texts
+in one pass and :func:`retrieve_topk` is a block of one. The block's dense
+vectors go through one product with the dense matrix, which is then read
+once per block rather than once per query. The multi-vector product runs
+over consecutive queries, grouped up to ``_MULTI_ROWS`` query rows so that
+the product stays small; each query's gather-max, mean and sparse pass
+stay its own. A block of one keeps the bits of a query scored alone: its
+(1, H) dense product gives the same values as the matrix-vector product
+(numpy sends both to one GEMV), and its own rows are its one multi-vector
+product. In a larger block BLAS may round a dot product in the last bit
+differently (a GEMM in place of a GEMV, or a row at another position of the
+product), so entries that tie exactly when scored alone may come apart, and
+the reverse.
+
 Because the embedding layer is context-free, :func:`build_index` works on
 distinct tokens: it segments every source text once, looks up (or
 hash-generates) each distinct token's row once, and computes all sparse
@@ -73,6 +87,7 @@ from .embedding import (
     unit_rows,
 )
 from .errors import (
+    AfspError,
     DimensionMismatch,
     EmptyQuery,
     EmptyText,
@@ -90,6 +105,10 @@ _NORM_TOL = 1e-3
 # pairs per block of build_index's dense max-pooling, which bounds the
 # size of its temporaries
 _POOL_CHUNK = 512
+
+# query rows per multi-vector product when a block of queries is scored,
+# which bounds the size of the product (a longer query is scored alone)
+_MULTI_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -216,8 +235,11 @@ class RetrievalIndex:
         self.multi_row_ids = multi_row_ids
         self._bound: tuple[EmbeddingTable, ProjectionSet] | None = None
 
-        self._dense64 = dense.astype(np.float64)
-        self._rows64 = multi_rows.astype(np.float64)
+        # large, so each in a memory map of its own (see _binio)
+        self._dense64 = _binio.empty(dense.shape, np.float64)
+        self._dense64[...] = dense
+        self._rows64 = _binio.empty(multi_rows.shape, np.float64)
+        self._rows64[...] = multi_rows
         # the jagged diagonals (see above); longer[k] counts the entries
         # with more than k rows
         counts = np.diff(multi_offsets.astype(np.intp))
@@ -257,23 +279,50 @@ class RetrievalIndex:
         self._bound = (table, proj)
 
     def _scores(
-        self, q_dense: DenseVec, q_sparse: SparseWeights, q_multi: MultiVec
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dense, sparse and multi-vector scores of every entry, in float64."""
-        sd = self._dense64 @ q_dense.values.astype(np.float64)
+        self, queries: list[tuple[DenseVec, SparseWeights, MultiVec]]
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Dense, sparse and multi-vector scores of every entry, in float64,
+        for each query of a block (see the module docstring)."""
+        if not queries:
+            return []
+        dense = np.stack([d.values for d, _, _ in queries]).astype(np.float64) @ self._dense64.T
+        sizes = [len(m.rows) for _, _, m in queries]
+        out = []
+        start = 0
+        while start < len(queries):
+            # consecutive queries share one product until the next would take
+            # it past _MULTI_ROWS query rows; a longer query is a group alone
+            stop, total = start + 1, sizes[start]
+            while stop < len(queries) and total + sizes[stop] <= _MULTI_ROWS:
+                total += sizes[stop]
+                stop += 1
+            rows = np.concatenate([m.rows for _, _, m in queries[start:stop]])
+            # the product must be (query rows, distinct rows): rows64 @ q.T
+            # rounds some entries differently
+            product = rows.astype(np.float64) @ self._rows64.T
+            at = 0
+            for i in range(start, stop):
+                sims = product[at : at + sizes[i]]
+                at += sizes[i]
+                out.append((dense[i], self._sparse(queries[i][1]), self._multi(sims)))
+            start = stop
+        return out
 
+    def _sparse(self, q_sparse: SparseWeights) -> np.ndarray:
         ss = np.zeros(len(self))
         for tid, w in q_sparse.weights.items():
             hit = self._sparse_cols.get(tid)
             if hit is not None:
                 ss[self._sparse_pos[hit]] += w * self._sparse_w[hit]
+        return ss
 
-        # the product must be (query rows, distinct rows): rows64 @ q.T
-        # rounds some entries differently. Its transpose, copied, holds each
-        # distinct row's sims contiguously, so one gather per diagonal column
-        # serves every query row, and the running max over a column's prefix
-        # of entries needs no padding.
-        by_row = np.ascontiguousarray((q_multi.rows.astype(np.float64) @ self._rows64.T).T)
+    def _multi(self, sims: np.ndarray) -> np.ndarray:
+        """Late-interaction score of every entry from one query's (query
+        rows, distinct rows) similarities."""
+        # the transpose, copied, holds each distinct row's sims contiguously,
+        # so one gather per diagonal column serves every query row, and the
+        # running max over a column's prefix of entries needs no padding
+        by_row = np.ascontiguousarray(sims.T)
         best = by_row[self._columns[0]]
         for col in self._columns[1:]:
             head = best[: len(col)]
@@ -284,7 +333,7 @@ class RetrievalIndex:
         total = best[:, 0].copy()
         for j in range(1, best.shape[1]):
             total += best[:, j]
-        return sd, ss, (total / best.shape[1])[self._unsort]
+        return (total / best.shape[1])[self._unsort]
 
 
 def build_index(
@@ -389,6 +438,53 @@ def _minmax(scores: np.ndarray) -> np.ndarray:
     return (scores - lo) / (hi - lo)
 
 
+def retrieve_many(
+    texts: list[str],
+    index: RetrievalIndex,
+    table: EmbeddingTable,
+    proj: ProjectionSet,
+    weights: Weights,
+    k: int,
+    normalize_scores: bool = False,
+) -> list[list[ScoredDemo] | AfspError]:
+    """:func:`retrieve_topk` for each text, scored as one block.
+
+    A text that cannot be embedded (EmptyQuery for a blank one) holds its
+    error in its place of the result, and the others are still scored.
+    FingerprintMismatch and a k below 1 fail the whole call.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    index._check_binding(table, proj)
+    results: list = []
+    queries = []
+    for text in texts:
+        try:
+            queries.append(_embed_query(table, proj, text))
+            results.append(None)
+        except AfspError as exc:
+            results.append(exc)
+    scores = iter(index._scores(queries))
+    for i, held in enumerate(results):
+        if held is not None:
+            continue
+        sd, ss, sm = next(scores)
+        if normalize_scores:
+            sd, ss, sm = _minmax(sd), _minmax(ss), _minmax(sm)
+        fused = weights.alpha1 * sd + weights.alpha2 * ss + weights.alpha3 * sm
+        results[i] = [
+            ScoredDemo(
+                pair=index.corpus[j],
+                s_dense=float(sd[j]),
+                s_sparse=float(ss[j]),
+                s_multi=float(sm[j]),
+                s_rank=float(fused[j]),
+            )
+            for j in _top_k_stable(fused, k)
+        ]
+    return results
+
+
 def retrieve_topk(
     query_text: str,
     index: RetrievalIndex,
@@ -402,35 +498,25 @@ def retrieve_topk(
 
     Raises FingerprintMismatch if (table, proj) differ from what the index
     was built with, and EmptyQuery for blank queries. Returns all entries
-    when the corpus is smaller than k.
+    when the corpus is smaller than k. Scored as a block of one, with the
+    bits of a query scored alone (see the module docstring).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    index._check_binding(table, proj)
+    (result,) = retrieve_many(
+        [query_text], index, table, proj, weights, k, normalize_scores=normalize_scores
+    )
+    if isinstance(result, AfspError):
+        raise result
+    return result
+
+
+def _embed_query(
+    table: EmbeddingTable, proj: ProjectionSet, text: str
+) -> tuple[DenseVec, SparseWeights, MultiVec]:
     try:
-        emb = embed_tokens(table, query_text)
+        emb = embed_tokens(table, text)
     except EmptyText as exc:
         raise EmptyQuery(str(exc)) from exc
-    q_dense = dense_embed(emb)
-    q_sparse = sparse_embed(emb, proj)
-    q_multi = multi_embed(emb, proj)
-
-    sd, ss, sm = index._scores(q_dense, q_sparse, q_multi)
-
-    if normalize_scores:
-        sd, ss, sm = _minmax(sd), _minmax(ss), _minmax(sm)
-    fused = weights.alpha1 * sd + weights.alpha2 * ss + weights.alpha3 * sm
-
-    return [
-        ScoredDemo(
-            pair=index.corpus[i],
-            s_dense=float(sd[i]),
-            s_sparse=float(ss[i]),
-            s_multi=float(sm[i]),
-            s_rank=float(fused[i]),
-        )
-        for i in _top_k_stable(fused, k)
-    ]
+    return dense_embed(emb), sparse_embed(emb, proj), multi_embed(emb, proj)
 
 
 def _top_k_stable(scores: np.ndarray, k: int) -> np.ndarray:
@@ -512,7 +598,9 @@ def _check_arrays(
             f"multi-vector row id {multi_row_ids.max()} >= row count {len(multi_rows)}"
         )
     for name, rows in (("dense", dense), ("multi-vector", multi_rows)):
-        bad = np.flatnonzero(~(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= _NORM_TOL))
+        # row norms without a temporary the size of rows
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _NORM_TOL))
         if len(bad):
             raise VersionMismatch(f"{name} row {bad[0]} does not have unit norm")
     # ids ascend within each entry; a step down or a repeat is allowed only

@@ -1,0 +1,100 @@
+"""Large buffers in memory maps of their own, recycled by size (afsp._binio)."""
+
+import gc
+import mmap
+import random
+
+import numpy as np
+import pytest
+
+from afsp import _binio
+from afsp.embedding import EmbeddingTable, init_projections, load_table, save_table
+from afsp.retrieval import Weights, build_index, load_index, retrieve_topk, save_index
+from helpers import corpus_table, en_sentence, synthetic_corpus
+
+
+@pytest.fixture
+def small_maps(monkeypatch):
+    """Map every buffer of 64 bytes or more, starting with no spares."""
+    monkeypatch.setattr(_binio, "_MAP_MIN_BYTES", 64)
+    monkeypatch.setattr(_binio, "_spare_maps", {})
+
+
+def _root(arr):
+    """The object at the end of arr's base chain (a map's, past numpy's
+    memoryview over it)."""
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr.obj if isinstance(arr, memoryview) else arr
+
+
+def test_large_file_is_read_into_a_map_the_table_keeps_uncopied(tmp_path, small_maps):
+    table = corpus_table(dim=16)
+    path = tmp_path / "table.bin"
+    save_table(table, path)
+    loaded = load_table(path)
+    assert loaded.matrix.tobytes() == table.matrix.tobytes()
+    assert isinstance(_root(loaded.matrix), mmap.mmap)
+    assert _binio.sealed(loaded.matrix)
+    assert not loaded.matrix.flags.writeable
+
+
+def test_small_file_is_read_into_bytes(tmp_path):
+    path = tmp_path / "table.bin"
+    save_table(corpus_table(dim=16), path)
+    assert path.stat().st_size < _binio._MAP_MIN_BYTES
+    assert isinstance(_root(load_table(path).matrix), bytes)
+
+
+def test_freed_file_map_is_reused_by_the_next_load(tmp_path, small_maps):
+    path = tmp_path / "table.bin"
+    save_table(corpus_table(dim=16), path)
+    matrix = load_table(path).matrix
+    address = matrix.ctypes.data
+    del matrix
+    gc.collect()
+    assert len(_binio._spare_maps[path.stat().st_size]) == 1
+    assert load_table(path).matrix.ctypes.data == address
+
+
+def test_empty_maps_a_large_array_and_recycles_it_after_its_last_view(small_maps):
+    a = _binio.empty((4, 8), np.float64)
+    assert a.shape == (4, 8) and a.flags.c_contiguous and a.flags.writeable
+    assert isinstance(_root(a), mmap.mmap)
+    view = a[1:]
+    address = a.ctypes.data
+    del a
+    gc.collect()
+    assert not _binio._spare_maps.get(256)
+    del view
+    gc.collect()
+    assert _binio.empty((32,), np.float64).ctypes.data == address
+    assert _binio.empty((2,), np.float64).base is None
+
+
+def test_a_callers_read_only_view_of_a_map_is_not_sealed():
+    buf = mmap.mmap(-1, 2 * 3 * 4)
+    rows = np.frombuffer(buf, dtype=np.float32).reshape(2, 3)
+    rows.flags.writeable = False
+    assert not _binio.sealed(rows)
+    table = EmbeddingTable(vocab=("a", "b"), matrix=rows, oov_seed=0)
+    assert not np.shares_memory(table.matrix, rows)
+
+
+def test_mapped_index_scores_equal_the_built_index_bit_for_bit(tmp_path, small_maps):
+    corpus = synthetic_corpus(40, seed=8, unique_src=True)
+    table = corpus_table(dim=32)
+    proj = init_projections(32, seed=13)
+    index = build_index(corpus, table, proj)
+    path = tmp_path / "index.bin"
+    save_index(index, path)
+    loaded = load_index(path)
+    assert isinstance(_root(loaded.dense), mmap.mmap)
+    assert isinstance(_root(loaded._dense64), mmap.mmap)
+    rng = random.Random(4)
+    for query in [en_sentence(rng) for _ in range(12)]:
+        got = retrieve_topk(query, loaded, table, proj, Weights(), 5)
+        want = retrieve_topk(query, index, table, proj, Weights(), 5)
+        assert [(s.pair.id, s.s_dense, s.s_sparse, s.s_multi, s.s_rank) for s in got] == [
+            (s.pair.id, s.s_dense, s.s_sparse, s.s_multi, s.s_rank) for s in want
+        ]

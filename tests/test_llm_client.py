@@ -291,6 +291,18 @@ def test_mock_client_truncates_to_n_candidates():
     assert result.candidates == ("a", "b")
 
 
+# a JSON "\\ud800" escape decodes to a lone surrogate, which has no UTF-8
+LONE_SURROGATE = json.loads('"ok \\ud800 text"')
+
+
+def test_mock_client_drops_completions_without_utf8():
+    client = MockClient({fingerprint("p"): [LONE_SURROGATE, "fine", "\udfff"]})
+    assert client.generate_candidates("p", GenerationConfig(n_candidates=3)).candidates == ("fine",)
+    client = MockClient({fingerprint("p"): [LONE_SURROGATE, "  "]})
+    with pytest.raises(AllCandidatesEmpty, match="empty or not valid UTF-8"):
+        client.generate_candidates("p", GenerationConfig(n_candidates=2))
+
+
 def test_fingerprint_is_stable_and_distinct():
     assert fingerprint("x") == fingerprint("x")
     assert fingerprint("x") != fingerprint("y")
@@ -418,3 +430,13 @@ def test_client_closes_only_the_session_it_opened():
     owned._session = ClosingSession()
     owned.close()
     assert owned._session.closed
+
+
+def test_client_drops_completions_without_utf8():
+    choices = [{"message": {"content": c}} for c in (LONE_SURROGATE, "kept")]
+    session = StubSession([StubResponse(200, payload={"choices": choices})])
+    result = ChatCompletionsClient(session).generate_candidates("p", stub_cfg(n_candidates=2))
+    assert result.candidates == ("kept",)
+    session = StubSession([StubResponse(200, payload={"choices": choices[:1]})])
+    with pytest.raises(AllCandidatesEmpty):
+        ChatCompletionsClient(session).generate_candidates("p", stub_cfg(n_candidates=1))

@@ -3,12 +3,14 @@ import random
 from dataclasses import fields, replace
 
 import pytest
+import requests
 import yaml
 
+import afsp.pipeline
 from afsp.degeneration import DegenerationOp, apply_op, generate_dataset
 from afsp.embedding import init_projections, save_table
 from afsp.errors import StageError
-from afsp.llm_client import GenerationConfig, MockClient, fingerprint
+from afsp.llm_client import ChatCompletionsClient, GenerationConfig, MockClient, fingerprint
 from afsp.pipeline import (
     PipelineConfig,
     TranslationPipeline,
@@ -203,6 +205,167 @@ def test_translate_file_full_test_set(stack, tmp_path):
     assert summary.count == 500
     assert summary.failures == 0
     assert out.read_text(encoding="utf-8").splitlines() == ["ok"] * 500
+
+
+def run_file(pipeline, tmp_path, lines):
+    """translate_file over lines: (summary, output lines, audit lines)."""
+    inp, out, audit = tmp_path / "in.txt", tmp_path / "out.txt", tmp_path / "audit.jsonl"
+    inp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    summary = pipeline.translate_file(inp, out, audit_path=audit)
+    produced = out.read_text(encoding="utf-8").split("\n")
+    assert produced[-1] == ""
+    return summary, produced[:-1], audit.read_text(encoding="utf-8").splitlines(keepends=True)
+
+
+def test_translate_file_labels_any_error_and_carries_on(stack, tmp_path):
+    corpus, *_ = stack
+    pipeline = make_pipeline(stack, client=None, generation=GenerationConfig(n_candidates=1))
+    lines = [corpus[i].src_text for i in range(5)]
+    mock = scripted_client(pipeline, stack, lines, lambda t: [f"out {lines.index(t)}"])
+    broken = fingerprint(pipeline.build_prompt(lines[2]))
+
+    class Client:
+        def generate_candidates(self, prompt, cfg):
+            if fingerprint(prompt) == broken:
+                raise RuntimeError("connection pool exploded")
+            return mock.generate_candidates(prompt, cfg)
+
+    pipeline.client = Client()
+    summary, produced, records = run_file(pipeline, tmp_path, lines)
+    assert (summary.count, summary.failures) == (5, 1)
+    assert produced == ["out 0", "out 1", "", "out 3", "out 4"]
+    assert json.loads(records[2]) == {"input": lines[2], "error": "[generation] connection pool exploded"}
+    # the single caller labels it the same way
+    with pytest.raises(StageError) as excinfo:
+        pipeline.translate(lines[2])
+    assert excinfo.value.stage == "generation"
+    assert isinstance(excinfo.value.cause, RuntimeError)
+
+
+def test_translate_file_streams_blocks_through_a_bounded_window(stack, tmp_path, monkeypatch):
+    corpus, *_ = stack
+    pipeline = make_pipeline(
+        stack, client=None, generation=GenerationConfig(n_candidates=1, max_in_flight=4)
+    )
+    block = 16 // 4
+    lines = [corpus[i].src_text for i in range(45)]
+    pipeline.client = scripted_client(pipeline, stack, lines, lambda t: [f"out {lines.index(t)}"])
+    out = tmp_path / "out.txt"
+    blocks, ahead = [], []
+    real = afsp.pipeline.retrieve_many
+
+    def spy(texts, *args, **kwargs):
+        # lines retrieved before this block whose output is not written yet
+        ahead.append(sum(blocks) - len(out.read_text(encoding="utf-8").splitlines()))
+        blocks.append(len(texts))
+        return real(texts, *args, **kwargs)
+
+    monkeypatch.setattr(afsp.pipeline, "retrieve_many", spy)
+    summary, produced, _ = run_file(pipeline, tmp_path, lines)
+    assert (summary.count, summary.failures) == (45, 0)
+    assert produced == [f"out {i}" for i in range(45)]
+    assert blocks == [block] * 11 + [1]
+    assert max(ahead) <= block
+
+
+def test_translate_file_blank_line_fails_alone(stack, tmp_path):
+    corpus, *_ = stack
+    pipeline = make_pipeline(
+        stack, client=None, generation=GenerationConfig(n_candidates=1, max_in_flight=2)
+    )
+    texts = [corpus[i].src_text for i in range(6)]
+    pipeline.client = scripted_client(pipeline, stack, texts, lambda t: [f"out {texts.index(t)}"])
+    lines = texts[:3] + ["   "] + texts[3:]
+    summary, produced, records = run_file(pipeline, tmp_path, lines)
+    assert (summary.count, summary.failures) == (7, 1)
+    assert produced == ["out 0", "out 1", "out 2", "", "out 3", "out 4", "out 5"]
+    assert records[3] == '{"input": "   ", "error": "[retrieval] no tokens in \'   \'"}\n'
+    assert [json.loads(r)["best"] for r in records[4:]] == ["out 3", "out 4", "out 5"]
+
+
+def test_translate_file_input_not_utf8_leaves_outputs_alone(stack, tmp_path):
+    corpus, *_ = stack
+    pipeline = make_pipeline(stack, client=MockClient({}), generation=GenerationConfig(n_candidates=1))
+    inp, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    good = "".join(p.src_text + "\n" for p in corpus[:40]).encode("utf-8")
+    inp.write_bytes(good + b"\xff\xfe not utf-8\n")
+    out.write_text("earlier output\n", encoding="utf-8")
+    with pytest.raises(UnicodeDecodeError):
+        pipeline.translate_file(inp, out)
+    assert out.read_text(encoding="utf-8") == "earlier output\n"
+
+
+def test_translate_file_fingerprint_mismatch_fails_every_line(stack, tmp_path):
+    corpus, table, _, index, scorer = stack
+    config = PipelineConfig(
+        projection_seed=17, k=3, generation=GenerationConfig(n_candidates=1, max_in_flight=8)
+    )
+    pipeline = TranslationPipeline(
+        index=index,
+        table=table,
+        projections=init_projections(32, seed=99),
+        config=config,
+        client=MockClient({}),
+        scorer=scorer,
+    )
+    summary, produced, records = run_file(pipeline, tmp_path, [p.src_text for p in corpus[:5]])
+    assert (summary.count, summary.failures) == (5, 5)
+    assert produced == [""] * 5
+    for record in records:
+        assert json.loads(record)["error"].startswith("[retrieval] index was built with a different")
+
+
+def test_translate_ranks_past_a_completion_without_utf8(stack):
+    corpus, *_ = stack
+    pipeline = make_pipeline(stack, client=None, generation=GenerationConfig(n_candidates=2))
+    text = corpus[4].src_text
+    surrogate = json.loads('"bad \\ud800 text"')
+    pipeline.client = scripted_client(pipeline, stack, [text], lambda t: [surrogate, "good"])
+    result = pipeline.translate(text)
+    assert result.best == "good"
+    assert [t for t, _ in result.candidates] == ["good"]
+
+
+@pytest.fixture
+def saved_config(stack, tmp_path):
+    """A config naming the stack's artifacts, saved under tmp_path."""
+    corpus, table, proj, index, scorer = stack
+    save_table(table, tmp_path / "table.bin")
+    save_index(index, tmp_path / "index.bin")
+    save_model(scorer, tmp_path / "model.bin")
+    return PipelineConfig(
+        table_path=str(tmp_path / "table.bin"),
+        index_path=str(tmp_path / "index.bin"),
+        reranker_path=str(tmp_path / "model.bin"),
+        projection_seed=17,
+        generation=GenerationConfig(n_candidates=1),
+    )
+
+
+def test_with_block_closes_the_client_the_pipeline_opened(saved_config, monkeypatch):
+    closed = []
+    close = requests.Session.close
+    monkeypatch.setattr(requests.Session, "close", lambda self: (closed.append(self), close(self)))
+    with TranslationPipeline.from_config(saved_config) as pipeline:
+        assert isinstance(pipeline.client, ChatCompletionsClient)
+        session = pipeline.client._session
+        pipeline.client = MockClient({})  # a swapped-in client is not the one it opened
+    assert closed == [session]
+
+
+def test_pipeline_closes_only_the_client_it_opened(stack, saved_config):
+    class ClosingClient(MockClient):
+        closed = False
+
+        def close(self):
+            self.closed = True
+
+    given = ClosingClient({})
+    with TranslationPipeline.from_config(saved_config, client=given) as pipeline:
+        assert pipeline.client is given
+    assert not given.closed
+    make_pipeline(stack, client=given).close()
+    assert not given.closed
 
 
 def test_config_defaults_match_standard_settings():

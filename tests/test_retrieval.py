@@ -34,6 +34,7 @@ from afsp.retrieval import (
     Weights,
     build_index,
     load_index,
+    retrieve_many,
     retrieve_topk,
     save_index,
     score_dense,
@@ -632,6 +633,80 @@ def test_diagonal_scan_equals_per_row_scan_on_jagged_corpora(tmp_path, corpus, q
                 p = pos[g.pair.id]
                 assert (g.s_dense, g.s_sparse, g.s_multi) == (sd[p], ss[p], sm[p])
                 assert g.s_rank == w.alpha1 * sd[p] + w.alpha2 * ss[p] + w.alpha3 * sm[p]
+
+
+def assert_same_top(got, want, abs_tol=1e-12):
+    """Each entry's scores within abs_tol of its per-query ones, and the
+    per-query order, except that entries whose scores tie within abs_tol
+    may swap places: BLAS may round a row's dot product differently at
+    another row position or block shape, so exact ties can split."""
+    assert len(got) == len(want)
+    by_id = {w.pair.id: w for w in want}
+    for g, w in zip(got, want):
+        mine = by_id[g.pair.id]
+        assert (g.s_dense, g.s_sparse, g.s_multi, g.s_rank) == pytest.approx(
+            (mine.s_dense, mine.s_sparse, mine.s_multi, mine.s_rank), abs=abs_tol
+        )
+        assert g.pair.id == w.pair.id or g.s_rank == pytest.approx(w.s_rank, abs=abs_tol)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(corpus=jagged_corpora(), block=st.lists(queries, min_size=1, max_size=20))
+def test_retrieve_many_equals_per_query_retrieve_topk(corpus, block):
+    # blocks of up to 20 queries of up to 12 rows put several queries in one
+    # multi-vector product, whose sums may round apart from a query's own
+    table = corpus_table(dim=16)
+    proj = init_projections(16, seed=3)
+    index = build_index(corpus, table, proj)
+    w = Weights()
+    for normalize in (False, True):
+        got = retrieve_many(block, index, table, proj, w, k=len(corpus), normalize_scores=normalize)
+        assert len(got) == len(block)
+        for query, top in zip(block, got):
+            want = retrieve_topk(query, index, table, proj, w, k=len(corpus), normalize_scores=normalize)
+            assert_same_top(top, want)
+
+
+def test_retrieve_many_scores_a_query_past_the_row_cap_alone(stack):
+    corpus, table, proj, index = stack
+    rng = random.Random(9)
+    long = "".join(zh_sentence(rng) for _ in range(5))
+    assert len(multi_embed(embed_tokens(table, long), proj).rows) > afsp.retrieval._MULTI_ROWS
+    block = [zh_sentence(rng), en_sentence(rng), long, zh_sentence(rng), long[:40]]
+    w = Weights()
+    got = retrieve_many(block, index, table, proj, w, k=len(corpus))
+    for query, top in zip(block, got):
+        want = retrieve_topk(query, index, table, proj, w, k=len(corpus))
+        assert [g.pair.id for g in top] == [a.pair.id for a in want]
+        assert_same_top(top, want)
+    # a query past the cap is its own multi-vector product, as it is alone
+    alone = retrieve_topk(long, index, table, proj, w, k=len(corpus))
+    assert [(g.s_sparse, g.s_multi) for g in got[2]] == [(a.s_sparse, a.s_multi) for a in alone]
+
+
+def test_retrieve_many_holds_failed_lines_and_scores_the_rest(stack):
+    corpus, table, proj, index = stack
+    w = Weights()
+    # "鑫淼犇" and "xyzzy plugh" have only tokens outside the table
+    block = ["双方同意加强合作", "   ", "鑫淼犇", "", "xyzzy plugh", corpus[3].src_text]
+    got = retrieve_many(block, index, table, proj, w, k=3)
+    assert [type(g) for g in got[1:4:2]] == [EmptyQuery, EmptyQuery]
+    assert str(got[1]) == "no tokens in '   '"
+    for i in (0, 2, 4, 5):
+        want = retrieve_topk(block[i], index, table, proj, w, k=3)
+        assert [g.pair.id for g in got[i]] == [a.pair.id for a in want]
+        assert_same_top(got[i], want)
+    assert got[5][0].pair.id == corpus[3].id
+    assert retrieve_many([], index, table, proj, w, k=3) == []
+
+
+def test_retrieve_many_fingerprint_mismatch_fails_the_block(stack):
+    _, table, proj, index = stack
+    other = init_projections(32, seed=99)
+    with pytest.raises(FingerprintMismatch):
+        retrieve_many(["你好", "双方同意加强合作"], index, table, other, Weights(), k=1)
+    with pytest.raises(ValueError):
+        retrieve_many(["你好"], index, table, proj, Weights(), k=0)
 
 
 def test_wide_corpus_scores_equal_per_row_scan_bit_for_bit():
