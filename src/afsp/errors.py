@@ -159,3 +159,15 @@ class StageError(AfspError):
         super().__init__(f"[{stage}] {cause}")
         self.stage = stage
         self.cause = cause
+
+
+class InputNotUtf8(AfspError, UnicodeDecodeError):
+    """An input file is not UTF-8: the caught decode error's fields, and the
+    file's path, which the message names."""
+
+    def __init__(self, path, exc: UnicodeDecodeError):
+        super().__init__(exc.encoding, exc.object, exc.start, exc.end, exc.reason)
+        self.path = path
+
+    def __str__(self) -> str:
+        return f"{self.path}: not UTF-8: {super().__str__()}"

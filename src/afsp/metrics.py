@@ -107,11 +107,13 @@ def _char_stats(hypothesis: str, reference: str) -> list[tuple[int, int, int]]:
 
 
 def _bleu(stats: list[tuple[int, int, int]], smooth: bool) -> float:
-    """BLEU-4 from per-order stats. smooth (per-sentence) adds SENT_BLEU_EPS
-    to every match count and skips orders longer than the hypothesis."""
+    """BLEU-4 from per-order stats. smooth (per-sentence) puts SENT_BLEU_EPS
+    in place of a zero match count and skips orders longer than the
+    hypothesis; a non-zero count is kept, so no precision exceeds 1 and the
+    score stays within 0-100."""
     hyp_len, ref_len = stats[0][1], stats[0][2]
     if smooth:
-        stats = [(match + SENT_BLEU_EPS, hyp, ref) for match, hyp, ref in stats if hyp]
+        stats = [(match or SENT_BLEU_EPS, hyp, ref) for match, hyp, ref in stats if hyp]
     if not hyp_len or not ref_len or any(match == 0 for match, _, _ in stats):
         return 0.0
     log_precision = sum(math.log(match / hyp) for match, hyp, _ in stats) / len(stats)

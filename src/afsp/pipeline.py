@@ -29,7 +29,7 @@ from pathlib import Path
 import yaml
 
 from .embedding import EmbeddingTable, ProjectionSet, init_projections, load_table
-from .errors import AfspError, StageError
+from .errors import AfspError, InputNotUtf8, StageError
 from .llm_client import ChatCompletionsClient, GenerationConfig
 from .prompting import PromptRequest, lang_display_name, render_prompt
 from .reranker import NGramRegressor, QualityScorer, load_model, rank
@@ -336,12 +336,18 @@ class TranslationPipeline:
         (:func:`retrieve_many`) and submits each line's prompt, generation
         and rerank to ``max_in_flight`` workers, then retrieves the next
         block while they work; at most two blocks are in flight.
+
+        Input that is not UTF-8 raises InputNotUtf8 before any output file
+        is opened.
         """
         started = time.monotonic()
         # input that is not UTF-8 fails here, before any output is touched
         with open(input_path, encoding="utf-8") as fh:
-            for _ in fh:
-                pass
+            try:
+                for _ in fh:
+                    pass
+            except UnicodeDecodeError as exc:
+                raise InputNotUtf8(input_path, exc) from exc
         workers = self.config.generation.max_in_flight
         block = max(1, _BLOCK_LINES // workers)
         summary = BatchSummary()

@@ -38,14 +38,23 @@ in one pass and :func:`retrieve_topk` is a block of one. The block's dense
 vectors go through one product with the dense matrix, which is then read
 once per block rather than once per query. The multi-vector product runs
 over consecutive queries, grouped up to ``_MULTI_ROWS`` query rows so that
-the product stays small; each query's gather-max, mean and sparse pass
-stay its own. A block of one keeps the bits of a query scored alone: its
-(1, H) dense product gives the same values as the matrix-vector product
-(numpy sends both to one GEMV), and its own rows are its one multi-vector
-product. In a larger block BLAS may round a dot product in the last bit
-differently (a GEMM in place of a GEMV, or a row at another position of the
-product), so entries that tie exactly when scored alone may come apart, and
-the reverse.
+the product stays small, and the gather-max runs once per group: each
+column's gather and running max cover every row of the group, and each
+query then averages its own rows of the maxima. The gather-max walks the
+length-sorted entries in tiles of ``_TILE``: a column covers a prefix of
+that order, so a tile takes the same slice of each column that reaches it,
+and its maxima, one float64 per entry of the tile and row of the group,
+stay small however large the corpus is. Neither the group nor the tile
+moves a bit: a max is exact in any order, and each query's mean adds the
+same values in the same order as when it is scored alone.
+
+A block of one keeps the bits of a query scored alone: its (1, H) dense
+product gives the same values as the matrix-vector product (numpy sends
+both to one GEMV), and its own rows are its one multi-vector product. In a
+larger block BLAS may round a dot product in the last bit differently (a
+GEMM in place of a GEMV, or a row at another position of the product), so
+entries that tie exactly when scored alone may come apart, and the
+reverse.
 
 Because the embedding layer is context-free, :func:`build_index` works on
 distinct tokens: it segments every source text once, looks up (or
@@ -109,6 +118,10 @@ _POOL_CHUNK = 512
 # query rows per multi-vector product when a block of queries is scored,
 # which bounds the size of the product (a longer query is scored alone)
 _MULTI_ROWS = 64
+
+# entries per tile of the late-interaction gather-max, in length order,
+# which bounds its working memory to _TILE x (group rows) float64
+_TILE = 2048
 
 
 @dataclass(frozen=True)
@@ -208,7 +221,10 @@ class RetrievalIndex:
     count of distinct rows, longest first (``_by_len``, undone by
     ``_unsort``), and column k of ``_columns`` holds the k-th row id of each
     entry with more than k rows, a prefix of that order; there are as many
-    columns as the longest entry has rows.
+    columns as the longest entry has rows. Tile ``[a, a + _TILE)`` of that
+    order is ``col[a : a + _TILE]`` of each column longer than ``a``, and
+    a column no longer than ``a`` ends the tile's scan, as every later
+    column is shorter still.
     """
 
     def __init__(
@@ -300,11 +316,8 @@ class RetrievalIndex:
             # the product must be (query rows, distinct rows): rows64 @ q.T
             # rounds some entries differently
             product = rows.astype(np.float64) @ self._rows64.T
-            at = 0
-            for i in range(start, stop):
-                sims = product[at : at + sizes[i]]
-                at += sizes[i]
-                out.append((dense[i], self._sparse(queries[i][1]), self._multi(sims)))
+            for i, sm in enumerate(self._multi(product, sizes[start:stop]), start):
+                out.append((dense[i], self._sparse(queries[i][1]), sm))
             start = stop
         return out
 
@@ -316,24 +329,39 @@ class RetrievalIndex:
                 ss[self._sparse_pos[hit]] += w * self._sparse_w[hit]
         return ss
 
-    def _multi(self, sims: np.ndarray) -> np.ndarray:
-        """Late-interaction score of every entry from one query's (query
-        rows, distinct rows) similarities."""
+    def _multi(self, product: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
+        """Late-interaction score of every entry for each query of a group,
+        from the group's (query rows, distinct rows) similarities; query i
+        owns ``sizes[i]`` consecutive rows."""
         # the transpose, copied, holds each distinct row's sims contiguously,
-        # so one gather per diagonal column serves every query row, and the
-        # running max over a column's prefix of entries needs no padding
-        by_row = np.ascontiguousarray(sims.T)
-        best = by_row[self._columns[0]]
-        for col in self._columns[1:]:
-            head = best[: len(col)]
-            np.maximum(head, by_row[col], out=head)
-        # the mean sums query rows in order, one at a time, as a mean over
-        # axis 0 of the (query rows, entries) maxima does; best.mean(axis=1)
-        # sums pairwise and rounds differently
-        total = best[:, 0].copy()
-        for j in range(1, best.shape[1]):
-            total += best[:, j]
-        return (total / best.shape[1])[self._unsort]
+        # so one gather per diagonal column serves every row of the group,
+        # and the running max over a column's prefix of entries needs no
+        # padding
+        by_row = np.ascontiguousarray(product.T)
+        n = len(self)
+        out = [np.empty(n) for _ in sizes]
+        for a in range(0, n, _TILE):
+            # entries [a, a + _TILE) in length order; a column covers a
+            # prefix of that order, so the columns that reach the tile are
+            # the first ones
+            best = by_row[self._columns[0][a : a + _TILE]]
+            for col in self._columns[1:]:
+                if len(col) <= a:
+                    break
+                part = col[a : a + _TILE]
+                head = best[: len(part)]
+                np.maximum(head, by_row[part], out=head)
+            # each query's mean sums its rows in order, one at a time, as a
+            # mean over axis 0 of its (query rows, entries) maxima does;
+            # best.mean(axis=1) sums pairwise and rounds differently
+            at = 0
+            for sm, size in zip(out, sizes):
+                total = best[:, at].copy()
+                for j in range(at + 1, at + size):
+                    total += best[:, j]
+                sm[a : a + _TILE] = total / size
+                at += size
+        return [sm[self._unsort] for sm in out]
 
 
 def build_index(

@@ -289,6 +289,21 @@ def test_bad_weights_or_k_leave_translate_outputs_alone(workspace, tmp_path, fla
     assert audit.read_text(encoding="utf-8") == "earlier audit\n"
 
 
+def test_translate_input_not_utf8_exits_2_naming_the_path(workspace, tmp_path, capsys):
+    root, pairs = workspace
+    inp, out = tmp_path / "bad.txt", tmp_path / "out.txt"
+    inp.write_bytes(pairs[0].src_text.encode("utf-8") + b"\n\xff not utf-8\n")
+    script = tmp_path / "script.json"
+    script.write_text("{}", encoding="utf-8")
+    assert main([
+        "translate", "--config", str(write_translate_config(root, tmp_path / "cfg.yaml")),
+        "--input", str(inp), "--out", str(out), "--mock-script", str(script),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {inp}: not UTF-8" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

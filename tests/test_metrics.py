@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afsp.embedding import _CJK_RE
 from afsp.errors import EmptyCorpus, LengthMismatch
@@ -55,7 +57,7 @@ def oracle_sentence_bleu(hyp, ref, eps=1e-9):
             continue
         rc = oracle_ngrams(ref, n)
         match = sum(min(v, rc[g]) for g, v in hc.items())
-        log_sum += math.log((match + eps) / total)
+        log_sum += math.log((match or eps) / total)
         orders += 1
     if orders == 0 or not hyp or not ref:
         return 0.0
@@ -295,3 +297,42 @@ def test_evaluate_char_mode_for_cjk():
     assert report.corpus["bleu"] == pytest.approx(100.0, abs=1e-9)
     assert report.corpus["chrf"] == pytest.approx(100.0, abs=1e-9)
     assert report.corpus["rougeL"] == pytest.approx(1.0, abs=1e-9)
+
+
+# --- properties over short zh/en strings --------------------------------------
+
+# words and characters that share n-grams often, with spaces and punctuation
+short_texts = st.lists(
+    st.sampled_from(["the", "cat", "sat", "a", "mat", "双", "方", "合", "作", "，", "。", "!", " "]),
+    max_size=10,
+).map("".join)
+nonblank_texts = short_texts.filter(lambda text: text.strip())
+text_pairs = st.lists(st.tuples(short_texts, short_texts), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pairs=text_pairs, tokenize=st.sampled_from(["auto", "word", "char"]))
+def test_bleu_and_chrf_lie_in_0_to_100(pairs, tokenize):
+    hyps, refs = [h for h, _ in pairs], [r for _, r in pairs]
+    assert 0.0 <= bleu4(hyps, refs, tokenize=tokenize) <= 100.0
+    assert 0.0 <= chrf(hyps, refs) <= 100.0
+    for h, r in pairs:
+        assert 0.0 <= sentence_bleu4(h, r, tokenize=tokenize) <= 100.0
+        assert 0.0 <= sentence_chrf(h, r) <= 100.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pairs=text_pairs, tokenize=st.sampled_from(["word", "char"]))
+def test_rouge_1_and_2_are_symmetric(pairs, tokenize):
+    hyps, refs = [h for h, _ in pairs], [r for _, r in pairs]
+    for variant in ("R1", "R2"):
+        assert rouge(hyps, refs, variant, tokenize=tokenize) == rouge(
+            refs, hyps, variant, tokenize=tokenize
+        )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(text=nonblank_texts)
+def test_sentence_scored_against_itself_has_chrf_100(text):
+    assert sentence_chrf(text, text) == 100.0
+    assert chrf([text], [text]) == 100.0

@@ -79,7 +79,7 @@ def ref_sentence_bleu4(hypothesis, reference, tokenize="auto"):
             continue
         rc = ref_ngram_counts(rt, n)
         match = sum(min(count, rc[gram]) for gram, count in hc.items())
-        log_sum += math.log((match + SENT_BLEU_EPS) / total)
+        log_sum += math.log((match or SENT_BLEU_EPS) / total)
         orders += 1
     if orders == 0:
         return 0.0

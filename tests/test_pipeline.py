@@ -9,7 +9,7 @@ import yaml
 import afsp.pipeline
 from afsp.degeneration import DegenerationOp, apply_op, generate_dataset
 from afsp.embedding import init_projections, save_table
-from afsp.errors import StageError
+from afsp.errors import AfspError, InputNotUtf8, StageError
 from afsp.llm_client import ChatCompletionsClient, GenerationConfig, MockClient, fingerprint
 from afsp.pipeline import (
     PipelineConfig,
@@ -293,6 +293,20 @@ def test_translate_file_input_not_utf8_leaves_outputs_alone(stack, tmp_path):
     with pytest.raises(UnicodeDecodeError):
         pipeline.translate_file(inp, out)
     assert out.read_text(encoding="utf-8") == "earlier output\n"
+
+
+def test_translate_file_input_not_utf8_is_an_afsp_error(stack, tmp_path):
+    pipeline = make_pipeline(stack, client=MockClient({}), generation=GenerationConfig(n_candidates=1))
+    inp = tmp_path / "in.txt"
+    inp.write_bytes(b"\xe4\xbd\xa0\xe5\xa5\xbd\n\xff\n")
+    with pytest.raises(InputNotUtf8) as info:
+        pipeline.translate_file(inp, tmp_path / "out.txt")
+    err = info.value
+    assert isinstance(err, AfspError) and isinstance(err, UnicodeDecodeError)
+    assert (err.encoding, err.reason, err.path) == ("utf-8", "invalid start byte", inp)
+    assert err.object[err.start : err.end] == b"\xff"
+    assert str(err).startswith(f"{inp}: not UTF-8: 'utf-8' codec can't decode byte 0xff")
+    assert not (tmp_path / "out.txt").exists()
 
 
 def test_translate_file_fingerprint_mismatch_fails_every_line(stack, tmp_path):

@@ -752,6 +752,93 @@ def test_diagonal_columns_cover_every_entry_row_once(stack):
             assert got == index.multi_row_ids[a:b].tolist()
 
 
+TILES = (1, 2, 3, 7)
+
+
+def comparable(results):
+    """retrieve_many's results with each held error as (type, message), so
+    that two runs compare with ==."""
+    return [(type(r), str(r)) if isinstance(r, AfspError) else r for r in results]
+
+
+def test_tiled_scan_equals_per_row_scan_bit_for_bit(stack):
+    # tiles of a few entries split every column of both corpora, and the
+    # last tile of a column is a part of it
+    corpus, table, proj, index = stack
+    wide_chars = [chr(0x4E00 + i) for i in range(301)]
+    rng = random.Random(12)
+    wide_texts = ["".join(wide_chars)] + wide_chars[-8:]
+    wide_texts += ["".join(rng.sample(wide_chars, rng.randint(2, 30))) for _ in range(40)]
+    wide = Corpus([DemoPair(f"w{i}", t, f"text {i}", "zh", "en") for i, t in enumerate(wide_texts)])
+    wide_table, wide_proj = corpus_table(dim=16), init_projections(16, seed=3)
+    cases = [
+        (corpus, table, proj, index, [zh_sentence(rng), en_sentence(rng) + " 好好 中方"]),
+        (wide, wide_table, wide_proj, build_index(wide, wide_table, wide_proj),
+         ["".join(rng.choice(wide_chars) for _ in range(n)) for n in (12, 17, 30)]),
+    ]
+    for corp, tab, prj, idx, texts in cases:
+        pos = {p.id: i for i, p in enumerate(corp)}
+        default = [retrieve_topk(t, idx, tab, prj, Weights(), k=len(corp)) for t in texts]
+        for tile in TILES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(afsp.retrieval, "_TILE", tile)
+                for text, want in zip(texts, default):
+                    _, _, sm = per_row_scan(text, corp, tab, prj)
+                    got = retrieve_topk(text, idx, tab, prj, Weights(), k=len(corp))
+                    assert got == want
+                    assert [g.s_multi for g in got] == [sm[pos[g.pair.id]] for g in got]
+
+
+def test_tiled_block_with_long_and_failed_lines_equals_per_query(stack):
+    corpus, table, proj, index = stack
+    rng = random.Random(13)
+    long = "".join(zh_sentence(rng) for _ in range(5))
+    assert len(multi_embed(embed_tokens(table, long), proj).rows) > afsp.retrieval._MULTI_ROWS
+    # short queries share a group on both sides of the long one; the blank
+    # lines fail, and "鑫淼犇" and "xyzzy plugh", which have only tokens
+    # outside the table, are scored
+    block = [zh_sentence(rng), "   ", en_sentence(rng), "鑫淼犇", long, "", zh_sentence(rng),
+             "xyzzy plugh", corpus[5].src_text, long[:40]]
+    w = Weights()
+    default = comparable(retrieve_many(block, index, table, proj, w, k=len(corpus)))
+    for tile in TILES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(afsp.retrieval, "_TILE", tile)
+            got = retrieve_many(block, index, table, proj, w, k=len(corpus))
+            assert comparable(got) == default
+            for query, top in zip(block, got):
+                if isinstance(top, AfspError):
+                    with pytest.raises(type(top), match=str(top)):
+                        retrieve_topk(query, index, table, proj, w, k=len(corpus))
+                    continue
+                want = retrieve_topk(query, index, table, proj, w, k=len(corpus))
+                assert [g.pair.id for g in top] == [a.pair.id for a in want]
+                assert_same_top(top, want)
+    assert [i for i, r in enumerate(default) if isinstance(r, tuple)] == [1, 5]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    corpus=jagged_corpora(),
+    block=st.lists(queries, min_size=1, max_size=12),
+    tile=st.integers(1, 13),
+)
+def test_any_tile_scores_jagged_corpora_as_the_default_tile(corpus, block, tile):
+    table = corpus_table(dim=16)
+    proj = init_projections(16, seed=3)
+    index = build_index(corpus, table, proj)
+    pos = {p.id: i for i, p in enumerate(corpus)}
+    w = Weights()
+    default = retrieve_many(block, index, table, proj, w, k=len(corpus))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(afsp.retrieval, "_TILE", tile)
+        assert retrieve_many(block, index, table, proj, w, k=len(corpus)) == default
+        query = block[0]
+        _, _, sm = per_row_scan(query, corpus, table, proj)
+        got = retrieve_topk(query, index, table, proj, w, k=len(corpus))
+        assert [g.s_multi for g in got] == [sm[pos[g.pair.id]] for g in got]
+
+
 def test_alpha_scaling_preserves_order(stack):
     _, table, proj, index = stack
     rng = random.Random(7)
