@@ -37,24 +37,33 @@ Queries are scored in blocks: :func:`retrieve_many` scores a list of texts
 in one pass and :func:`retrieve_topk` is a block of one. The block's dense
 vectors go through one product with the dense matrix, which is then read
 once per block rather than once per query. The multi-vector product runs
-over consecutive queries, grouped up to ``_MULTI_ROWS`` query rows so that
-the product stays small, and the gather-max runs once per group: each
-column's gather and running max cover every row of the group, and each
-query then averages its own rows of the maxima. The gather-max walks the
-length-sorted entries in tiles of ``_TILE``: a column covers a prefix of
-that order, so a tile takes the same slice of each column that reaches it,
-and its maxima, one float64 per entry of the tile and row of the group,
-stay small however large the corpus is. Neither the group nor the tile
-moves a bit: a max is exact in any order, and each query's mean adds the
-same values in the same order as when it is scored alone.
+over groups of consecutive queries, and the gather-max runs once per
+group: each column's gather and running max cover every row of the
+product, and each query then averages its own rows of the maxima. Queries
+of one block repeat the same token rows (the embedding layer is
+context-free and text is Zipfian), so a group's product holds the rows its
+queries bring, and a row that an earlier query of the group already
+brought, keyed by its float32 bytes as :func:`build_index` keys corpus
+rows, is reused rather than added again. A query's other rows, repeats
+included, are its own product rows in its order. A query joins the group
+while the rows it adds keep the product within ``_MULTI_ROWS``, so the
+product stays small, and a query with more rows is a group alone. The
+gather-max walks the length-sorted entries in tiles of ``_TILE``: a
+column covers a prefix of that order, so a tile takes the same slice of
+each column that reaches it, and its maxima, one float64 per entry of the
+tile and row of the product, stay small however large the corpus is.
+The tile moves no bit, and the group none beyond what its product rows
+hold: a max is exact in any order, and each query's mean adds the maxima
+of its rows in its order, as when it is scored alone.
 
 A block of one keeps the bits of a query scored alone: its (1, H) dense
 product gives the same values as the matrix-vector product (numpy sends
-both to one GEMV), and its own rows are its one multi-vector product. In a
-larger block BLAS may round a dot product in the last bit differently (a
-GEMM in place of a GEMV, or a row at another position of the product), so
-entries that tie exactly when scored alone may come apart, and the
-reverse.
+both to one GEMV), and as a group of one its product is its own rows, in
+order and with repeats, as when it is scored alone. In a larger block
+BLAS may round a dot product in the last bit differently (a GEMM in place
+of a GEMV, or a row at another position of the product, which a shared
+row may be), so entries that tie exactly when scored alone may come
+apart, and the reverse.
 
 Because the embedding layer is context-free, :func:`build_index` works on
 distinct tokens: it segments every source text once, looks up (or
@@ -115,12 +124,13 @@ _NORM_TOL = 1e-3
 # size of its temporaries
 _POOL_CHUNK = 512
 
-# query rows per multi-vector product when a block of queries is scored,
-# which bounds the size of the product (a longer query is scored alone)
+# rows per multi-vector product when a block of queries is scored, which
+# bounds the size of the product; rows that queries of a group share count
+# once (a query with more rows is scored alone)
 _MULTI_ROWS = 64
 
 # entries per tile of the late-interaction gather-max, in length order,
-# which bounds its working memory to _TILE x (group rows) float64
+# which bounds its working memory to _TILE x (product rows) float64
 _TILE = 2048
 
 
@@ -218,13 +228,13 @@ class RetrievalIndex:
     same arrays and the first one pays nothing extra: float64 copies of the
     dense matrix and the distinct rows, inverted sparse lists, and the
     multi-vector row ids as jagged diagonals. Entries are sorted by their
-    count of distinct rows, longest first (``_by_len``, undone by
-    ``_unsort``), and column k of ``_columns`` holds the k-th row id of each
-    entry with more than k rows, a prefix of that order; there are as many
-    columns as the longest entry has rows. Tile ``[a, a + _TILE)`` of that
-    order is ``col[a : a + _TILE]`` of each column longer than ``a``, and
-    a column no longer than ``a`` ends the tile's scan, as every later
-    column is shorter still.
+    count of distinct rows, longest first (``_by_len``, through which
+    scores go back to corpus order), and column k of ``_columns`` holds the
+    k-th row id of each entry with more than k rows, a prefix of that
+    order; there are as many columns as the longest entry has rows. Tile
+    ``[a, a + _TILE)`` of that order is ``col[a : a + _TILE]`` of each
+    column longer than ``a``, and a column no longer than ``a`` ends the
+    tile's scan, as every later column is shorter still.
     """
 
     def __init__(
@@ -260,8 +270,6 @@ class RetrievalIndex:
         # with more than k rows
         counts = np.diff(multi_offsets.astype(np.intp))
         self._by_len = np.argsort(-counts, kind="stable")
-        self._unsort = np.empty_like(self._by_len)
-        self._unsort[self._by_len] = np.arange(len(counts))
         starts = multi_offsets[:-1].astype(np.intp)[self._by_len]
         ids = multi_row_ids.astype(np.intp)
         longer = len(counts) - np.cumsum(np.bincount(counts))[:-1]
@@ -302,21 +310,33 @@ class RetrievalIndex:
         if not queries:
             return []
         dense = np.stack([d.values for d, _, _ in queries]).astype(np.float64) @ self._dense64.T
-        sizes = [len(m.rows) for _, _, m in queries]
         out = []
         start = 0
         while start < len(queries):
-            # consecutive queries share one product until the next would take
-            # it past _MULTI_ROWS query rows; a longer query is a group alone
-            stop, total = start + 1, sizes[start]
-            while stop < len(queries) and total + sizes[stop] <= _MULTI_ROWS:
-                total += sizes[stop]
+            # consecutive queries share one product (see the module
+            # docstring): a row that an earlier query of the group brought is
+            # reused, the query's other rows are new product rows, and it
+            # joins while they keep the product within _MULTI_ROWS
+            seen: dict[bytes, int] = {}
+            parts, cols = [], []
+            size, stop = 0, start
+            while stop < len(queries):
+                rows = queries[stop][2].rows
+                keys = _row_keys(rows)
+                new = [j for j, key in enumerate(keys) if key not in seen]
+                if stop > start and (len(rows) > _MULTI_ROWS or size + len(new) > _MULTI_ROWS):
+                    break
+                fresh = iter(range(size, size + len(new)))
+                cols.append([seen[key] if key in seen else next(fresh) for key in keys])
+                for key, c in zip(keys, cols[-1]):
+                    seen.setdefault(key, c)
+                parts.append(rows[new])
+                size += len(new)
                 stop += 1
-            rows = np.concatenate([m.rows for _, _, m in queries[start:stop]])
-            # the product must be (query rows, distinct rows): rows64 @ q.T
+            # the product must be (product rows, distinct rows): rows64 @ q.T
             # rounds some entries differently
-            product = rows.astype(np.float64) @ self._rows64.T
-            for i, sm in enumerate(self._multi(product, sizes[start:stop]), start):
+            product = np.concatenate(parts).astype(np.float64) @ self._rows64.T
+            for i, sm in enumerate(self._multi(product, cols), start):
                 out.append((dense[i], self._sparse(queries[i][1]), sm))
             start = stop
         return out
@@ -329,17 +349,17 @@ class RetrievalIndex:
                 ss[self._sparse_pos[hit]] += w * self._sparse_w[hit]
         return ss
 
-    def _multi(self, product: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
+    def _multi(self, product: np.ndarray, cols: list[list[int]]) -> list[np.ndarray]:
         """Late-interaction score of every entry for each query of a group,
-        from the group's (query rows, distinct rows) similarities; query i
-        owns ``sizes[i]`` consecutive rows."""
+        from the group's (product rows, distinct rows) similarities; query
+        i's rows are the product rows ``cols[i]``, in its order."""
         # the transpose, copied, holds each distinct row's sims contiguously,
-        # so one gather per diagonal column serves every row of the group,
+        # so one gather per diagonal column serves every row of the product,
         # and the running max over a column's prefix of entries needs no
         # padding
         by_row = np.ascontiguousarray(product.T)
         n = len(self)
-        out = [np.empty(n) for _ in sizes]
+        out = [np.empty(n) for _ in cols]
         for a in range(0, n, _TILE):
             # entries [a, a + _TILE) in length order; a column covers a
             # prefix of that order, so the columns that reach the tile are
@@ -354,14 +374,13 @@ class RetrievalIndex:
             # each query's mean sums its rows in order, one at a time, as a
             # mean over axis 0 of its (query rows, entries) maxima does;
             # best.mean(axis=1) sums pairwise and rounds differently
-            at = 0
-            for sm, size in zip(out, sizes):
-                total = best[:, at].copy()
-                for j in range(at + 1, at + size):
-                    total += best[:, j]
-                sm[a : a + _TILE] = total / size
-                at += size
-        return [sm[self._unsort] for sm in out]
+            tile = self._by_len[a : a + _TILE]
+            for sm, cs in zip(out, cols):
+                total = best[:, cs[0]].copy()
+                for c in cs[1:]:
+                    total += best[:, c]
+                sm[tile] = total / len(cs)
+        return out
 
 
 def build_index(
@@ -405,13 +424,11 @@ def build_index(
     _, first = np.unique(key[order], return_index=True)
     sparse = hit[order[first]]
 
-    # exact dedupe of multi-vector rows by their float32 bytes (a void view
-    # makes each row one bytes key), numbered in order of first appearance;
-    # two tokens with equal rows share one; a pair lists its distinct rows
-    # in order of first appearance
+    # exact dedupe of multi-vector rows by their float32 bytes (_row_keys),
+    # numbered in order of first appearance; two tokens with equal rows
+    # share one; a pair lists its distinct rows in order of first appearance
     seen: dict[bytes, int] = {}
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    row = np.array([seen.setdefault(k, len(seen)) for k in keys.tolist()], dtype=np.intp)[tok]
+    row = np.array([seen.setdefault(k, len(seen)) for k in _row_keys(rows)], dtype=np.intp)[tok]
     _, first = np.unique(owner * len(seen) + row, return_index=True)
     multi = np.sort(first)
     return RetrievalIndex(
@@ -452,6 +469,11 @@ def _pool_dense(
         except ZeroVector as exc:
             raise ZeroVector(f"pair {corpus[a + exc.row].id!r}: {exc}") from exc
     return dense
+
+
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """Each row's float32 bytes, as one key (through a void view)."""
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
 
 
 def _offsets(lengths) -> np.ndarray:

@@ -745,7 +745,7 @@ def test_diagonal_columns_cover_every_entry_row_once(stack):
         assert all(a >= b for a, b in zip(lengths, lengths[1:]))
         assert sum(lengths) == len(index.multi_row_ids)
         # sorted position p lists entry by_len[p]'s row ids, in entry order
-        assert index._unsort[index._by_len].tolist() == list(range(len(index)))
+        assert sorted(index._by_len.tolist()) == list(range(len(index)))
         for p, entry in enumerate(index._by_len.tolist()):
             a, b = index.multi_offsets[entry : entry + 2]
             got = [col[p] for col in index._columns if p < len(col)]
@@ -837,6 +837,93 @@ def test_any_tile_scores_jagged_corpora_as_the_default_tile(corpus, block, tile)
         _, _, sm = per_row_scan(query, corpus, table, proj)
         got = retrieve_topk(query, index, table, proj, w, k=len(corpus))
         assert [g.s_multi for g in got] == [sm[pos[g.pair.id]] for g in got]
+
+
+def spy_groups(monkeypatch):
+    """Record each multi-vector group as (product rows, cols)."""
+    groups = []
+    multi = afsp.retrieval.RetrievalIndex._multi
+
+    def spy(self, product, cols):
+        groups.append((product.shape[0], cols))
+        return multi(self, product, cols)
+
+    monkeypatch.setattr(afsp.retrieval.RetrievalIndex, "_multi", spy)
+    return groups
+
+
+def test_copies_of_a_query_share_one_product(stack, monkeypatch):
+    corpus, table, proj, index = stack
+    # 10 rows, "好" twice; 20 copies hold 200 query rows, past _MULTI_ROWS
+    query = "好好双方同意加强合作"
+    assert len(multi_embed(embed_tokens(table, query), proj).rows) == 10
+    assert 20 * 10 > afsp.retrieval._MULTI_ROWS
+    w = Weights()
+    alone = retrieve_topk(query, index, table, proj, w, k=len(corpus))
+    groups = spy_groups(monkeypatch)
+    got = retrieve_many([query] * 20, index, table, proj, w, k=len(corpus))
+    assert len(groups) == 1
+    size, cols = groups[0]
+    # the first copy's rows, the repeat included, are the product; the
+    # other copies reuse them
+    assert size == 10 and len(cols) == 20
+    assert cols[0] == list(range(10))
+    assert all(c == [0, 0] + list(range(2, 10)) for c in cols[1:])
+    assert got[0] == alone
+    assert all(top == got[0] for top in got[1:])
+
+
+def test_rows_seen_earlier_in_the_group_add_no_product_rows(stack, monkeypatch):
+    corpus, table, proj, index = stack
+    w = Weights()
+    block = ["双方同意加强合作", "合作双方", "合作合作"]
+    want = [retrieve_topk(q, index, table, proj, w, k=len(corpus)) for q in block]
+    groups = spy_groups(monkeypatch)
+    assert retrieve_topk("好", index, table, proj, w, k=3)
+    assert groups == [(1, [[0]])]
+    groups.clear()
+    got = retrieve_many(block, index, table, proj, w, k=len(corpus))
+    assert groups == [(8, [list(range(8)), [6, 7, 0, 1], [6, 7, 6, 7]])]
+    for top, alone in zip(got, want):
+        assert_same_top(top, alone)
+
+
+# six characters, so that the queries of a block share most of their rows
+# and repeat them; "鑫" is not in the table
+SHARED_CHARS = ZH_CHARS[:5] + ["鑫"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    corpus=jagged_corpora(),
+    block=st.lists(
+        st.one_of(
+            st.text(st.sampled_from(SHARED_CHARS), min_size=1, max_size=12),
+            st.text(st.sampled_from(SHARED_CHARS), min_size=65, max_size=70),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+)
+def test_shared_rows_score_as_per_query_retrieve_topk(corpus, block):
+    table = corpus_table(dim=16)
+    proj = init_projections(16, seed=3)
+    index = build_index(corpus, table, proj)
+    w = Weights()
+    want = [retrieve_topk(q, index, table, proj, w, k=len(corpus)) for q in block]
+    for tile in TILES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(afsp.retrieval, "_TILE", tile)
+            groups = spy_groups(mp)
+            got = retrieve_many(block, index, table, proj, w, k=len(corpus))
+        for top, alone in zip(got, want):
+            assert_same_top(top, alone)
+        # a group's product stays within the cap unless it is one query
+        # past the cap, which is a group alone
+        assert sum(len(cols) for _, cols in groups) == len(block)
+        for size, cols in groups:
+            assert size <= afsp.retrieval._MULTI_ROWS or len(cols) == 1
+            assert len(cols) == 1 or all(len(c) <= afsp.retrieval._MULTI_ROWS for c in cols)
 
 
 def test_alpha_scaling_preserves_order(stack):
