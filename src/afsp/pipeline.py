@@ -9,18 +9,22 @@ which override defaults.
 Any error a stage raises is wrapped in StageError with a stage label
 (retrieval / prompt / generation / rerank) so batch runs stay debuggable; in
 a batch it fails its own line only. A file is retrieved block by block on the
-calling thread, one scoring pass per block, while a pool of workers prompts,
-generates and reranks the lines already retrieved. With everything seeded and
-a mock client, a translation run is fully deterministic.
+calling thread, one scoring pass per block, while a pool of workers prompts
+and generates for each line already retrieved; the worker that finishes a
+block's last generation reranks the whole block in one ``rank_many`` pass.
+With everything seeded and a mock client, a translation run is fully
+deterministic.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields, replace
 from itertools import islice
@@ -32,7 +36,7 @@ from .embedding import EmbeddingTable, ProjectionSet, init_projections, load_tab
 from .errors import AfspError, InputNotUtf8, StageError
 from .llm_client import ChatCompletionsClient, GenerationConfig
 from .prompting import PromptRequest, lang_display_name, render_prompt
-from .reranker import NGramRegressor, QualityScorer, load_model, rank
+from .reranker import NGramRegressor, QualityScorer, load_model, rank, rank_many
 from .retrieval import (
     RetrievalIndex,
     ScoredDemo,
@@ -285,12 +289,18 @@ class TranslationPipeline:
         candidate is returned directly (its score slot is None). Any error
         is raised as a StageError labelled with the stage that failed.
         """
-        return self._complete(text, *self._retrieve(text))
+        demos, demo_ids = self._retrieve(text)
+        generated = self._generate(text, demos, demo_ids)
+        if isinstance(generated, TranslationResult):
+            return generated
+        with _stage("rerank"):
+            return _ranked(generated, rank(self._scorer(), generated), demo_ids)
 
-    def _complete(
+    def _generate(
         self, text: str, demos: tuple[tuple[str, str], ...], demo_ids: tuple[str, ...]
-    ) -> TranslationResult:
-        """Prompt, generate and rerank one input whose demos are retrieved."""
+    ) -> TranslationResult | list[str]:
+        """Prompt and generate for one input whose demos are retrieved: the
+        candidates to rank, or with n_candidates == 1 the result."""
         prompt = self._render(text, demos)
         with _stage("generation"):
             candidate_set = self.client.generate_candidates(prompt, self.config.generation)
@@ -301,25 +311,67 @@ class TranslationPipeline:
                     candidates=((candidates[0], None),),
                     demos_used=demo_ids,
                 )
-        with _stage("rerank"):
-            if self.scorer is None:
-                raise ValueError(
-                    "no reranker model configured; set n_candidates=1 to skip reranking"
-                )
-            ordered = tuple((candidates[i], s) for i, s in rank(self.scorer, candidates))
-            return TranslationResult(
-                best=ordered[0][0], candidates=ordered, demos_used=demo_ids
-            )
+            return candidates
 
-    def _complete_line(
-        self, line: str, retrieved: tuple | StageError
-    ) -> TranslationResult | StageError:
-        if isinstance(retrieved, StageError):
-            return retrieved
+    def _scorer(self) -> QualityScorer:
+        if self.scorer is None:
+            raise ValueError("no reranker model configured; set n_candidates=1 to skip reranking")
+        return self.scorer
+
+    def _rank_block(
+        self, generated: list[TranslationResult | list[str] | StageError], retrieved: list
+    ) -> list[TranslationResult | StageError]:
+        """Each line's result from its generation: the block's candidate
+        lists are ranked in one :func:`rank_many` pass, and a list that
+        cannot be ranked fails its line alone in the rerank stage."""
+        to_rank = [i for i, g in enumerate(generated) if isinstance(g, list)]
         try:
-            return self._complete(line, *retrieved)
-        except StageError as exc:
-            return exc
+            ranked = rank_many(self._scorer(), [generated[i] for i in to_rank])
+        except ValueError as exc:  # no scorer
+            ranked = [exc] * len(to_rank)
+        results = list(generated)
+        for i, r in zip(to_rank, ranked):
+            results[i] = (
+                StageError("rerank", r)
+                if isinstance(r, Exception)
+                else _ranked(generated[i], r, retrieved[i][1])
+            )
+        return results
+
+    def _submit_block(
+        self, pool: ThreadPoolExecutor, lines: list[str]
+    ) -> Callable[[], list[TranslationResult | StageError]]:
+        """Retrieve a block of lines, submit each line's prompt and
+        generation to the pool and return a function that waits for the
+        block and gives each line's result. The worker that finishes the
+        block's last generation ranks the whole block."""
+        retrieved = self._retrieve_block(lines)
+        generated: list = list(retrieved)
+        results: list = []
+        left = len(lines)
+        lock = threading.Lock()
+
+        def generate(i: int) -> None:
+            nonlocal left
+            if not isinstance(retrieved[i], StageError):
+                try:
+                    generated[i] = self._generate(lines[i], *retrieved[i])
+                except StageError as exc:
+                    generated[i] = exc
+            with lock:
+                left -= 1
+                last = not left
+            if last:
+                results.extend(self._rank_block(generated, retrieved))
+
+        futures = [pool.submit(generate, i) for i in range(len(lines))]
+
+        def wait() -> list[TranslationResult | StageError]:
+            for future in futures:
+                future.result()
+            return results
+
+        return wait
 
     def translate_file(
         self,
@@ -333,9 +385,12 @@ class TranslationPipeline:
 
         The input is read in blocks of ``max(1, 16 // max_in_flight)``
         lines. The calling thread retrieves a block in one pass
-        (:func:`retrieve_many`) and submits each line's prompt, generation
-        and rerank to ``max_in_flight`` workers, then retrieves the next
-        block while they work; at most two blocks are in flight.
+        (:func:`retrieve_many`) and submits each line's prompt and
+        generation to ``max_in_flight`` workers; the worker that finishes
+        the block's last generation reranks the whole block in one
+        :func:`rank_many` pass. The calling thread retrieves the next block
+        while they work and writes a block once it is ranked; at most two
+        blocks are in flight.
 
         Input that is not UTF-8 raises InputNotUtf8 before any output file
         is opened.
@@ -351,7 +406,7 @@ class TranslationPipeline:
         workers = self.config.generation.max_in_flight
         block = max(1, _BLOCK_LINES // workers)
         summary = BatchSummary()
-        pending: deque[tuple[str, Future]] = deque()
+        pending: deque[tuple[list[str], Callable]] = deque()
         audit = open(audit_path, "w", encoding="utf-8") if audit_path else nullcontext()
         with (
             open(input_path, encoding="utf-8") as in_fh,
@@ -361,24 +416,23 @@ class TranslationPipeline:
         ):
 
             def write_next() -> None:
-                line, future = pending.popleft()
-                result = future.result()
-                summary.count += 1
-                if isinstance(result, StageError):
-                    summary.failures += 1
-                    logger.error("line failed: %s", result)
-                    out_fh.write("\n")
-                else:
-                    out_fh.write(result.best + "\n")
-                if audit_fh:
-                    audit_fh.write(audit_record(line, result))
-                    audit_fh.flush()
-                out_fh.flush()
+                lines, wait = pending.popleft()
+                for line, result in zip(lines, wait()):
+                    summary.count += 1
+                    if isinstance(result, StageError):
+                        summary.failures += 1
+                        logger.error("line failed: %s", result)
+                        out_fh.write("\n")
+                    else:
+                        out_fh.write(result.best + "\n")
+                    if audit_fh:
+                        audit_fh.write(audit_record(line, result))
+                        audit_fh.flush()
+                    out_fh.flush()
 
             while lines := [line.rstrip("\n") for line in islice(in_fh, block)]:
-                for line, retrieved in zip(lines, self._retrieve_block(lines)):
-                    pending.append((line, pool.submit(self._complete_line, line, retrieved)))
-                while len(pending) > block:
+                pending.append((lines, self._submit_block(pool, lines)))
+                while len(pending) > 1:
                     write_next()
             while pending:
                 write_next()
@@ -393,6 +447,13 @@ def _stage(name: str):
         yield
     except Exception as exc:
         raise StageError(name, exc) from exc
+
+
+def _ranked(
+    candidates: list[str], ranked: list[tuple[int, float]], demo_ids: tuple[str, ...]
+) -> TranslationResult:
+    ordered = tuple((candidates[i], score) for i, score in ranked)
+    return TranslationResult(best=ordered[0][0], candidates=ordered, demos_used=demo_ids)
 
 
 def _demos(scored: list[ScoredDemo]) -> tuple[tuple[tuple[str, str], ...], tuple[str, ...]]:

@@ -2,7 +2,12 @@
 
 The scorer contract is anything with ``score_many(texts) -> list[float]``,
 one quality in (0, 1) per text, in input order, each a function of its own
-text alone. ``rank`` makes one such call for all of a line's candidates.
+text alone. Batching relies on that last clause: a text scores the same
+whichever texts share its call. ``rank_many`` ranks several lines'
+candidate lists with one such call per chunk of consecutive lines of at
+most ``_RANK_CHARS`` candidate characters (a longer line is a chunk alone),
+which bounds the featurizer's working set; a line that cannot be ranked
+holds its error in its place. ``rank`` is ``rank_many`` of one line.
 The reference implementation is a linear-sigmoid regressor over hashed
 character n-gram features (n = 1..4, each order L2-normalized separately so
 high-count unigrams cannot drown the discriminative long grams) plus two
@@ -29,6 +34,8 @@ position. The counts are integers, so each order's segmented sum of squares
 gives the same norm as ``np.linalg.norm``, bit for bit. A row holds orders
 1-4, each with its buckets in order of first occurrence, then the two dense
 slots: the values of the per-position definition, in the same index order.
+Positions, ids and text ids are int32, and so are the sort keys while
+size**2 fits, which keeps the pass near 100 bytes per character.
 Candidates for one line are corruptions of one sentence and share most of
 their grams, so ranking them together hashes a small fraction of their
 gram positions.
@@ -41,6 +48,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
@@ -64,9 +72,16 @@ NGRAM_RANGE = (1, 4)
 DENSE_SLOTS = 2
 DEFAULT_BATCH_SIZE = 32
 
+# candidate characters per scorer call of rank_many, which bounds the
+# featurizer's working set (~100 bytes per character) to that of one line
+# of 30 candidates of ~270 characters
+_RANK_CHARS = 8192
+
 
 class QualityScorer(Protocol):
-    """Anything that maps candidate translations to qualities in (0, 1)."""
+    """Anything that maps candidate translations to qualities in (0, 1),
+    one per text in input order, each a function of its own text alone:
+    ``rank_many`` pools several lines' candidates in one call."""
 
     def score_many(self, texts: Sequence[str]) -> list[float]: ...
 
@@ -117,12 +132,15 @@ def _featurize_csr(
     if any(not text.strip() for text in texts):
         raise EmptyText("cannot featurize empty text")
     lowered = [text.lower() for text in texts]
-    lengths = np.array([len(text) for text in lowered], dtype=np.int64)
+    lengths = [len(text) for text in lowered]
+    ints = _int_type(sum(lengths))  # positions, ids and text ids
     codes = np.frombuffer("".join(lowered).encode("utf-32-le"), dtype="<u4")
     alphabet, char_ids = np.unique(codes, return_inverse=True)
+    char_ids = char_ids.astype(ints)
     chars = [chr(code) for code in alphabet.tolist()]
-    text_ids = np.repeat(np.arange(len(texts)), lengths)
-    orders = _gram_features(chars, char_ids, text_ids, np.cumsum(lengths), feature_dim, hash_seed)
+    text_ids = np.repeat(np.arange(len(texts), dtype=ints), lengths)
+    ends = np.cumsum(lengths, dtype=ints)
+    orders = _gram_features(chars, char_ids, text_ids, ends, feature_dim, hash_seed)
 
     per_text = [np.bincount(text, minlength=len(texts)) for text, _, _ in orders]
     indptr = np.zeros(len(texts) + 1, dtype=np.int64)
@@ -159,17 +177,21 @@ def _gram_features(
     """
     size = len(char_ids)
     base = hashlib.blake2b(digest_size=8, key=struct.pack("<Q", hash_seed & 0xFFFFFFFFFFFFFFFF))
-    remaining = ends[text_ids] - np.arange(size)  # characters left in the text
-    at, ids, grams = np.arange(size), char_ids, chars  # gram start, dense gram id, gram
+    at = np.arange(size, dtype=char_ids.dtype)  # gram start
+    remaining = ends[text_ids] - at  # characters left in the text
+    ids, grams = char_ids, chars  # dense gram id, gram
     out = []
     for n in range(NGRAM_RANGE[0], NGRAM_RANGE[1] + 1):
         if n > 1:
             # extend order n-1's dense ids by one character: keys stay below
-            # size * len(chars), whatever the alphabet
+            # size * len(chars) <= size**2, whatever the alphabet
             fits = remaining[at] >= n
             at = at[fits]
-            keys = ids[fits] * len(chars) + char_ids[at + n - 1]
+            keys = ids[fits].astype(_int_type(size * size))
+            keys *= len(chars)
+            keys += char_ids[at + (n - 1)]
             distinct, ids = np.unique(keys, return_inverse=True)
+            ids = ids.astype(at.dtype)
             prefix, last = np.divmod(distinct, len(chars))
             grams = [grams[a] + chars[b] for a, b in zip(prefix.tolist(), last.tolist())]
         out.append(_bucket_counts(at, ids, text_ids, _hash_grams(grams, base, feature_dim)))
@@ -190,7 +212,7 @@ def _bucket_counts(
     buckets, bucket_ids = np.unique(gram_buckets, return_inverse=True)
     # sort by (bucket, position), in keys below size**2: a run of one bucket
     # within one text is one feature, first seen at the run's first position
-    key = bucket_ids[ids]
+    key = bucket_ids.astype(_int_type(size * size))[ids]
     key *= size
     key += at
     key.sort()
@@ -200,16 +222,22 @@ def _bucket_counts(
     new_run = np.ones(len(pos), dtype=bool)
     new_run[1:] = (key[1:] != key[:-1]) | (text_at[1:] != text_at[:-1])
     starts = np.flatnonzero(new_run)
+    first, run_bucket, count = pos[starts], key[starts], np.diff(starts, append=len(pos))
+    del key, pos, text_at, new_run, starts  # one per gram position, freed early
     # runs back into position order: each run's first position is distinct
-    first = pos[starts]
     order = np.argsort(first)
-    count = np.diff(starts, append=len(pos))[order]
-    bucket = buckets[key[starts[order]]]
+    count = count[order]
     text = text_ids[first[order]]
     # integer counts: the segmented sum of squares is exact, so the norm
     # equals np.linalg.norm of the text's counts bit for bit
     norms = np.sqrt(np.bincount(text, weights=count * count))
-    return text, bucket, count / norms[text]
+    return text, buckets[run_bucket[order]], count / norms[text]
+
+
+def _int_type(largest: int) -> type:
+    """int32 if it holds ``largest``, else int64: the featurizer's position,
+    id and key arrays are most of its working set."""
+    return np.int32 if largest < 2**31 else np.int64
 
 
 def _dense_slots(
@@ -241,7 +269,7 @@ def _hash_grams(grams: list[str], base, feature_dim: int) -> np.ndarray:
         h = base.copy()
         h.update(gram.encode("utf-8"))
         digests += h.digest()
-    return (np.frombuffer(digests, dtype="<u8") % feature_dim).astype(np.int64)
+    return (np.frombuffer(digests, dtype="<u8") % feature_dim).astype(_int_type(feature_dim))
 
 
 def _sigmoid(z: float) -> float:
@@ -365,12 +393,59 @@ def _model_fingerprint(model: NGramRegressor) -> str:
 def rank(model: QualityScorer, candidates: list[str]) -> list[tuple[int, float]]:
     """Candidates ordered by descending score; ties keep the original order.
 
-    The first element identifies the selected translation.
+    The first element identifies the selected translation. Raises what
+    ``rank_many`` holds for the list: EmptyCandidateList when it is empty,
+    or the scorer's error (EmptyText for a blank candidate).
     """
-    if not candidates:
-        raise EmptyCandidateList("no candidates to rank")
-    scored = list(enumerate(model.score_many(candidates)))
-    return sorted(scored, key=lambda pair: (-pair[1], pair[0]))
+    ranked = rank_many(model, [candidates])[0]
+    if isinstance(ranked, Exception):
+        raise ranked
+    return ranked
+
+
+def rank_many(
+    model: QualityScorer, candidate_lists: Sequence[list[str]]
+) -> list[list[tuple[int, float]] | Exception]:
+    """``rank`` of each list, with one ``score_many`` call per chunk of
+    consecutive lists whose candidates total at most ``_RANK_CHARS``
+    characters; a longer list is a chunk alone.
+
+    A list that cannot be ranked holds its error in its place of the
+    result: EmptyCandidateList when it is empty, or what the scorer raised
+    when its candidates are scored on their own (EmptyText for a blank
+    one), while the other lists are still ranked.
+    """
+    chunks: list[list[list[str]]] = []
+    chars = 0
+    for candidates in candidate_lists:
+        size = sum(map(len, candidates))
+        if not chunks or chars + size > _RANK_CHARS:
+            chunks.append([])
+            chars = 0
+        chunks[-1].append(candidates)
+        chars += size
+    return [ranked for chunk in chunks for ranked in _rank_chunk(model, chunk)]
+
+
+def _rank_chunk(
+    model: QualityScorer, lists: list[list[str]]
+) -> list[list[tuple[int, float]] | Exception]:
+    """Each list ranked from one ``score_many`` call over all their
+    candidates; if that call fails, each list is scored on its own, so an
+    error fails only the list that raises it."""
+    try:
+        scores = model.score_many([text for candidates in lists for text in candidates])
+    except Exception as exc:
+        if len(lists) == 1:
+            return [exc]
+        return [ranked for candidates in lists for ranked in _rank_chunk(model, [candidates])]
+    bounds = list(accumulate(map(len, lists), initial=0))
+    return [
+        sorted(enumerate(scores[a:b]), key=lambda pair: (-pair[1], pair[0]))
+        if b > a
+        else EmptyCandidateList("no candidates to rank")
+        for a, b in zip(bounds, bounds[1:])
+    ]
 
 
 def save_model(model: NGramRegressor, path: str | Path) -> None:

@@ -1,5 +1,7 @@
 import json
 import random
+import threading
+import time
 from dataclasses import fields, replace
 
 import pytest
@@ -10,10 +12,17 @@ import afsp.pipeline
 from afsp.degeneration import DegenerationOp, apply_op, generate_dataset
 from afsp.embedding import init_projections, save_table
 from afsp.errors import AfspError, InputNotUtf8, StageError
-from afsp.llm_client import ChatCompletionsClient, GenerationConfig, MockClient, fingerprint
+from afsp.llm_client import (
+    CandidateSet,
+    ChatCompletionsClient,
+    GenerationConfig,
+    MockClient,
+    fingerprint,
+)
 from afsp.pipeline import (
     PipelineConfig,
     TranslationPipeline,
+    audit_record,
     load_config,
 )
 from afsp.reranker import train
@@ -266,6 +275,115 @@ def test_translate_file_streams_blocks_through_a_bounded_window(stack, tmp_path,
     assert produced == [f"out {i}" for i in range(45)]
     assert blocks == [block] * 11 + [1]
     assert max(ahead) <= block
+
+
+def three_candidates(corpus):
+    """Each source's reference, its source and a corrupted reference."""
+
+    def candidates(src_text):
+        pair = next(p for p in corpus if p.src_text == src_text)
+        corrupted = apply_op(DegenerationOp.INSERT, pair, pair.tgt_text, random.Random(41))
+        return [pair.src_text, corrupted, pair.tgt_text]
+
+    return candidates
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 4])
+def test_translate_file_ranks_blocks_as_translate_ranks_each_line(stack, tmp_path, max_in_flight):
+    corpus, *_ = stack
+    pipeline = make_pipeline(
+        stack, client=None, generation=GenerationConfig(n_candidates=3, max_in_flight=max_in_flight)
+    )
+    lines = [corpus[i].src_text for i in range(37)]
+    pipeline.client = scripted_client(pipeline, stack, lines[:30], three_candidates(corpus))
+    lines += ["   "]  # a retrieval failure; the last 7 lines fail in generation
+    summary, produced, records = run_file(pipeline, tmp_path, lines)
+    expected = []
+    for line in lines:
+        try:
+            expected.append(pipeline.translate(line))
+        except StageError as exc:
+            expected.append(exc)
+    assert (summary.count, summary.failures) == (38, 8)
+    assert produced == [r.best if not isinstance(r, StageError) else "" for r in expected]
+    assert records == [audit_record(line, r) for line, r in zip(lines, expected)]
+    # the reference, listed last, is picked: the ranking reorders candidates
+    assert sum(r.best == p.tgt_text for r, p in zip(expected[:30], corpus)) >= 25
+
+
+def test_translate_file_blank_candidate_fails_its_line_alone_in_rerank(stack, tmp_path):
+    corpus, *_ = stack
+    pipeline = make_pipeline(stack, client=None, generation=GenerationConfig(n_candidates=3))
+    lines = [corpus[i].src_text for i in range(6)]
+    mock = scripted_client(pipeline, stack, lines, three_candidates(corpus))
+    blank = fingerprint(pipeline.build_prompt(lines[3]))
+
+    class Client:
+        def generate_candidates(self, prompt, cfg):
+            if fingerprint(prompt) == blank:
+                return CandidateSet(blank, ("a candidate", " \t "))
+            return mock.generate_candidates(prompt, cfg)
+
+    pipeline.client = Client()
+    summary, produced, records = run_file(pipeline, tmp_path, lines)
+    assert (summary.count, summary.failures) == (6, 1)
+    assert json.loads(records[3]) == {
+        "input": lines[3],
+        "error": "[rerank] cannot featurize empty text",
+    }
+    assert produced[3] == ""
+    assert [produced[i] for i in (0, 1, 2, 4, 5)] == [
+        pipeline.translate(lines[i]).best for i in (0, 1, 2, 4, 5)
+    ]
+
+
+def test_translate_file_generation_failure_does_not_stall_the_blocks_rank(stack, tmp_path):
+    corpus, *_ = stack
+    pipeline = make_pipeline(
+        stack, client=None, generation=GenerationConfig(n_candidates=3, max_in_flight=4)
+    )
+    lines = [corpus[i].src_text for i in range(8)]
+    mock = scripted_client(pipeline, stack, lines, three_candidates(corpus))
+    # the first block's last line fails after the others have generated
+    slow = fingerprint(pipeline.build_prompt(lines[3]))
+
+    class Client:
+        def generate_candidates(self, prompt, cfg):
+            if fingerprint(prompt) == slow:
+                time.sleep(0.2)
+                raise RuntimeError("endpoint went away")
+            return mock.generate_candidates(prompt, cfg)
+
+    pipeline.client = Client()
+    outcome = []
+    runner = threading.Thread(
+        target=lambda: outcome.append(run_file(pipeline, tmp_path, lines)), daemon=True
+    )
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive() and len(outcome) == 1
+    summary, produced, records = outcome[0]
+    assert (summary.count, summary.failures) == (8, 1)
+    assert json.loads(records[3])["error"] == "[generation] endpoint went away"
+    assert [produced[i] for i in (0, 1, 2)] == [pipeline.translate(lines[i]).best for i in (0, 1, 2)]
+
+
+def test_translate_file_without_a_scorer_fails_each_line_in_rerank(stack, tmp_path):
+    corpus, table, proj, index, _ = stack
+    config = PipelineConfig(projection_seed=17, k=2, generation=GenerationConfig(n_candidates=2))
+    pipeline = TranslationPipeline(
+        index=index, table=table, projections=proj, config=config, client=None, scorer=None
+    )
+    lines = [corpus[i].src_text for i in range(5)]
+    pipeline.client = scripted_client(pipeline, stack, lines, lambda t: ["a", "b"])
+    summary, produced, records = run_file(pipeline, tmp_path, lines)
+    assert (summary.count, summary.failures) == (5, 5)
+    assert produced == [""] * 5
+    for line, record in zip(lines, records):
+        assert json.loads(record) == {
+            "input": line,
+            "error": "[rerank] no reranker model configured; set n_candidates=1 to skip reranking",
+        }
 
 
 def test_translate_file_blank_line_fails_alone(stack, tmp_path):

@@ -1,6 +1,8 @@
 import hashlib
 import random
 import struct
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from afsp.errors import (
     EmptyText,
     VersionMismatch,
 )
+import afsp.reranker
 from afsp.reranker import (
     DEFAULT_FEATURE_DIM,
     NGramRegressor,
@@ -23,6 +26,7 @@ from afsp.reranker import (
     featurize_many,
     load_model,
     rank,
+    rank_many,
     save_model,
     train,
 )
@@ -355,14 +359,18 @@ def test_rank_scores_equal_single_text_scores_and_ties_keep_order():
     model, _ = train(small_dataset(), epochs=8, seed=5, feature_dim=FEATURE_DIM, hash_seed=7)
     texts = random_texts(seed=3, count=24)
     candidates = texts + texts[:6]  # six exact ties, later copies rank after earlier
-    ranked = rank(model, candidates)
-    assert model.score_many(candidates) == [model.score(t) for t in candidates]
-    by_index = dict(ranked)
-    assert [by_index[i] for i in range(len(candidates))] == [model.score(t) for t in candidates]
-    assert ranked == sorted(by_index.items(), key=lambda pair: (-pair[1], pair[0]))
-    for i in range(6):
-        order = [j for j, _ in ranked]
-        assert order.index(i) < order.index(len(texts) + i)
+    # the same candidates ranked alone and pooled with other lines' texts
+    lines = [candidates[:10], texts[6:9], candidates, candidates[20:]]
+    for ranked in [rank(model, candidates), rank_many(model, lines)[2]]:
+        assert model.score_many(candidates) == [model.score(t) for t in candidates]
+        by_index = dict(ranked)
+        assert [by_index[i] for i in range(len(candidates))] == [model.score(t) for t in candidates]
+        assert ranked == sorted(by_index.items(), key=lambda pair: (-pair[1], pair[0]))
+        for i in range(6):
+            order = [j for j, _ in ranked]
+            assert order.index(i) < order.index(len(texts) + i)
+    for line, ranked in zip(lines, rank_many(model, lines), strict=True):
+        assert dict(ranked) == {i: model.score(t) for i, t in enumerate(line)}
 
 
 def test_saved_model_bytes_match_golden(tmp_path):
@@ -423,3 +431,104 @@ def test_lowercasing_keeps_every_code_points_whitespace_and_cjk_count():
         if lowered != char:
             assert sum(map(str.isspace, lowered)) == char.isspace(), hex(code)
             assert len(_CJK_RE.findall(lowered)) == len(_CJK_RE.findall(char)), hex(code)
+
+
+class CountingScorer:
+    """A scorer that records the texts of each score_many call."""
+
+    def __init__(self, model):
+        self.model = model
+        self.calls = []
+
+    def score_many(self, texts):
+        self.calls.append(list(texts))
+        return self.model.score_many(texts)
+
+
+@pytest.fixture(scope="module")
+def ranking_model():
+    model, _ = train(small_dataset(), epochs=8, seed=5, feature_dim=FEATURE_DIM, hash_seed=7)
+    return model
+
+
+def assert_same_as_rank_per_line(model, lists, results):
+    """Each list's rank_many result equals rank of the list alone, or holds
+    the error rank raises for it."""
+    assert len(results) == len(lists)
+    for candidates, got in zip(lists, results):
+        try:
+            want = rank(model, candidates)
+        except AfspError as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+        else:
+            assert got == want
+
+
+def test_rank_many_chunks_by_characters_and_a_long_line_is_alone(ranking_model, monkeypatch):
+    monkeypatch.setattr(afsp.reranker, "_RANK_CHARS", 25)
+    lists = [["a" * 10], ["b" * 6, "c" * 4], ["d" * 30], ["e" * 5, "f" * 5], ["g" * 15]]
+    scorer = CountingScorer(ranking_model)
+    results = rank_many(scorer, lists)
+    # 10 + 10 fit; 30 is past the cap and alone; 10 + 15 fit
+    assert scorer.calls == [lists[0] + lists[1], lists[2], lists[3] + lists[4]]
+    assert_same_as_rank_per_line(ranking_model, lists, results)
+
+
+def test_rank_many_holds_each_lines_error_in_its_place(ranking_model):
+    lists = [["fine text"], [], ["ok", "  \t"], ["clean english sentence", "another one"], ["\u3000"]]
+    scorer = CountingScorer(ranking_model)
+    results = rank_many(scorer, lists)
+    assert isinstance(results[1], EmptyCandidateList)
+    assert isinstance(results[2], EmptyText) and isinstance(results[4], EmptyText)
+    assert_same_as_rank_per_line(ranking_model, lists, results)
+    # the chunk's pass failed on the blank texts, so each line was scored alone
+    assert scorer.calls[1:] == [lists[0], [], lists[2], lists[3], lists[4]]
+    with pytest.raises(EmptyText):
+        rank(ranking_model, lists[2])
+    assert rank_many(ranking_model, []) == []
+
+
+_candidate_lists = st.lists(
+    st.lists(st.one_of(_texts, st.sampled_from(["", " ", "\t\u3000"])), max_size=6), max_size=8
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(lists=_candidate_lists, cap=st.one_of(st.just(1), st.just(None), st.integers(0, 8)))
+def test_rank_many_equals_rank_per_line_at_any_cap(ranking_model, lists, cap):
+    # cap: 1 ranks each line alone, None keeps the default, an integer k
+    # closes a chunk after the first k lines' characters
+    if cap is None:
+        cap = afsp.reranker._RANK_CHARS
+    elif cap > 1:
+        cap = sum(len(text) for candidates in lists[:cap] for text in candidates)
+    with mock.patch.object(afsp.reranker, "_RANK_CHARS", cap):
+        assert_same_as_rank_per_line(ranking_model, lists, rank_many(ranking_model, lists))
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rank_many_peak_memory_stays_near_one_line():
+    # 8 lines of 30 ~240-character candidates: an uncapped pass would hold
+    # all 8 lines' featurizer arrays at once
+    rng = random.Random(8)
+    lists = [
+        [" ".join(en_sentence(rng) for _ in range(3))[:240] for _ in range(30)] for _ in range(8)
+    ]
+    model = NGramRegressor(
+        feature_dim=DEFAULT_FEATURE_DIM,
+        hash_seed=0,
+        weights=np.zeros(DEFAULT_FEATURE_DIM + 2, dtype=np.float32),
+        bias=0.0,
+    )
+    largest = max(lists, key=lambda candidates: sum(map(len, candidates)))
+    alone = _traced_peak(lambda: rank(model, largest))
+    batched = _traced_peak(lambda: rank_many(model, lists))
+    assert batched <= 1.5 * alone
