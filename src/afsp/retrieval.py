@@ -1,9 +1,8 @@
 """Demonstration retrieval: precomputed index, relevance scores, top-k.
 
 Every corpus pair's source side is embedded once into the three
-representations and stored in a :class:`RetrievalIndex`. A query is scored
-against every entry (exhaustive scan; corpora here are small enough that
-approximate indexing is not worth it) with
+representations and stored in a :class:`RetrievalIndex`. A query's top k
+are the entries with the best fused score, where an entry's scores are
 
 - dense score: inner product of the two unit dense vectors,
 - sparse score: sum over co-occurring token ids of the two token weights,
@@ -14,6 +13,29 @@ fused as ``alpha1 * dense + alpha2 * sparse + alpha3 * multi``. The sparse
 score is unbounded while the other two live in [-1, 1]; scores are fused raw
 by default, with an opt-in min-max normalization over the candidate pool for
 callers that want comparable scales.
+
+The top k are exact: their entries, order, ties at the cut and four scores
+are those of scoring every entry. But with raw fusion and k below the
+corpus size, most entries skip the late-interaction scan, the costliest
+score. Every entry's dense and sparse scores are taken, and its multi score
+is bounded from above. Of the similarities of a query row c to every
+distinct row, let ``top_c`` be the largest, at row ``r_c``, and ``second_c``
+the second largest counting repeats (``top_c`` when there is one distinct
+row). An entry that holds ``r_c`` matches c at ``top_c``; any other entry at
+most at ``second_c``. The bound is the mean of these, summed in the query's
+own order of rows, so it adds the same terms as the exact mean in the same
+order, each at least as large, and as rounding to nearest is monotone it is
+never below the exact score; the fused score with the bound in place of the
+multi score is likewise never below the exact one. The k entries of best
+bounded score are scored exactly, and the k-th best of their exact fused
+scores (in a group of queries, of every entry that round scores) is a
+threshold theta: k entries reach it, so every entry of the top k does too,
+ties at the cut included, and its bounded score with it. The
+entries whose bounded score reaches theta are then scored exactly, and the
+top k taken among them in corpus order. The entries that hold ``r_c`` come
+from row -> entry lists built with the index. With ``normalize_scores`` the
+min-max range needs every entry's scores, so every entry is scanned, as it
+is whenever k is at least the corpus size.
 
 Scoring is done in float64 on the stored float32 representations, so results
 are identical whether the index was just built or reloaded from disk.
@@ -38,8 +60,9 @@ in one pass and :func:`retrieve_topk` is a block of one. The block's dense
 vectors go through one product with the dense matrix, which is then read
 once per block rather than once per query. The multi-vector product runs
 over groups of consecutive queries, and the gather-max runs once per
-group: each column's gather and running max cover every row of the
-product, and each query then averages its own rows of the maxima. Queries
+group and round: each column's gather and running max cover every row
+of the product, and each query then averages its own rows of the maxima
+over every entry that some query of the group needs scored. Queries
 of one block repeat the same token rows (the embedding layer is
 context-free and text is Zipfian), so a group's product holds the rows its
 queries bring, and a row that an earlier query of the group already
@@ -48,13 +71,14 @@ rows, is reused rather than added again. A query's other rows, repeats
 included, are its own product rows in its order. A query joins the group
 while the rows it adds keep the product within ``_MULTI_ROWS``, so the
 product stays small, and a query with more rows is a group alone. The
-gather-max walks the length-sorted entries in tiles of ``_TILE``: a
-column covers a prefix of that order, so a tile takes the same slice of
-each column that reaches it, and its maxima, one float64 per entry of the
-tile and row of the product, stay small however large the corpus is.
-The tile moves no bit, and the group none beyond what its product rows
-hold: a max is exact in any order, and each query's mean adds the maxima
-of its rows in its order, as when it is scored alone.
+gather-max walks the entries it scores in length order, in tiles of
+``_TILE``: a column covers a prefix of that order, so of each tile too,
+and its maxima, one float64 per entry of the tile and row of the
+product, stay small however large the corpus is. The tile moves no bit,
+and the group none beyond what its product rows hold: a max is exact in
+any order, and each query's mean adds the maxima of its rows in its
+order, as when it is scored alone. Neither does pruning: an entry's score
+does not depend on which other entries are scored with it.
 
 A block of one keeps the bits of a query scored alone: its (1, H) dense
 product gives the same values as the matrix-vector product (numpy sends
@@ -227,14 +251,17 @@ class RetrievalIndex:
     The constructor builds the scan arrays once, so every query scans the
     same arrays and the first one pays nothing extra: float64 copies of the
     dense matrix and the distinct rows, inverted sparse lists, and the
-    multi-vector row ids as jagged diagonals. Entries are sorted by their
+    multi-vector row ids as jagged diagonals, and the lists of the entries
+    that hold each distinct row (``_holders``, sliced by ``_held``), built
+    with one unstable sort of the row ids. Entries are sorted by their
     count of distinct rows, longest first (``_by_len``, through which
     scores go back to corpus order), and column k of ``_columns`` holds the
     k-th row id of each entry with more than k rows, a prefix of that
-    order; there are as many columns as the longest entry has rows. Tile
-    ``[a, a + _TILE)`` of that order is ``col[a : a + _TILE]`` of each
-    column longer than ``a``, and a column no longer than ``a`` ends the
-    tile's scan, as every later column is shorter still.
+    order; there are as many columns as the longest entry has rows. A
+    tile of ascending positions in that order takes from each column the
+    positions below its length, a prefix of the tile, and a column that
+    reaches none of them ends the tile's scan, as every later column is
+    shorter still.
     """
 
     def __init__(
@@ -274,6 +301,15 @@ class RetrievalIndex:
         ids = multi_row_ids.astype(np.intp)
         longer = len(counts) - np.cumsum(np.bincount(counts))[:-1]
         self._columns = [ids[starts[:n] + k] for k, n in enumerate(longer.tolist())]
+        self._column_lengths = longer
+        # postings: the entries holding distinct row r are
+        # _holders[_held[r]:_held[r + 1]], in no particular order
+        self._holders = np.repeat(np.arange(len(counts), dtype=np.int32), counts)[
+            np.argsort(multi_row_ids)
+        ]
+        self._held = np.concatenate(
+            ([0], np.cumsum(np.bincount(multi_row_ids, minlength=len(multi_rows))))
+        )
         # inverted sparse lists: token id -> slice of (entry positions
         # ascending, weights)
         positions = np.repeat(np.arange(len(corpus)), np.diff(sparse_indptr.astype(np.intp)))
@@ -302,15 +338,20 @@ class RetrievalIndex:
             )
         self._bound = (table, proj)
 
-    def _scores(
-        self, queries: list[tuple[DenseVec, SparseWeights, MultiVec]]
-    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Dense, sparse and multi-vector scores of every entry, in float64,
-        for each query of a block (see the module docstring)."""
+    def _top(
+        self,
+        queries: list[tuple[DenseVec, SparseWeights, MultiVec]],
+        weights: Weights,
+        k: int,
+        normalize: bool,
+    ) -> list[tuple[np.ndarray, ...]]:
+        """Each query's top k as (entry ids, dense, sparse, multi and fused
+        scores), best first, for a block of queries (see the module
+        docstring)."""
         if not queries:
             return []
         dense = np.stack([d.values for d, _, _ in queries]).astype(np.float64) @ self._dense64.T
-        out = []
+        out: list[tuple[np.ndarray, ...]] = []
         start = 0
         while start < len(queries):
             # consecutive queries share one product (see the module
@@ -336,10 +377,100 @@ class RetrievalIndex:
             # the product must be (product rows, distinct rows): rows64 @ q.T
             # rounds some entries differently
             product = np.concatenate(parts).astype(np.float64) @ self._rows64.T
-            for i, sm in enumerate(self._multi(product, cols), start):
-                out.append((dense[i], self._sparse(queries[i][1]), sm))
+            dense_sparse = [(dense[i], self._sparse(queries[i][1])) for i in range(start, stop)]
+            out += self._group_top(product, cols, dense_sparse, weights, k, normalize)
             start = stop
         return out
+
+    def _group_top(
+        self,
+        product: np.ndarray,
+        cols: list[list[int]],
+        dense_sparse: list[tuple[np.ndarray, np.ndarray]],
+        weights: Weights,
+        k: int,
+        normalize: bool,
+    ) -> list[tuple[np.ndarray, ...]]:
+        """``_top`` for the queries of one multi-vector group, given each
+        one's dense and sparse scores of every entry. Only the entries that
+        some query's bound cannot rule out of its top k are scored exactly,
+        or every entry is (see the module docstring)."""
+        a1, a2, a3 = weights.alpha1, weights.alpha2, weights.alpha3
+        keep = np.ones(len(self), dtype=bool)
+        if not normalize and k < len(self):
+            # each query's fused score with its multi score bounded, as
+            # a1 * sd + a2 * ss + a3 * ub rounds it (products and sums
+            # commute bit for bit)
+            bounds = self._upper_bounds(product, cols)
+            for (sd, ss), bound in zip(dense_sparse, bounds):
+                bound *= a3
+                bound += a1 * sd + a2 * ss
+            # both rounds scan the product by distinct row (see _multi): lay
+            # it out so once, and its transpose there is a view
+            product = np.ascontiguousarray(product.T).T
+            # round 1: each query's k best bounded entries, scored exactly;
+            # k of them reach the k-th best exact fused score theta
+            keep[:] = False
+            for bound in bounds:
+                keep[np.argpartition(-bound, k - 1)[:k]] = True
+            ids, sms = self._exact(product, cols, keep)
+            # round 2: every entry whose bounded score reaches theta
+            keep[:] = False
+            for (sd, ss), sm, bound in zip(dense_sparse, sms, bounds):
+                fused = a1 * sd[ids] + a2 * ss[ids] + a3 * sm
+                keep |= bound >= np.partition(fused, len(fused) - k)[len(fused) - k]
+        ids, sms = self._exact(product, cols, keep)
+        out = []
+        for (sd, ss), sm in zip(dense_sparse, sms):
+            sd, ss = sd[ids], ss[ids]
+            if normalize:
+                sd, ss, sm = _minmax(sd), _minmax(ss), _minmax(sm)
+            fused = a1 * sd + a2 * ss + a3 * sm
+            top = _top_k_stable(fused, k)
+            out.append((ids[top], sd[top], ss[top], sm[top], fused[top]))
+        return out
+
+    def _upper_bounds(self, product: np.ndarray, cols: list[list[int]]) -> list[np.ndarray]:
+        """An upper bound on every entry's multi score, for each query of a
+        group: the mean, in the query's order, of each of its product rows'
+        best similarity where the entry holds the row's best distinct row
+        and its second best (counting repeats) elsewhere."""
+        rows = np.arange(len(product))
+        best = product.argmax(axis=1)
+        top = product[rows, best]
+        second = top
+        if product.shape[1] > 1:
+            # the largest once the best is masked, which is the best again
+            # where two distinct rows tie for it
+            product[rows, best] = -np.inf
+            second = product.max(axis=1)
+            product[rows, best] = top
+        holders = [self._holders[self._held[r] : self._held[r + 1]] for r in best.tolist()]
+        out = []
+        part = np.empty(len(self))
+        for cs in cols:
+            total = np.full(len(self), second[cs[0]])
+            total[holders[cs[0]]] = top[cs[0]]
+            for c in cs[1:]:
+                part.fill(second[c])
+                part[holders[c]] = top[c]
+                total += part
+            out.append(total / len(cs))
+        return out
+
+    def _exact(
+        self, product: np.ndarray, cols: list[list[int]], keep: np.ndarray
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The entries where ``keep`` is set, ascending, and each query's
+        exact multi scores of them."""
+        ids = np.flatnonzero(keep)
+        positions = np.flatnonzero(keep[self._by_len])
+        scores = np.empty(len(self))
+        sms = []
+        for sm in self._multi(product, cols, positions):
+            scores[self._by_len[positions]] = sm
+            sms.append(scores[ids])
+        return ids, sms
 
     def _sparse(self, q_sparse: SparseWeights) -> np.ndarray:
         ss = np.zeros(len(self))
@@ -349,37 +480,38 @@ class RetrievalIndex:
                 ss[self._sparse_pos[hit]] += w * self._sparse_w[hit]
         return ss
 
-    def _multi(self, product: np.ndarray, cols: list[list[int]]) -> list[np.ndarray]:
-        """Late-interaction score of every entry for each query of a group,
-        from the group's (product rows, distinct rows) similarities; query
-        i's rows are the product rows ``cols[i]``, in its order."""
+    def _multi(
+        self, product: np.ndarray, cols: list[list[int]], positions: np.ndarray
+    ) -> list[np.ndarray]:
+        """Late-interaction score of the entries at ``positions`` (ascending,
+        in length order) for each query of a group, from the group's
+        (product rows, distinct rows) similarities; query i's rows are the
+        product rows ``cols[i]``, in its order."""
         # the transpose, copied, holds each distinct row's sims contiguously,
         # so one gather per diagonal column serves every row of the product,
         # and the running max over a column's prefix of entries needs no
         # padding
         by_row = np.ascontiguousarray(product.T)
-        n = len(self)
-        out = [np.empty(n) for _ in cols]
-        for a in range(0, n, _TILE):
-            # entries [a, a + _TILE) in length order; a column covers a
-            # prefix of that order, so the columns that reach the tile are
-            # the first ones
-            best = by_row[self._columns[0][a : a + _TILE]]
-            for col in self._columns[1:]:
-                if len(col) <= a:
+        out = [np.empty(len(positions)) for _ in cols]
+        for a in range(0, len(positions), _TILE):
+            # a column covers a prefix of the length order, so of the tile's
+            # positions too, and the columns that reach it are the first ones
+            tile = positions[a : a + _TILE]
+            reach = np.searchsorted(tile, self._column_lengths).tolist()
+            best = by_row[self._columns[0][tile]]
+            for col, n in zip(self._columns[1:], reach[1:]):
+                if not n:
                     break
-                part = col[a : a + _TILE]
-                head = best[: len(part)]
-                np.maximum(head, by_row[part], out=head)
+                head = best[:n]
+                np.maximum(head, by_row[col[tile[:n]]], out=head)
             # each query's mean sums its rows in order, one at a time, as a
             # mean over axis 0 of its (query rows, entries) maxima does;
             # best.mean(axis=1) sums pairwise and rounds differently
-            tile = self._by_len[a : a + _TILE]
             for sm, cs in zip(out, cols):
                 total = best[:, cs[0]].copy()
                 for c in cs[1:]:
                     total += best[:, c]
-                sm[tile] = total / len(cs)
+                sm[a : a + len(tile)] = total / len(cs)
         return out
 
 
@@ -497,7 +629,8 @@ def retrieve_many(
     k: int,
     normalize_scores: bool = False,
 ) -> list[list[ScoredDemo] | AfspError]:
-    """:func:`retrieve_topk` for each text, scored as one block.
+    """:func:`retrieve_topk` for each text, scored as one block, whose
+    queries share the entries that are scanned in full.
 
     A text that cannot be embedded (EmptyQuery for a blank one) holds its
     error in its place of the result, and the others are still scored.
@@ -514,24 +647,13 @@ def retrieve_many(
             results.append(None)
         except AfspError as exc:
             results.append(exc)
-    scores = iter(index._scores(queries))
+    tops = iter(index._top(queries, weights, k, normalize_scores))
     for i, held in enumerate(results):
-        if held is not None:
-            continue
-        sd, ss, sm = next(scores)
-        if normalize_scores:
-            sd, ss, sm = _minmax(sd), _minmax(ss), _minmax(sm)
-        fused = weights.alpha1 * sd + weights.alpha2 * ss + weights.alpha3 * sm
-        results[i] = [
-            ScoredDemo(
-                pair=index.corpus[j],
-                s_dense=float(sd[j]),
-                s_sparse=float(ss[j]),
-                s_multi=float(sm[j]),
-                s_rank=float(fused[j]),
-            )
-            for j in _top_k_stable(fused, k)
-        ]
+        if held is None:
+            results[i] = [
+                ScoredDemo(index.corpus[j], sd, ss, sm, fused)
+                for j, sd, ss, sm, fused in zip(*(a.tolist() for a in next(tops)))
+            ]
     return results
 
 
@@ -550,6 +672,11 @@ def retrieve_topk(
     was built with, and EmptyQuery for blank queries. Returns all entries
     when the corpus is smaller than k. Scored as a block of one, with the
     bits of a query scored alone (see the module docstring).
+
+    The result is that of scoring every entry. With raw scores and k below
+    the corpus size, only the entries whose upper bound on the fused score
+    reaches the k-th best exact score of the best-bounded k are scanned for
+    their late-interaction score; ``normalize_scores`` scans every entry.
     """
     (result,) = retrieve_many(
         [query_text], index, table, proj, weights, k, normalize_scores=normalize_scores

@@ -481,11 +481,30 @@ def test_rank_many_holds_each_lines_error_in_its_place(ranking_model):
     assert isinstance(results[1], EmptyCandidateList)
     assert isinstance(results[2], EmptyText) and isinstance(results[4], EmptyText)
     assert_same_as_rank_per_line(ranking_model, lists, results)
-    # the chunk's pass failed on the blank texts, so each line was scored alone
-    assert scorer.calls[1:] == [lists[0], [], lists[2], lists[3], lists[4]]
+    # the chunk's pass failed on the blank texts, so each half was ranked in
+    # turn, down to the lines that raise
+    assert scorer.calls[1:] == [
+        lists[0] + lists[1], lists[2] + lists[3] + lists[4], lists[2], lists[3] + lists[4],
+        lists[3], lists[4],
+    ]
     with pytest.raises(EmptyText):
         rank(ranking_model, lists[2])
     assert rank_many(ranking_model, []) == []
+
+
+def test_one_blank_line_in_a_block_costs_a_call_per_halving(ranking_model):
+    rng = random.Random(15)
+    lists = [[en_sentence(rng) for _ in range(4)] for _ in range(16)]
+    lists[11][2] = "  "
+    assert sum(len(text) for candidates in lists for text in candidates) <= afsp.reranker._RANK_CHARS
+    scorer = CountingScorer(ranking_model)
+    results = rank_many(scorer, lists)
+    assert isinstance(results[11], EmptyText)
+    assert_same_as_rank_per_line(ranking_model, lists, results)
+    # the block, then both halves 8, 4, 2 and 1 lines long, splitting the
+    # one that holds line 11; scoring each line alone would take 17 calls
+    assert len(scorer.calls) == 9
+    assert lists[11] in scorer.calls
 
 
 _candidate_lists = st.lists(

@@ -2,6 +2,7 @@ import math
 import random
 import struct
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -840,13 +841,17 @@ def test_any_tile_scores_jagged_corpora_as_the_default_tile(corpus, block, tile)
 
 
 def spy_groups(monkeypatch):
-    """Record each multi-vector group as (product rows, cols)."""
+    """Record each multi-vector group as (product rows, cols), once however
+    many times its product is scored."""
     groups = []
+    products = []
     multi = afsp.retrieval.RetrievalIndex._multi
 
-    def spy(self, product, cols):
-        groups.append((product.shape[0], cols))
-        return multi(self, product, cols)
+    def spy(self, product, cols, positions):
+        if not products or products[-1] is not product:
+            products.append(product)
+            groups.append((product.shape[0], cols))
+        return multi(self, product, cols, positions)
 
     monkeypatch.setattr(afsp.retrieval.RetrievalIndex, "_multi", spy)
     return groups
@@ -924,6 +929,207 @@ def test_shared_rows_score_as_per_query_retrieve_topk(corpus, block):
         for size, cols in groups:
             assert size <= afsp.retrieval._MULTI_ROWS or len(cols) == 1
             assert len(cols) == 1 or all(len(c) <= afsp.retrieval._MULTI_ROWS for c in cols)
+
+
+# fusion weights the pruning must be exact under: the default, a zero
+# multi-vector weight (the bound then adds nothing) and multi-vector alone
+PRUNING_WEIGHTS = (Weights(), Weights(0.5, 0.5, 0.0), Weights(0.0, 0.0, 1.0))
+
+
+def top_ks(n):
+    """The k that the pruned top k must handle: the smallest, the cut next
+    to the corpus size, and past it (which scans every entry)."""
+    return sorted({k for k in (1, 2, 3, n - 1, n, n + 5) if k >= 1})
+
+
+def as_tuples(top):
+    return [(g.pair.id, g.s_dense, g.s_sparse, g.s_multi, g.s_rank) for g in top]
+
+
+def full_sort_top(scores, corpus, w, k):
+    """The first k of a full stable argsort of the fused scan scores."""
+    sd, ss, sm = scores
+    fused = w.alpha1 * sd + w.alpha2 * ss + w.alpha3 * sm
+    order = np.argsort(-fused, kind="stable")[:k]
+    return [(corpus[j].id, sd[j], ss[j], sm[j], fused[j]) for j in order]
+
+
+@st.composite
+def corpora_with_repeats(draw):
+    """jagged_corpora with some source texts repeated, so that exact ties
+    fall at the cut."""
+    texts = [p.src_text for p in draw(jagged_corpora())]
+    texts += draw(st.lists(st.sampled_from(texts), max_size=6), label="repeats")
+    texts = draw(st.permutations(texts), label="order")
+    return Corpus([DemoPair(f"r{i}", t, f"text {i}", "zh", "en") for i, t in enumerate(texts)])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(corpus=corpora_with_repeats(), query=queries, w=st.sampled_from(PRUNING_WEIGHTS))
+def test_pruned_top_k_equals_a_full_stable_sort(corpus, query, w):
+    table = corpus_table(dim=16)
+    proj = init_projections(16, seed=3)
+    index = build_index(corpus, table, proj)
+    scores = per_row_scan(query, corpus, table, proj)
+    for k in top_ks(len(corpus)):
+        got = retrieve_topk(query, index, table, proj, w, k=k)
+        assert as_tuples(got) == full_sort_top(scores, corpus, w, k)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    corpus=corpora_with_repeats(),
+    block=st.lists(queries, min_size=1, max_size=20),
+    w=st.sampled_from(PRUNING_WEIGHTS),
+)
+def test_pruned_blocks_equal_a_full_scan_of_the_block(corpus, block, w):
+    # BLAS may round a block's dot products apart from a query's own (see
+    # assert_same_top), so a block is held to its own full scan, which
+    # k = len(corpus) runs; a block of one is held to per_row_scan
+    table = corpus_table(dim=16)
+    proj = init_projections(16, seed=3)
+    index = build_index(corpus, table, proj)
+    full = [as_tuples(top) for top in retrieve_many(block, index, table, proj, w, k=len(corpus))]
+    for k in top_ks(len(corpus)):
+        got = retrieve_many(block, index, table, proj, w, k=k)
+        assert [as_tuples(top) for top in got] == [top[:k] for top in full]
+        (alone,) = retrieve_many(block[:1], index, table, proj, w, k=k)
+        scores = per_row_scan(block[0], corpus, table, proj)
+        assert as_tuples(alone) == full_sort_top(scores, corpus, w, k)
+
+
+@pytest.fixture(scope="module")
+def large_stack():
+    # 1,200 entries; the phrase generator repeats sources, so some tie
+    corpus = synthetic_corpus(1200, seed=33)
+    table = corpus_table(dim=32)
+    proj = init_projections(32, seed=13)
+    return corpus, table, proj, build_index(corpus, table, proj)
+
+
+def test_pruned_top_k_equals_a_full_stable_sort_on_a_large_corpus(large_stack):
+    corpus, table, proj, index = large_stack
+    counts = Counter(p.src_text for p in corpus)
+    repeated = [text for text, n in counts.most_common(2)]
+    assert all(counts[text] >= 3 for text in repeated)
+    rng = random.Random(17)
+    texts = [zh_sentence(rng) for _ in range(4)] + [en_sentence(rng) + " 好好 中方"] + repeated
+    for text in texts:
+        scores = per_row_scan(text, corpus, table, proj)
+        for w in PRUNING_WEIGHTS:
+            for k in top_ks(len(corpus)):
+                got = retrieve_topk(text, index, table, proj, w, k=k)
+                assert as_tuples(got) == full_sort_top(scores, corpus, w, k)
+
+
+def test_pruned_blocks_equal_a_full_scan_on_a_large_corpus(large_stack):
+    corpus, table, proj, index = large_stack
+    rng = random.Random(18)
+    repeated = [text for text, _ in Counter(p.src_text for p in corpus).most_common(3)]
+    lines = [zh_sentence(rng) for _ in range(50)] + repeated + [en_sentence(rng) for _ in range(5)]
+    rng.shuffle(lines)
+    start = 0
+    while start < len(lines):
+        block = lines[start : start + rng.randint(1, 20)]
+        start += len(block)
+        for w in PRUNING_WEIGHTS:
+            full = retrieve_many(block, index, table, proj, w, k=len(corpus))
+            for k in (1, 3, len(corpus) - 1):
+                got = retrieve_many(block, index, table, proj, w, k=k)
+                assert [as_tuples(top) for top in got] == [as_tuples(top[:k]) for top in full]
+
+
+def test_one_distinct_row_ties_at_every_cut():
+    char = ZH_CHARS[0]
+    texts = [char * n for n in (1, 3, 2, 1, 4, 2, 1)]
+    corpus = Corpus([DemoPair(f"o{i}", t, f"text {i}", "zh", "en") for i, t in enumerate(texts)])
+    table = corpus_table(dim=16)
+    proj = init_projections(16, seed=3)
+    index = build_index(corpus, table, proj)
+    assert len(index.multi_rows) == 1
+    for query in (char, char * 2 + ZH_CHARS[1], ZH_CHARS[1], "鑫"):
+        scores = per_row_scan(query, corpus, table, proj)
+        for w in PRUNING_WEIGHTS:
+            for k in top_ks(len(corpus)):
+                got = retrieve_topk(query, index, table, proj, w, k=k)
+                assert as_tuples(got) == full_sort_top(scores, corpus, w, k)
+
+
+def spy_bounds(monkeypatch):
+    """Record, for each query of each group whose bounds are taken, its
+    bound and its exact multi score of every entry, in corpus order."""
+    pairs = []
+    bounds = afsp.retrieval.RetrievalIndex._upper_bounds
+
+    def spy(self, product, cols):
+        got = bounds(self, product, cols)
+        exact = np.empty(len(self))
+        for ub, sm in zip(got, self._multi(product, cols, np.arange(len(self)))):
+            exact[self._by_len] = sm
+            pairs.append((ub.copy(), exact.copy()))
+        return got
+
+    monkeypatch.setattr(afsp.retrieval.RetrievalIndex, "_upper_bounds", spy)
+    return pairs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    corpus=corpora_with_repeats(),
+    block=st.lists(st.text(st.sampled_from(SHARED_CHARS), min_size=1, max_size=12), min_size=1, max_size=20),
+)
+def test_bound_is_at_least_the_exact_multi_score(corpus, block):
+    # the queries of a block share most of their product rows
+    table = corpus_table(dim=16)
+    proj = init_projections(16, seed=3)
+    index = build_index(corpus, table, proj)
+    with pytest.MonkeyPatch.context() as mp:
+        pairs = spy_bounds(mp)
+        retrieve_many(block, index, table, proj, Weights(), k=1)
+    assert len(pairs) == (len(block) if len(corpus) > 1 else 0)
+    for ub, sm in pairs:
+        assert np.all(ub >= sm)
+
+
+def test_bound_is_at_least_the_exact_multi_score_on_a_large_corpus(large_stack, monkeypatch):
+    corpus, table, proj, index = large_stack
+    rng = random.Random(19)
+    block = [zh_sentence(rng) for _ in range(16)] + [corpus[3].src_text, en_sentence(rng)]
+    pairs = spy_bounds(monkeypatch)
+    retrieve_many(block, index, table, proj, Weights(), k=3)
+    assert len(pairs) == len(block)
+    for ub, sm in pairs:
+        assert np.all(ub >= sm)
+        # the bound is tight where an entry holds each row's best match
+        assert np.any(ub == sm)
+
+
+def test_bound_leaves_few_entries_to_score_exactly(monkeypatch):
+    # a silent fallback to full scans fails here, not only in the benchmark
+    corpus = synthetic_corpus(2000, seed=31)
+    table = corpus_table(dim=32)
+    proj = init_projections(32, seed=13)
+    index = build_index(corpus, table, proj)
+    sent = []
+    multi = afsp.retrieval.RetrievalIndex._multi
+
+    def spy(self, product, cols, positions):
+        sent.append(len(positions))
+        return multi(self, product, cols, positions)
+
+    monkeypatch.setattr(afsp.retrieval.RetrievalIndex, "_multi", spy)
+    rng = random.Random(20)
+    lines = [zh_sentence(rng) if i % 2 else en_sentence(rng) for i in range(32)]
+    per_query = []
+    for line in lines:
+        sent.clear()
+        retrieve_topk(line, index, table, proj, Weights(), k=3)
+        per_query.append(sum(sent))
+    assert np.median(per_query) < len(corpus) / 2
+    sent.clear()
+    for start in range(0, len(lines), 16):
+        retrieve_many(lines[start : start + 16], index, table, proj, Weights(), k=3)
+    assert np.median(sent) < len(corpus) / 2
 
 
 def test_alpha_scaling_preserves_order(stack):
