@@ -12,15 +12,23 @@ VersionMismatch and never IndexError, UnicodeDecodeError or an allocation
 sized by a corrupt count.
 
 A buffer of at least ``_MAP_MIN_BYTES`` -- a loaded file's bytes, or an
-array made by :func:`empty` such as the index's float64 copies -- lives in
-an anonymous memory map of its own rather than on the malloc heap. Once the
-last array over a map is freed, the map is kept as a spare and handed to
-the next buffer of exactly its size. Reloading the same artifacts then
-reuses the same pages, and a reload never depends on how the heap is
-fragmented: on the heap, a small long-lived allocation that lands in the
-hole a freed buffer left can push the next buffer of that size past the
-top, growing the process by the buffer's whole size, depending on what ran
-in between. A spare is only freed with the process.
+array made by :func:`empty` -- lives in an anonymous memory map of its own
+rather than on the malloc heap. Once the last array over a map is freed,
+the map is kept as a spare and handed to the next buffer of exactly its
+size. Reloading the same artifacts then reuses the same pages, and a
+reload never depends on how the heap is fragmented: on the heap, a small
+long-lived allocation that lands in the hole a freed buffer left can push
+the next buffer of that size past the top, growing the process by the
+buffer's whole size, depending on what ran in between. A spare is only
+freed with the process.
+
+A loader can have the arrays that follow some point of its file start at
+an address that is a multiple of ``_ALIGN`` bytes, whatever length the
+strings before them have (:meth:`Reader.align`): numpy hands a matrix
+product to BLAS only if its operands' items are aligned, and is many times
+slower without it. A file's map has ``_ALIGN`` bytes to spare past its end,
+and the unread bytes move up into them, in memory only; a small file's
+bytes are first copied into a map of their own.
 """
 
 from __future__ import annotations
@@ -43,10 +51,15 @@ _U64 = struct.Struct("<Q")
 # buffers of at least this many bytes get a memory map of their own
 _MAP_MIN_BYTES = 1 << 20
 
+# a file's map has this many bytes past its end, room for Reader.align to
+# move the unread bytes to an address that is a multiple of it
+_ALIGN = 64
+
 # freed maps by size, each kept for the next buffer of that size
 _spare_maps: dict[int, list[mmap.mmap]] = {}
 
-# root arrays over mapped file bytes, which nothing writes (see sealed())
+# root arrays over mapped file bytes, which nothing writes once an array
+# views them (see sealed() and Reader.align())
 _sealed: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
 
 
@@ -125,17 +138,21 @@ def write_str_column(fh: BinaryIO, texts) -> None:
 
 
 class Reader:
-    """Cursor over the bytes of one artifact file."""
+    """Cursor over the bytes of one artifact file: ``data[:size]``."""
 
-    def __init__(self, data: bytes | mmap.mmap):
+    def __init__(self, data: bytes | mmap.mmap, size: int | None = None):
         self.data = data
+        self.size = len(data) if size is None else size
         self.pos = 0
         if isinstance(data, mmap.mmap):
             self._root = _map_array(data, np.uint8)
-            self._root.flags.writeable = False
-            _sealed[id(self._root)] = self._root
+            self._seal()
         else:
             self._root = np.frombuffer(data, dtype=np.uint8)
+
+    def _seal(self) -> None:
+        self._root.flags.writeable = False
+        _sealed[id(self._root)] = self._root
 
     @classmethod
     def open(cls, path: str | Path, magic: bytes, hint: str = "") -> Reader:
@@ -146,10 +163,10 @@ class Reader:
             if size < _MAP_MIN_BYTES:
                 reader = cls(fh.read())
             else:
-                buf = _map(size)
-                if fh.readinto(buf) != size or fh.read(1):
+                buf = _map(size + _ALIGN)
+                if fh.readinto(memoryview(buf)[:size]) != size or fh.read(1):
                     raise VersionMismatch("file changed size while it was read")
-                reader = cls(buf)
+                reader = cls(buf, size)
         got = reader.data[: len(magic)]
         if got != magic:
             raise VersionMismatch(
@@ -158,9 +175,28 @@ class Reader:
         reader.pos = len(magic)
         return reader
 
+    def align(self) -> None:
+        """Move the unread bytes up, by less than ``_ALIGN``, to the next
+        address that is a multiple of ``_ALIGN`` (see the module
+        docstring). No array that the reader returned views them yet."""
+        shift = -(self._root.ctypes.data + self.pos) % _ALIGN
+        if not shift:
+            return
+        if not isinstance(self.data, mmap.mmap):
+            # a bytes object cannot grow: copy it into a page-aligned map
+            # with room for the move, dropped with its last array
+            buf = mmap.mmap(-1, self.size + _ALIGN)
+            buf[: self.size] = self.data
+            self.data, self._root = buf, np.frombuffer(buf, dtype=np.uint8)
+            self._seal()
+            shift = -self.pos % _ALIGN
+        self.data.move(self.pos + shift, self.pos, self.size - self.pos)
+        self.pos += shift
+        self.size += shift
+
     def take(self, n: int, what: str) -> bytes:
         end = self.pos + n
-        if end > len(self.data):
+        if end > self.size:
             raise VersionMismatch(f"truncated file while reading {what}")
         out = self.data[self.pos : end]
         self.pos = end
@@ -178,7 +214,7 @@ class Reader:
     def array(self, dtype: str, count: int, what: str) -> np.ndarray:
         """A read-only view of the next ``count`` items, no copy."""
         dt = np.dtype(dtype)
-        if self.pos + count * dt.itemsize > len(self.data):
+        if self.pos + count * dt.itemsize > self.size:
             raise VersionMismatch(f"truncated file while reading {what}")
         end = self.pos + count * dt.itemsize
         arr = self._root[self.pos : end].view(dt)
@@ -187,7 +223,7 @@ class Reader:
 
     def strs(self, count: int, what: str) -> list[str]:
         """``count`` u32 length-prefixed strings."""
-        data, pos, end = self.data, self.pos, len(self.data)
+        data, pos, end = self.data, self.pos, self.size
         out = []
         try:
             for _ in range(count):
@@ -217,5 +253,5 @@ class Reader:
 
     def end(self, what: str) -> None:
         """Raise VersionMismatch unless every byte has been read."""
-        if self.pos != len(self.data):
+        if self.pos != self.size:
             raise VersionMismatch(f"trailing bytes after {what}")

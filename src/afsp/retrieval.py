@@ -16,29 +16,37 @@ callers that want comparable scales.
 
 The top k are exact: their entries, order, ties at the cut and four scores
 are those of scoring every entry. But with raw fusion and k below the
-corpus size, most entries skip the late-interaction scan, the costliest
-score. Every entry's dense and sparse scores are taken, and its multi score
-is bounded from above. Of the similarities of a query row c to every
-distinct row, let ``top_c`` be the largest, at row ``r_c``, and ``second_c``
-the second largest counting repeats (``top_c`` when there is one distinct
-row). An entry that holds ``r_c`` matches c at ``top_c``; any other entry at
-most at ``second_c``. The bound is the mean of these, summed in the query's
-own order of rows, so it adds the same terms as the exact mean in the same
-order, each at least as large, and as rounding to nearest is monotone it is
-never below the exact score; the fused score with the bound in place of the
-multi score is likewise never below the exact one. The k entries of best
-bounded score are scored exactly, and the k-th best of their exact fused
-scores (in a group of queries, of every entry that round scores) is a
-threshold theta: k entries reach it, so every entry of the top k does too,
-ties at the cut included, and its bounded score with it. The
-entries whose bounded score reaches theta are then scored exactly, and the
-top k taken among them in corpus order. The entries that hold ``r_c`` come
-from row -> entry lists built with the index. With ``normalize_scores`` the
-min-max range needs every entry's scores, so every entry is scanned, as it
-is whenever k is at least the corpus size.
+corpus size, most entries are never scored exactly, neither by the
+late-interaction scan, the costliest score, nor by the exact dense kernel.
+Every entry's sparse score is taken, and its dense and multi scores are
+bounded from above. The dense bound is a float32 product of the query with
+the stored rows, widened by a margin on its rounding error (see
+``RetrievalIndex._dense_bounds``). For the multi bound, of the similarities
+of a query row c to every distinct row, let ``top_c`` be the largest, at
+row ``r_c``, and ``second_c`` the second largest counting repeats
+(``top_c`` when there is one distinct row). An entry that holds ``r_c``
+matches c at ``top_c``; any other entry at most at ``second_c``. The bound
+is the mean of these, summed in the query's own order of rows, so it adds
+the same terms as the exact mean in the same order, each at least as
+large, and as rounding to nearest is monotone it is never below the exact
+score. The fused score of the two bounds, summed as the exact one is, is
+likewise never below the exact fused score. The k entries of best bounded
+score are scored exactly, and the k-th best of their exact fused scores
+(in a group of queries, of every entry that round scores) is a threshold
+theta: k entries reach it, so every entry of the top k does too, ties at
+the cut included, and its bounded score with it. The entries whose bounded
+score reaches theta, the query's survivors, are then scored exactly, and
+the top k taken among them in corpus order. The entries that hold ``r_c``
+come from row -> entry lists built with the index. With
+``normalize_scores`` the min-max range needs every entry's scores, so every
+entry is scored, as it is whenever k is at least the corpus size.
 
-Scoring is done in float64 on the stored float32 representations, so results
-are identical whether the index was just built or reloaded from disk.
+Exact scores are float64 on the stored float32 representations, so results
+are identical whether the index was just built or reloaded from disk. An
+exact dense score is an einsum row dot, whose bits depend on the two rows
+alone: byte-identical rows tie exactly, and a query's dense scores are the
+same in any block. A BLAS product may round a row's dot product apart by
+the row's position, so it serves only for bounds.
 
 The index is columnar: a pair table, the dense matrix, CSR sparse weights,
 and the multi-vector rows. Multi-vector rows come from a context-free
@@ -57,12 +65,14 @@ always hold the same content.
 
 Queries are scored in blocks: :func:`retrieve_many` scores a list of texts
 in one pass and :func:`retrieve_topk` is a block of one. The block's dense
-vectors go through one product with the dense matrix, which is then read
-once per block rather than once per query. The multi-vector product runs
-over groups of consecutive queries, and the gather-max runs once per
-group and round: each column's gather and running max cover every row
-of the product, and each query then averages its own rows of the maxima
-over every entry that some query of the group needs scored. Queries
+vectors go through one float32 product with the stored dense matrix, which
+is then read once per block rather than once per query, for the bounds;
+the exact dense kernel runs per query on its own survivors. The
+multi-vector product runs over groups of consecutive queries, and the
+gather-max runs once per group and round: each column's gather and running
+max cover every row of the product, and each query then averages its own
+rows of the maxima over every entry that some query of the group needs
+scored. Queries
 of one block repeat the same token rows (the embedding layer is
 context-free and text is Zipfian), so a group's product holds the rows its
 queries bring, and a row that an earlier query of the group already
@@ -80,14 +90,11 @@ any order, and each query's mean adds the maxima of its rows in its
 order, as when it is scored alone. Neither does pruning: an entry's score
 does not depend on which other entries are scored with it.
 
-A block of one keeps the bits of a query scored alone: its (1, H) dense
-product gives the same values as the matrix-vector product (numpy sends
-both to one GEMV), and as a group of one its product is its own rows, in
-order and with repeats, as when it is scored alone. In a larger block
-BLAS may round a dot product in the last bit differently (a GEMM in place
-of a GEMV, or a row at another position of the product, which a shared
-row may be), so entries that tie exactly when scored alone may come
-apart, and the reverse.
+A block of one keeps the multi scores of a query scored alone: as a group of
+one its product is its own rows, in order and with repeats. In a larger
+block BLAS may round a similarity in the last bit differently (a row at
+another position of the product, which a shared row may be), so multi
+scores that tie exactly when scored alone may come apart, and the reverse.
 
 Because the embedding layer is context-free, :func:`build_index` works on
 distinct tokens: it segments every source text once, looks up (or
@@ -249,11 +256,11 @@ class RetrievalIndex:
       token row.
 
     The constructor builds the scan arrays once, so every query scans the
-    same arrays and the first one pays nothing extra: float64 copies of the
-    dense matrix and the distinct rows, inverted sparse lists, and the
-    multi-vector row ids as jagged diagonals, and the lists of the entries
-    that hold each distinct row (``_holders``, sliced by ``_held``), built
-    with one unstable sort of the row ids. Entries are sorted by their
+    same arrays and the first one pays nothing extra: the dense bounds'
+    margin, a float64 copy of the distinct rows, inverted sparse lists,
+    the multi-vector row ids as jagged diagonals, and the lists of the
+    entries that hold each distinct row (``_holders``, sliced by
+    ``_held``), built with one unstable sort of the row ids. Entries are sorted by their
     count of distinct rows, longest first (``_by_len``, through which
     scores go back to corpus order), and column k of ``_columns`` holds the
     k-th row id of each entry with more than k rows, a prefix of that
@@ -288,9 +295,13 @@ class RetrievalIndex:
         self.multi_row_ids = multi_row_ids
         self._bound: tuple[EmbeddingTable, ProjectionSet] | None = None
 
-        # large, so each in a memory map of its own (see _binio)
-        self._dense64 = _binio.empty(dense.shape, np.float64)
-        self._dense64[...] = dense
+        # the dense bounds' margin per unit of query norm (see _dense_bounds)
+        norms = np.sqrt(np.einsum("ij,ij->i", dense, dense, dtype=np.float64))
+        h = dense.shape[1]
+        self._dense_margin = (
+            (_gamma(h, 2.0**-24) + _gamma(h, 2.0**-53)) * norms.max(initial=0.0) * (1 + 2.0**-20)
+        )
+        # large, so in a memory map of its own (see _binio)
         self._rows64 = _binio.empty(multi_rows.shape, np.float64)
         self._rows64[...] = multi_rows
         # the jagged diagonals (see above); longer[k] counts the entries
@@ -350,7 +361,9 @@ class RetrievalIndex:
         docstring)."""
         if not queries:
             return []
-        dense = np.stack([d.values for d, _, _ in queries]).astype(np.float64) @ self._dense64.T
+        q32 = np.stack([d.values for d, _, _ in queries])
+        q64 = q32.astype(np.float64)
+        bounds = self._dense_bounds(q32) if not normalize and k < len(self) else None
         out: list[tuple[np.ndarray, ...]] = []
         start = 0
         while start < len(queries):
@@ -377,32 +390,66 @@ class RetrievalIndex:
             # the product must be (product rows, distinct rows): rows64 @ q.T
             # rounds some entries differently
             product = np.concatenate(parts).astype(np.float64) @ self._rows64.T
-            dense_sparse = [(dense[i], self._sparse(queries[i][1])) for i in range(start, stop)]
-            out += self._group_top(product, cols, dense_sparse, weights, k, normalize)
+            out += self._group_top(
+                product,
+                cols,
+                q64[start:stop],
+                None if bounds is None else bounds[start:stop],
+                [self._sparse(queries[i][1]) for i in range(start, stop)],
+                weights,
+                k,
+                normalize,
+            )
             start = stop
         return out
+
+    def _dense_bounds(self, q32: np.ndarray) -> np.ndarray:
+        """An upper bound on each query's exact dense score (:meth:`_dense`)
+        of every entry: one float32 product of the block with the stored
+        rows, widened by a margin.
+
+        For query q and row d, let S be the true dot product and
+        ``P = sum |q_j d_j| <= |q| |d|`` (Cauchy-Schwarz). A float32 dot
+        product of H terms, in any order and with or without fused
+        multiply-adds, is within ``gamma_H(2^-24) * P`` of S, and the float64
+        kernel within ``gamma_H(2^-53) * P``, where ``gamma_H(u) = H u / (1 -
+        H u)`` (Higham, Accuracy and Stability of Numerical Algorithms,
+        section 3.1). So the kernel's value is at most the float32 value
+        plus ``(gamma_H(2^-24) + gamma_H(2^-53)) * |q| * max |d|``, the
+        margin, which carries a relative slack of 2^-20 for the rounding
+        of the norms and of the margin itself, and for underflow. The
+        kernel's value is a float64, so the float64 sum rounds to no less
+        than it either (rounding to nearest is monotone)."""
+        bounds = (q32 @ self.dense.T).astype(np.float64)
+        bounds += self._dense_margin * np.linalg.norm(q32.astype(np.float64), axis=1)[:, None]
+        return bounds
 
     def _group_top(
         self,
         product: np.ndarray,
         cols: list[list[int]],
-        dense_sparse: list[tuple[np.ndarray, np.ndarray]],
+        qs: np.ndarray,
+        dense_bounds: np.ndarray | None,
+        sparse: list[np.ndarray],
         weights: Weights,
         k: int,
         normalize: bool,
     ) -> list[tuple[np.ndarray, ...]]:
         """``_top`` for the queries of one multi-vector group, given each
-        one's dense and sparse scores of every entry. Only the entries that
-        some query's bound cannot rule out of its top k are scored exactly,
-        or every entry is (see the module docstring)."""
+        one's dense vector (float64), bounds on its dense scores of every
+        entry (None for a full scan) and its sparse scores of every entry.
+        Only the entries that some query's bound cannot rule out of its top
+        k are scored exactly, or every entry is (see the module
+        docstring)."""
         a1, a2, a3 = weights.alpha1, weights.alpha2, weights.alpha3
         keep = np.ones(len(self), dtype=bool)
-        if not normalize and k < len(self):
-            # each query's fused score with its multi score bounded, as
-            # a1 * sd + a2 * ss + a3 * ub rounds it (products and sums
-            # commute bit for bit)
+        survivors = None
+        if dense_bounds is not None:
+            # each query's fused score with its dense and multi scores
+            # bounded, as a1 * sd + a2 * ss + a3 * ub rounds it (products and
+            # sums commute bit for bit)
             bounds = self._upper_bounds(product, cols)
-            for (sd, ss), bound in zip(dense_sparse, bounds):
+            for sd, ss, bound in zip(dense_bounds, sparse, bounds):
                 bound *= a3
                 bound += a1 * sd + a2 * ss
             # both rounds scan the product by distinct row (see _multi): lay
@@ -414,20 +461,34 @@ class RetrievalIndex:
             for bound in bounds:
                 keep[np.argpartition(-bound, k - 1)[:k]] = True
             ids, sms = self._exact(product, cols, keep)
-            # round 2: every entry whose bounded score reaches theta
-            keep[:] = False
-            for (sd, ss), sm, bound in zip(dense_sparse, sms, bounds):
-                fused = a1 * sd[ids] + a2 * ss[ids] + a3 * sm
-                keep |= bound >= np.partition(fused, len(fused) - k)[len(fused) - k]
+            sds = self._dense(qs, ids)
+            # round 2: each query's survivors, the entries whose bounded
+            # score reaches its theta; every other entry scores below theta,
+            # so below its k-th best survivor, and is not in its top k
+            survivors = []
+            for ss, sd, sm, bound in zip(sparse, sds, sms, bounds):
+                fused = a1 * sd + a2 * ss[ids] + a3 * sm
+                survivors.append(bound >= np.partition(fused, len(fused) - k)[len(fused) - k])
+            keep = np.any(survivors, axis=0)
+        # the gather-max scores every entry some query needs; the dense
+        # kernel, per query, only its own survivors
         ids, sms = self._exact(product, cols, keep)
+        if survivors is None:
+            sds = self._dense(qs, ids)
         out = []
-        for (sd, ss), sm in zip(dense_sparse, sms):
-            sd, ss = sd[ids], ss[ids]
+        for i, (ss, sm) in enumerate(zip(sparse, sms)):
+            if survivors is None:
+                own, sd = ids, sds[i]
+            else:
+                mine = survivors[i][ids]
+                own, sm = ids[mine], sm[mine]
+                sd = self._dense(qs[i : i + 1], own)[0]
+            ss = ss[own]
             if normalize:
                 sd, ss, sm = _minmax(sd), _minmax(ss), _minmax(sm)
             fused = a1 * sd + a2 * ss + a3 * sm
             top = _top_k_stable(fused, k)
-            out.append((ids[top], sd[top], ss[top], sm[top], fused[top]))
+            out.append((own[top], sd[top], ss[top], sm[top], fused[top]))
         return out
 
     def _upper_bounds(self, product: np.ndarray, cols: list[list[int]]) -> list[np.ndarray]:
@@ -471,6 +532,21 @@ class RetrievalIndex:
             scores[self._by_len[positions]] = sm
             sms.append(scores[ids])
         return ids, sms
+
+    def _dense(self, qs: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Each query's exact dense score of the entries ``ids``: float64 dot
+        products of the stored float32 rows, upcast ``_TILE`` rows at a
+        time. One einsum loop sums every row in the same order, wherever
+        the row sits and whatever is scored with it; BLAS does not."""
+        out = np.empty((len(qs), len(ids)))
+        # every entry, in order, is read by slices rather than gathered
+        every = len(ids) == len(self)
+        for a in range(0, len(ids), _TILE):
+            rows = self.dense[a : a + _TILE] if every else self.dense[ids[a : a + _TILE]]
+            rows = rows.astype(np.float64)
+            for q, sd in zip(qs, out):
+                np.einsum("ij,j->i", rows, q, out=sd[a : a + len(rows)])
+        return out
 
     def _sparse(self, q_sparse: SparseWeights) -> np.ndarray:
         ss = np.zeros(len(self))
@@ -608,6 +684,12 @@ def _row_keys(rows: np.ndarray) -> list[bytes]:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
 
 
+def _gamma(n: int, u: float) -> float:
+    """Higham's ``gamma_n``: the relative error bound of an n-term sum of
+    products at unit roundoff u."""
+    return n * u / (1 - n * u)
+
+
 def _offsets(lengths) -> np.ndarray:
     """``[0, l0, l0 + l1, ...]`` as uint32."""
     return np.concatenate(([0], np.cumsum(lengths))).astype(np.uint32)
@@ -675,8 +757,8 @@ def retrieve_topk(
 
     The result is that of scoring every entry. With raw scores and k below
     the corpus size, only the entries whose upper bound on the fused score
-    reaches the k-th best exact score of the best-bounded k are scanned for
-    their late-interaction score; ``normalize_scores`` scans every entry.
+    reaches the k-th best exact score of the best-bounded k are scored
+    exactly; ``normalize_scores`` scores every entry.
     """
     (result,) = retrieve_many(
         [query_text], index, table, proj, weights, k, normalize_scores=normalize_scores
@@ -747,6 +829,8 @@ def load_index(path: str | Path) -> RetrievalIndex:
         for what in ("entry count", "dim", "row count", "sparse count", "row id count")
     )
     corpus = read_pair_table(reader, n)
+    # the float32 product of _dense_bounds needs aligned rows for BLAS
+    reader.align()
     arrays = dict(
         dense=reader.array("<f4", n * dim, "dense matrix").reshape(n, dim),
         sparse_indptr=reader.array("<u4", n + 1, "sparse offsets"),

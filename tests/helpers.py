@@ -169,7 +169,10 @@ def reference_build_index(corpus, table, proj) -> RetrievalIndex:
 def per_row_scan(query, corpus, table, proj):
     """Float64 scores from a scan over every token row of every entry, with
     rows deduped over the corpus only: the scan the columnar index replaced,
-    whose values it must keep bit for bit."""
+    whose values it must keep bit for bit. Dense scores are einsum row
+    dots, whose bits depend on the two rows alone, as the index's exact
+    dense scores are; a BLAS product may round a row apart by its
+    position."""
     emb = embed_tokens(table, query)
     qd, qs, qm = dense_embed(emb), sparse_embed(emb, proj), multi_embed(emb, proj)
     reps = [embed_tokens(table, p.src_text) for p in corpus]
@@ -180,7 +183,7 @@ def per_row_scan(query, corpus, table, proj):
     row_ids = np.array([seen.setdefault(r.tobytes(), len(seen)) for b in blocks for r in b])
     uniq = np.frombuffer(b"".join(seen), dtype=np.float32).reshape(len(seen), -1)
     starts = np.concatenate(([0], np.cumsum([len(b) for b in blocks])[:-1]))
-    sd = dense @ qd.values.astype(np.float64)
+    sd = np.einsum("ij,j->i", dense, qd.values.astype(np.float64))
     ss = np.zeros(len(corpus))
     for tid, w in qs.weights.items():
         for pos, weights in enumerate(sparse):

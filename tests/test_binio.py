@@ -8,9 +8,18 @@ import numpy as np
 import pytest
 
 from afsp import _binio
+from afsp.corpus import Corpus, DemoPair
 from afsp.embedding import EmbeddingTable, init_projections, load_table, save_table
-from afsp.retrieval import Weights, build_index, load_index, retrieve_topk, save_index
-from helpers import corpus_table, en_sentence, synthetic_corpus
+from afsp.retrieval import (
+    RetrievalIndex,
+    Weights,
+    build_index,
+    load_index,
+    retrieve_many,
+    retrieve_topk,
+    save_index,
+)
+from helpers import corpus_table, en_sentence, synthetic_corpus, zh_sentence
 
 
 @pytest.fixture
@@ -53,7 +62,8 @@ def test_freed_file_map_is_reused_by_the_next_load(tmp_path, small_maps):
     address = matrix.ctypes.data
     del matrix
     gc.collect()
-    assert len(_binio._spare_maps[path.stat().st_size]) == 1
+    # a file's map has room past its end to align arrays (Reader.align)
+    assert len(_binio._spare_maps[path.stat().st_size + _binio._ALIGN]) == 1
     assert load_table(path).matrix.ctypes.data == address
 
 
@@ -90,7 +100,8 @@ def test_mapped_index_scores_equal_the_built_index_bit_for_bit(tmp_path, small_m
     save_index(index, path)
     loaded = load_index(path)
     assert isinstance(_root(loaded.dense), mmap.mmap)
-    assert isinstance(_root(loaded._dense64), mmap.mmap)
+    assert isinstance(_root(loaded._rows64), mmap.mmap)
+    assert loaded.dense.ctypes.data % _binio._ALIGN == 0
     rng = random.Random(4)
     for query in [en_sentence(rng) for _ in range(12)]:
         got = retrieve_topk(query, loaded, table, proj, Weights(), 5)
@@ -98,3 +109,48 @@ def test_mapped_index_scores_equal_the_built_index_bit_for_bit(tmp_path, small_m
         assert [(s.pair.id, s.s_dense, s.s_sparse, s.s_multi, s.s_rank) for s in got] == [
             (s.pair.id, s.s_dense, s.s_sparse, s.s_multi, s.s_rank) for s in want
         ]
+
+
+def scored(results):
+    return [
+        [(s.pair.id, s.s_dense, s.s_sparse, s.s_multi, s.s_rank) for s in top] for top in results
+    ]
+
+
+@pytest.mark.parametrize("entries, dim", [(1100, 256), (30, 16)])
+def test_loaded_dense_rows_are_aligned_whatever_the_pair_table_length(tmp_path, entries, dim):
+    # 1,100 x 256 float32 rows make a file past _MAP_MIN_BYTES, read into a
+    # map; 30 x 16 a small one, read into bytes. Padding one pair's target
+    # by 0-63 bytes puts the dense block at every offset modulo 64 in the file.
+    corpus = synthetic_corpus(entries, seed=6)
+    table = corpus_table(dim=dim)
+    proj = init_projections(dim, seed=13)
+    built = build_index(corpus, table, proj)
+    rng = random.Random(7)
+    block = [zh_sentence(rng), en_sentence(rng)]
+    offsets = set()
+    for pad in range(64):
+        pairs = list(corpus)
+        p = pairs[1]
+        pairs[1] = DemoPair(p.id, p.src_text, p.tgt_text + " " * pad + ".", p.src_lang, p.tgt_lang)
+        arrays = {name: getattr(built, name) for name in (
+            "dense", "sparse_indptr", "sparse_ids", "sparse_weights",
+            "multi_rows", "multi_offsets", "multi_row_ids",
+        )}
+        index = RetrievalIndex(Corpus(pairs), built.fingerprint, **arrays)
+        path = tmp_path / f"index{pad}.bin"
+        save_index(index, path)
+        data = path.read_bytes()
+        offsets.add((data.index(built.dense.tobytes()[:64])) % 64)
+        assert (len(data) >= _binio._MAP_MIN_BYTES) == (entries > 100)
+        loaded = load_index(path)
+        assert loaded.dense.ctypes.data % _binio._ALIGN == 0
+        assert loaded.dense.tobytes() == built.dense.tobytes()
+        # the file's bytes are unchanged, and so are the ones saved again
+        assert path.read_bytes() == data
+        save_index(loaded, tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == data
+        for k in (3, 40):
+            got = retrieve_many(block, loaded, table, proj, Weights(), k)
+            assert scored(got) == scored(retrieve_many(block, index, table, proj, Weights(), k))
+    assert len(offsets) == 64

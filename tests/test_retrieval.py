@@ -32,6 +32,7 @@ from afsp.errors import (
     VersionMismatch,
 )
 from afsp.retrieval import (
+    RetrievalIndex,
     Weights,
     build_index,
     load_index,
@@ -440,6 +441,27 @@ def test_retrieve_tie_breaks_by_corpus_order():
 
 
 @pytest.mark.parametrize("normalize", [False, True])
+def test_byte_identical_dense_rows_tie_exactly(normalize):
+    # a BLAS product scored the three "上" rows 0.9999999457642182, ...182
+    # and ...181, by their position in the matrix
+    texts = ["上", "发区", "上", "区发", "上", "中"]
+    corpus = Corpus([DemoPair(f"e{i}", t, f"text {i}", "zh", "en") for i, t in enumerate(texts)])
+    table = corpus_table(dim=16)
+    proj = init_projections(16, seed=3)
+    index = build_index(corpus, table, proj)
+    # "发区" and "区发" pool to the same dense row and tie too
+    assert index.dense[0].tobytes() == index.dense[2].tobytes() == index.dense[4].tobytes()
+    assert index.dense[1].tobytes() == index.dense[3].tobytes()
+    full = retrieve_topk("上", index, table, proj, Weights(), k=len(corpus), normalize_scores=normalize)
+    assert [g.pair.id for g in full] == ["e0", "e2", "e4", "e5", "e1", "e3"]
+    assert len({(g.s_dense, g.s_sparse, g.s_multi, g.s_rank) for g in full[:3]}) == 1
+    assert (full[4].s_dense, full[4].s_rank) == (full[5].s_dense, full[5].s_rank)
+    for k in range(1, len(corpus) + 2):
+        top = retrieve_topk("上", index, table, proj, Weights(), k=k, normalize_scores=normalize)
+        assert top == full[:k]
+
+
+@pytest.mark.parametrize("normalize", [False, True])
 def test_partial_top_k_keeps_ties_at_the_cut(normalize):
     # 40 entries over 5 source texts: every cut falls in or next to a block
     # of exact ties, which must come out in corpus order as in a full sort
@@ -637,14 +659,16 @@ def test_diagonal_scan_equals_per_row_scan_on_jagged_corpora(tmp_path, corpus, q
 
 
 def assert_same_top(got, want, abs_tol=1e-12):
-    """Each entry's scores within abs_tol of its per-query ones, and the
-    per-query order, except that entries whose scores tie within abs_tol
-    may swap places: BLAS may round a row's dot product differently at
-    another row position or block shape, so exact ties can split."""
+    """Each entry's dense score equal to its per-query one, its other scores
+    within abs_tol of theirs, and the per-query order, except that entries
+    whose scores tie within abs_tol may swap places: BLAS may round a
+    similarity of the multi-vector product differently at another row
+    position or block shape, so exact ties can split."""
     assert len(got) == len(want)
     by_id = {w.pair.id: w for w in want}
     for g, w in zip(got, want):
         mine = by_id[g.pair.id]
+        assert g.s_dense == mine.s_dense
         assert (g.s_dense, g.s_sparse, g.s_multi, g.s_rank) == pytest.approx(
             (mine.s_dense, mine.s_sparse, mine.s_multi, mine.s_rank), abs=abs_tol
         )
@@ -998,6 +1022,32 @@ def test_pruned_blocks_equal_a_full_scan_of_the_block(corpus, block, w):
         assert as_tuples(alone) == full_sort_top(scores, corpus, w, k)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    corpus=corpora_with_repeats(),
+    block=st.lists(queries, min_size=1, max_size=20),
+    w=st.sampled_from(PRUNING_WEIGHTS),
+)
+def test_blocks_give_each_query_its_lone_dense_scores(corpus, block, w):
+    # the block's dense product only bounds; the exact dense scores come
+    # from a kernel whose bits depend on the two rows alone
+    table = corpus_table(dim=16)
+    proj = init_projections(16, seed=3)
+    index = build_index(corpus, table, proj)
+    alone = [
+        {g.pair.id: g.s_dense for g in retrieve_topk(q, index, table, proj, w, k=len(corpus))}
+        for q in block
+    ]
+    for k in (1, 3, len(corpus)):
+        for normalize in (False, True):
+            got = retrieve_many(block, index, table, proj, w, k=k, normalize_scores=normalize)
+            for top, mine, query in zip(got, alone, block):
+                if normalize:
+                    full = retrieve_topk(query, index, table, proj, w, k=len(corpus), normalize_scores=True)
+                    mine = {g.pair.id: g.s_dense for g in full}
+                assert [g.s_dense for g in top] == [mine[g.pair.id] for g in top]
+
+
 @pytest.fixture(scope="module")
 def large_stack():
     # 1,200 entries; the phrase generator repeats sources, so some tie
@@ -1055,6 +1105,106 @@ def test_one_distinct_row_ties_at_every_cut():
                 assert as_tuples(got) == full_sort_top(scores, corpus, w, k)
 
 
+def unit_f32(values):
+    values = np.asarray(values, dtype=np.float64)
+    return (values / np.linalg.norm(values)).astype(np.float32)
+
+
+def nudged(row, rng):
+    """``row`` with some components moved one float32 ulp up or down."""
+    away = np.where(rng.random(len(row)) < 0.5, np.inf, -np.inf).astype(np.float32)
+    return np.where(rng.random(len(row)) < 0.5, np.nextafter(row, away), row).astype(np.float32)
+
+
+def cancelling(q):
+    """A row with q's magnitudes and signs chosen, largest first, so that
+    its products with q nearly cancel: the true dot product is tiny and
+    float32 rounding large against it."""
+    signs = np.empty(len(q))
+    total = 0.0
+    for j in np.argsort(-np.abs(q)):
+        signs[j] = -1.0 if total > 0 else 1.0
+        total += signs[j] * float(q[j]) ** 2
+    return (q * signs).astype(np.float32)
+
+
+@st.composite
+def near_tie_cases(draw):
+    """One to three unit float32 queries and rows that stress the dense
+    bound: exact copies, copies one float32 ulp apart in some components,
+    rows that nearly cancel against the first query, and free rows."""
+    dim = draw(st.sampled_from([1, 2, 16, 64, 256]), label="dim")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    q = unit_f32(rng.standard_normal(dim))
+    kinds = draw(
+        st.lists(st.sampled_from(["copy", "ulp", "cancel", "free"]), min_size=1, max_size=30),
+        label="rows",
+    )
+    rows, last = [], q
+    for kind in kinds:
+        if kind == "copy":
+            row = last
+        elif kind == "ulp":
+            row = nudged(last, rng)
+        elif kind == "cancel":
+            row = cancelling(q) if rng.random() < 0.5 else nudged(cancelling(q), rng)
+        else:
+            row = unit_f32(rng.standard_normal(dim))
+        rows.append(row)
+        last = row
+    qs = [q, nudged(q, rng), unit_f32(rng.standard_normal(dim))]
+    return np.stack(qs[: draw(st.integers(1, 3), label="queries")]), np.stack(rows)
+
+
+def dense_index(dense):
+    """An index over the given dense rows, with no sparse weights and each
+    entry's dense row as its one multi-vector row."""
+    n = len(dense)
+    seen: dict[bytes, int] = {}
+    ids = [seen.setdefault(row.tobytes(), len(seen)) for row in dense]
+    corpus = Corpus([DemoPair(f"n{i}", f"src {i}", f"tgt {i}", "zh", "en") for i in range(n)])
+    return RetrievalIndex(
+        corpus,
+        bytes(32),
+        dense=dense,
+        sparse_indptr=np.zeros(n + 1, dtype=np.uint32),
+        sparse_ids=np.zeros(0, dtype=np.uint32),
+        sparse_weights=np.zeros(0, dtype=np.float32),
+        multi_rows=np.frombuffer(b"".join(seen), dtype=np.float32).reshape(len(seen), -1),
+        multi_offsets=np.arange(n + 1, dtype=np.uint32),
+        multi_row_ids=np.array(ids, dtype=np.uint32),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=near_tie_cases())
+def test_dense_bound_is_at_least_the_kernel_on_near_ties(case):
+    qs, dense = case
+    index = dense_index(dense)
+    q64 = qs.astype(np.float64)
+    exact = index._dense(q64, np.arange(len(index)))
+    # an entry's exact score is its own, wherever its row is scored
+    for i in range(len(index)):
+        assert index._dense(q64, np.array([i]))[:, 0].tolist() == exact[:, i].tolist()
+    # a block's product and a lone query's
+    assert np.all(index._dense_bounds(qs) >= exact)
+    for i in range(len(qs)):
+        assert np.all(index._dense_bounds(qs[i : i + 1]) >= exact[i])
+    queries = [(DenseVec(q), SparseWeights({}), MultiVec(q[None])) for q in qs]
+    for w in PRUNING_WEIGHTS + (Weights(1.0, 0.0, 0.0),):
+        # k = len(index) scores every entry; the pruned top k is the first
+        # k of a full stable sort of those scores
+        full = index._top(queries, w, len(index), False)
+        for k in top_ks(len(index)):
+            for got, (ids, sd, ss, sm, fused) in zip(index._top(queries, w, k, False), full):
+                by_entry = np.empty(len(index))
+                by_entry[ids] = fused
+                order = np.argsort(-by_entry, kind="stable")[:k]
+                assert got[0].tolist() == order.tolist()
+                want = (ids[:k], sd[:k], ss[:k], sm[:k], fused[:k])
+                assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+
 def spy_bounds(monkeypatch):
     """Record, for each query of each group whose bounds are taken, its
     bound and its exact multi score of every entry, in corpus order."""
@@ -1110,26 +1260,38 @@ def test_bound_leaves_few_entries_to_score_exactly(monkeypatch):
     table = corpus_table(dim=32)
     proj = init_projections(32, seed=13)
     index = build_index(corpus, table, proj)
-    sent = []
+    # entries sent to the late-interaction scan and to the dense kernel
+    sent, dense_sent = [], []
     multi = afsp.retrieval.RetrievalIndex._multi
+    dense = afsp.retrieval.RetrievalIndex._dense
 
     def spy(self, product, cols, positions):
         sent.append(len(positions))
         return multi(self, product, cols, positions)
 
+    def spy_dense(self, qs, ids):
+        dense_sent.append(len(ids))
+        return dense(self, qs, ids)
+
     monkeypatch.setattr(afsp.retrieval.RetrievalIndex, "_multi", spy)
+    monkeypatch.setattr(afsp.retrieval.RetrievalIndex, "_dense", spy_dense)
     rng = random.Random(20)
     lines = [zh_sentence(rng) if i % 2 else en_sentence(rng) for i in range(32)]
-    per_query = []
+    per_query, dense_per_query = [], []
     for line in lines:
         sent.clear()
+        dense_sent.clear()
         retrieve_topk(line, index, table, proj, Weights(), k=3)
         per_query.append(sum(sent))
+        dense_per_query.append(sum(dense_sent))
     assert np.median(per_query) < len(corpus) / 2
+    assert np.median(dense_per_query) < len(corpus) / 2
     sent.clear()
+    dense_sent.clear()
     for start in range(0, len(lines), 16):
         retrieve_many(lines[start : start + 16], index, table, proj, Weights(), k=3)
     assert np.median(sent) < len(corpus) / 2
+    assert np.median(dense_sent) < len(corpus) / 2
 
 
 def test_alpha_scaling_preserves_order(stack):
