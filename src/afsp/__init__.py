@@ -54,7 +54,6 @@ from .reranker import (
     QualityScorer,
     TrainReport,
     featurize,
-    featurize_many,
     load_model,
     rank,
     save_model,

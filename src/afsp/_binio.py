@@ -11,24 +11,22 @@ before it slices them, so a corrupt or truncated file raises
 VersionMismatch and never IndexError, UnicodeDecodeError or an allocation
 sized by a corrupt count.
 
-A buffer of at least ``_MAP_MIN_BYTES`` -- a loaded file's bytes, or an
-array made by :func:`empty` -- lives in an anonymous memory map of its own
-rather than on the malloc heap. Once the last array over a map is freed,
-the map is kept as a spare and handed to the next buffer of exactly its
-size. Reloading the same artifacts then reuses the same pages, and a
-reload never depends on how the heap is fragmented: on the heap, a small
-long-lived allocation that lands in the hole a freed buffer left can push
-the next buffer of that size past the top, growing the process by the
-buffer's whole size, depending on what ran in between. A spare is only
-freed with the process.
+Every loaded file's bytes, and every array made by :func:`empty`, live in
+an anonymous memory map of their own rather than on the malloc heap. Once
+the last array over a map is freed, the map is kept as a spare and handed
+to the next buffer of exactly its size. Reloading the same artifacts then
+reuses the same pages, and a reload never depends on how the heap is
+fragmented: on the heap, a small long-lived allocation that lands in the
+hole a freed buffer left can push the next buffer of that size past the
+top, growing the process by the buffer's whole size, depending on what ran
+in between. A spare is only freed with the process.
 
 A loader can have the arrays that follow some point of its file start at
 an address that is a multiple of ``_ALIGN`` bytes, whatever length the
 strings before them have (:meth:`Reader.align`): numpy hands a matrix
 product to BLAS only if its operands' items are aligned, and is many times
-slower without it. A file's map has ``_ALIGN`` bytes to spare past its end,
-and the unread bytes move up into them, in memory only; a small file's
-bytes are first copied into a map of their own.
+slower without it. The unread bytes move up, in memory only, into room
+that the file's map has past its end.
 """
 
 from __future__ import annotations
@@ -47,9 +45,6 @@ from .errors import VersionMismatch
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
-
-# buffers of at least this many bytes get a memory map of their own
-_MAP_MIN_BYTES = 1 << 20
 
 # a file's map has this many bytes past its end, room for Reader.align to
 # move the unread bytes to an address that is a multiple of it
@@ -85,24 +80,21 @@ def _map_array(buf: mmap.mmap, dtype) -> np.ndarray:
 
 
 def empty(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """An uninitialised C-contiguous array; a large one lives in a memory
-    map of its own (see the module docstring)."""
+    """An uninitialised C-contiguous array in a memory map of its own (see
+    the module docstring)."""
     dt = np.dtype(dtype)
-    nbytes = math.prod(shape) * dt.itemsize
-    if nbytes < _MAP_MIN_BYTES:
-        return np.empty(shape, dtype=dt)
-    return _map_array(_map(nbytes), dt).reshape(shape)
+    return _map_array(_map(math.prod(shape) * dt.itemsize), dt).reshape(shape)
 
 
 def sealed(arr: np.ndarray) -> bool:
-    """True if ``arr`` views bytes that nothing can write: a ``bytes``
-    object, or a file that a :class:`Reader` read into a memory map."""
+    """True if ``arr`` views bytes that nothing can write: a file that a
+    :class:`Reader` read into a memory map."""
     root = arr
     while isinstance(root, np.ndarray):
         if _sealed.get(id(root)) is root:
             return True
         root = root.base
-    return isinstance(root, bytes)
+    return False
 
 
 def write_u32(fh: BinaryIO, value: int) -> None:
@@ -140,17 +132,11 @@ def write_str_column(fh: BinaryIO, texts) -> None:
 class Reader:
     """Cursor over the bytes of one artifact file: ``data[:size]``."""
 
-    def __init__(self, data: bytes | mmap.mmap, size: int | None = None):
+    def __init__(self, data: mmap.mmap, size: int):
         self.data = data
-        self.size = len(data) if size is None else size
+        self.size = size
         self.pos = 0
-        if isinstance(data, mmap.mmap):
-            self._root = _map_array(data, np.uint8)
-            self._seal()
-        else:
-            self._root = np.frombuffer(data, dtype=np.uint8)
-
-    def _seal(self) -> None:
+        self._root = _map_array(data, np.uint8)
         self._root.flags.writeable = False
         _sealed[id(self._root)] = self._root
 
@@ -160,13 +146,10 @@ class Reader:
         the error for a wrong magic."""
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
-            if size < _MAP_MIN_BYTES:
-                reader = cls(fh.read())
-            else:
-                buf = _map(size + _ALIGN)
-                if fh.readinto(memoryview(buf)[:size]) != size or fh.read(1):
-                    raise VersionMismatch("file changed size while it was read")
-                reader = cls(buf, size)
+            buf = _map(size + _ALIGN)
+            if fh.readinto(memoryview(buf)[:size]) != size or fh.read(1):
+                raise VersionMismatch("file changed size while it was read")
+            reader = cls(buf, size)
         got = reader.data[: len(magic)]
         if got != magic:
             raise VersionMismatch(
@@ -182,14 +165,6 @@ class Reader:
         shift = -(self._root.ctypes.data + self.pos) % _ALIGN
         if not shift:
             return
-        if not isinstance(self.data, mmap.mmap):
-            # a bytes object cannot grow: copy it into a page-aligned map
-            # with room for the move, dropped with its last array
-            buf = mmap.mmap(-1, self.size + _ALIGN)
-            buf[: self.size] = self.data
-            self.data, self._root = buf, np.frombuffer(buf, dtype=np.uint8)
-            self._seal()
-            shift = -self.pos % _ALIGN
         self.data.move(self.pos + shift, self.pos, self.size - self.pos)
         self.pos += shift
         self.size += shift

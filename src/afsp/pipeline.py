@@ -88,6 +88,13 @@ _SECTION_KEYS = {
 }
 
 
+def _int(value, key: str) -> int:
+    """``value`` if it is an int; a float or a bool (YAML's ``true``) raises."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _section_fields(name: str, section: dict) -> dict:
     """The PipelineConfig fields one config section sets."""
     if name == "paths":
@@ -102,14 +109,19 @@ def _section_fields(name: str, section: dict) -> dict:
                 raise ValueError("alphas must be a list of exactly 3 numbers")
             out["weights"] = Weights(*(float(a) for a in alphas))
         if "k" in section:
-            out["k"] = int(section["k"])
+            out["k"] = _int(section["k"], "k")
         if "normalize_scores" in section:
-            out["normalize_scores"] = bool(section["normalize_scores"])
+            value = out["normalize_scores"] = section["normalize_scores"]
+            if not isinstance(value, bool):
+                raise ValueError(f"normalize_scores must be true or false, got {value!r}")
         return out
     if name == "seeds":
-        return {"projection_seed": int(section["projection"])} if section else {}
+        return {"projection_seed": _int(section["projection"], "projection")} if section else {}
     if name == "lang_names":
         return {"lang_names": dict(section)}
+    for key in ("n_candidates", "max_tokens", "retries", "max_in_flight", "top_k"):
+        if section.get(key) is not None:
+            _int(section[key], key)
     return {"generation": GenerationConfig(**section)}
 
 

@@ -3,42 +3,30 @@
 The scorer contract is anything with ``score_many(texts) -> list[float]``,
 one quality in (0, 1) per text, in input order, each a function of its own
 text alone. Batching relies on that last clause: a text scores the same
-whichever texts share its call. ``rank_many`` ranks several lines'
-candidate lists with one such call per chunk of consecutive lines of at
-most ``_RANK_CHARS`` candidate characters (a longer line is a chunk alone),
-which bounds the featurizer's working set; a line that cannot be ranked
-holds its error in its place. ``rank`` is ``rank_many`` of one line.
-The reference implementation is a linear-sigmoid regressor over hashed
-character n-gram features (n = 1..4, each order L2-normalized separately so
-high-count unigrams cannot drown the discriminative long grams) plus two
-dense slots (token count / 100 capped at 1, and the fraction of CJK
-characters). It is trained with seeded mini-batch gradient descent on the
-squared error between the sigmoid output and the degeneration quality
-score, with per-feature Adagrad step scaling: corruption-marker n-grams are
-rare, and uniform steps leave them far too small within a short epoch
-budget. A candidate is scored from its text alone, with no source-sentence
-conditioning.
+whichever texts share its call, so ``rank_many`` ranks several lines'
+candidate lists with one such call per chunk of lines, and ``rank`` is
+``rank_many`` of one line. The reference implementation is a linear-sigmoid
+regressor over hashed character n-gram features (n = 1..4, each order
+L2-normalized separately so high-count unigrams cannot drown the
+discriminative long grams) plus two dense slots (token count / 100 capped
+at 1, and the fraction of CJK characters). It is trained with seeded
+mini-batch gradient descent on the squared error between the sigmoid output
+and the degeneration quality score, with per-feature Adagrad step scaling:
+corruption-marker n-grams are rare, and uniform steps leave them far too
+small within a short epoch budget. A candidate is scored from its text
+alone, with no source-sentence conditioning.
 
-There is one featurization path, ``_featurize_csr``: one vectorized pass
-over all of a call's texts that returns a CSR matrix (``indptr``,
-``indices``, ``values``), one row per text. ``featurize_many`` returns row
-views of it, ``score_many`` gathers the weights once per call and takes one
-dot product per row, and ``train`` reads its rows. The pass lowercases and
-joins the texts and maps code points to dense character ids. Each order's
-gram ids extend the previous order's dense ids by one character and are
-re-densified, so no key overflows int64 whatever the alphabet. Each distinct
-gram is hashed once per call, from a keyed blake2b state copied per gram.
-One sort of (bucket, position) keys per order counts each (text, bucket)
-pair, merges grams that collide in a bucket and finds the pair's first
-position. The counts are integers, so each order's segmented sum of squares
-gives the same norm as ``np.linalg.norm``, bit for bit. A row holds orders
-1-4, each with its buckets in order of first occurrence, then the two dense
-slots: the values of the per-position definition, in the same index order.
-Positions, ids and text ids are int32, and so are the sort keys while
-size**2 fits, which keeps the pass near 100 bytes per character.
-Candidates for one line are corruptions of one sentence and share most of
-their grams, so ranking them together hashes a small fraction of their
-gram positions.
+``featurize`` is the one featurization pass: it turns all of a call's texts
+into one CSR matrix, one row per text, which ``score_many`` and ``train``
+read. Each order's gram ids extend the previous order's dense ids by one
+character and are re-densified, so no key overflows whatever the alphabet,
+and each distinct gram is hashed once per call. A row holds the values of
+the per-position definition in its index order: orders 1-4, each with its
+buckets in order of first occurrence, then the two dense slots. Positions,
+ids and text ids are int32, and so are the sort keys while size**2 fits,
+which keeps the pass near 100 bytes per character. Candidates for one line
+are corruptions of one sentence and share most of their grams, so ranking
+them together hashes a small fraction of their gram positions.
 """
 
 from __future__ import annotations
@@ -79,56 +67,24 @@ _RANK_CHARS = 8192
 
 
 class QualityScorer(Protocol):
-    """Anything that maps candidate translations to qualities in (0, 1),
-    one per text in input order, each a function of its own text alone:
-    ``rank_many`` pools several lines' candidates in one call."""
+    """The scorer contract of the module docstring."""
 
     def score_many(self, texts: Sequence[str]) -> list[float]: ...
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Sparse (index, value) pairs; the two dense slots sit past feature_dim.
-
-    Indices may repeat (hash collisions across n-gram orders); dot products
-    and scatter updates sum the duplicates, which is the intended semantics.
-    """
-
-    indices: np.ndarray
-    values: np.ndarray
-
-
 def featurize(
-    text: str, feature_dim: int = DEFAULT_FEATURE_DIM, hash_seed: int = 0
-) -> FeatureVector:
-    """Hashed character n-gram counts (each order L2-normalized) plus the
-    two dense slots."""
-    return featurize_many([text], feature_dim, hash_seed)[0]
-
-
-def featurize_many(
     texts: Sequence[str], feature_dim: int = DEFAULT_FEATURE_DIM, hash_seed: int = 0
-) -> list[FeatureVector]:
-    """``featurize`` for each text: row views of one ``_featurize_csr`` pass.
-
-    Raises EmptyText if any text is blank.
-    """
-    indptr, indices, values = _featurize_csr(texts, feature_dim, hash_seed)
-    bounds = indptr.tolist()
-    return [
-        FeatureVector(indices=indices[a:b], values=values[a:b])
-        for a, b in zip(bounds, bounds[1:])
-    ]
-
-
-def _featurize_csr(
-    texts: Sequence[str], feature_dim: int, hash_seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every text's feature vector as one CSR matrix ``(indptr, indices,
-    values)``; row t is ``featurize(texts[t])``.
+    """Every text's features as one CSR matrix ``(indptr, indices,
+    values)``: row t holds the hashed character n-gram counts of
+    ``texts[t]``, each order L2-normalized, then the two dense slots at
+    ``feature_dim`` and ``feature_dim + 1``. Indices may repeat across
+    orders (hash collisions); a dot product sums them.
 
-    Raises EmptyText if any text is blank.
+    Raises TypeError for one ``str`` and EmptyText if any text is blank.
     """
+    if isinstance(texts, str):
+        raise TypeError("featurize takes a sequence of texts, not one str")
     if any(not text.strip() for text in texts):
         raise EmptyText("cannot featurize empty text")
     lowered = [text.lower() for text in texts]
@@ -291,8 +247,8 @@ class NGramRegressor:
         return self.score_many([text])[0]
 
     def score_many(self, texts: Sequence[str]) -> list[float]:
-        """``score`` of each text, featurized in one batch."""
-        indptr, indices, values = _featurize_csr(texts, self.feature_dim, self.hash_seed)
+        """``score`` of each text, from one ``featurize`` call."""
+        indptr, indices, values = featurize(texts, self.feature_dim, self.hash_seed)
         weights = self.weights[indices].astype(np.float64)
         bias = float(self.bias)
         bounds = indptr.tolist()
@@ -316,16 +272,15 @@ def train(
     *,
     feature_dim: int = DEFAULT_FEATURE_DIM,
     hash_seed: int = 0,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> tuple[NGramRegressor, TrainReport]:
-    """Seeded mini-batch gradient descent on the squared-error objective.
+    """Seeded gradient descent on the squared-error objective, in
+    mini-batches of ``DEFAULT_BATCH_SIZE`` examples.
 
     Deterministic for a fixed (dataset, seed). Raises ValueError when
-    epochs, feature_dim or batch_size is below 1, DegenerateDataset when the
-    data cannot supervise a regressor and NonFiniteLoss if optimization
-    diverges.
+    epochs or feature_dim is below 1, DegenerateDataset when the data
+    cannot supervise a regressor and NonFiniteLoss if optimization diverges.
     """
-    for name, value in (("epochs", epochs), ("feature_dim", feature_dim), ("batch_size", batch_size)):
+    for name, value in (("epochs", epochs), ("feature_dim", feature_dim)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     examples = list(dataset)
@@ -334,7 +289,7 @@ def train(
     if len({ex.score for ex in examples}) < 2:
         raise DegenerateDataset("all examples have the same score")
 
-    indptr, indices, values = _featurize_csr([ex.text for ex in examples], feature_dim, hash_seed)
+    indptr, indices, values = featurize([ex.text for ex in examples], feature_dim, hash_seed)
     bounds = indptr.tolist()
     rows = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
     targets = np.array([ex.score for ex in examples], dtype=np.float64)
@@ -349,8 +304,8 @@ def train(
     for _ in range(epochs):
         order = rng.permutation(len(examples))
         batch_losses = []
-        for start in range(0, len(order), batch_size):
-            batch = order[start : start + batch_size]
+        for start in range(0, len(order), DEFAULT_BATCH_SIZE):
+            batch = order[start : start + DEFAULT_BATCH_SIZE]
             z = np.array([weights[indices[rows[i]]] @ values[rows[i]] for i in batch]) + bias
             p = 1.0 / (1.0 + np.exp(-np.clip(z, -30.0, 30.0)))
             err = p - targets[batch]

@@ -1,6 +1,6 @@
 """Demonstration retrieval: precomputed index, relevance scores, top-k.
 
-Every corpus pair's source side is embedded once into the three
+Every corpus pair's source side is embedded once into three
 representations and stored in a :class:`RetrievalIndex`. A query's top k
 are the entries with the best fused score, where an entry's scores are
 
@@ -11,101 +11,20 @@ are the entries with the best fused score, where an entry's scores are
 
 fused as ``alpha1 * dense + alpha2 * sparse + alpha3 * multi``. The sparse
 score is unbounded while the other two live in [-1, 1]; scores are fused raw
-by default, with an opt-in min-max normalization over the candidate pool for
-callers that want comparable scales.
+by default, with an opt-in min-max normalization over the candidate pool.
 
 The top k are exact: their entries, order, ties at the cut and four scores
-are those of scoring every entry. But with raw fusion and k below the
-corpus size, most entries are never scored exactly, neither by the
-late-interaction scan, the costliest score, nor by the exact dense kernel.
-Every entry's sparse score is taken, and its dense and multi scores are
-bounded from above. The dense bound is a float32 product of the query with
-the stored rows, widened by a margin on its rounding error (see
-``RetrievalIndex._dense_bounds``). For the multi bound, of the similarities
-of a query row c to every distinct row, let ``top_c`` be the largest, at
-row ``r_c``, and ``second_c`` the second largest counting repeats
-(``top_c`` when there is one distinct row). An entry that holds ``r_c``
-matches c at ``top_c``; any other entry at most at ``second_c``. The bound
-is the mean of these, summed in the query's own order of rows, so it adds
-the same terms as the exact mean in the same order, each at least as
-large, and as rounding to nearest is monotone it is never below the exact
-score. The fused score of the two bounds, summed as the exact one is, is
-likewise never below the exact fused score. The k entries of best bounded
-score are scored exactly, and the k-th best of their exact fused scores
-(in a group of queries, of every entry that round scores) is a threshold
-theta: k entries reach it, so every entry of the top k does too, ties at
-the cut included, and its bounded score with it. The entries whose bounded
-score reaches theta, the query's survivors, are then scored exactly, and
-the top k taken among them in corpus order. The entries that hold ``r_c``
-come from row -> entry lists built with the index. With
-``normalize_scores`` the min-max range needs every entry's scores, so every
-entry is scored, as it is whenever k is at least the corpus size.
-
-Exact scores are float64 on the stored float32 representations, so results
-are identical whether the index was just built or reloaded from disk. An
-exact dense score is an einsum row dot, whose bits depend on the two rows
-alone: byte-identical rows tie exactly, and a query's dense scores are the
-same in any block. A BLAS product may round a row's dot product apart by
-the row's position, so it serves only for bounds.
-
-The index is columnar: a pair table, the dense matrix, CSR sparse weights,
-and the multi-vector rows. Multi-vector rows come from a context-free
-embedding layer, so each row depends only on its token and a corpus repeats
-few distinct rows many times; the index stores each distinct row once
-(deduped by its exact float32 bytes) and, per entry, the ids of its distinct
-rows. A query is scored against the distinct rows and the result gathered
-back to entries, which gives the same values as scoring every token row.
-The gather runs over jagged diagonals: with entries sorted by row count,
-the k-th row of every entry that has one forms one column, so each column
-takes one gather and one running max for all query rows at once. The
-same arrays are the file format, read back with ``np.frombuffer``. The
-index checks the table fingerprint once per (table, projections) pair,
-compared by identity; their arrays are read-only, so the same objects
-always hold the same content.
-
+are those of scoring every entry, in float64 on the stored float32
+representations, so a built and a reloaded index give the same results.
+With raw fusion and k below the corpus size, most entries are only bounded
+from above and never scored exactly (:meth:`RetrievalIndex._group_top`).
 Queries are scored in blocks: :func:`retrieve_many` scores a list of texts
-in one pass and :func:`retrieve_topk` is a block of one. The block's dense
-vectors go through one float32 product with the stored dense matrix, which
-is then read once per block rather than once per query, for the bounds;
-the exact dense kernel runs per query on its own survivors. The
-multi-vector product runs over groups of consecutive queries, and the
-gather-max runs once per group and round: each column's gather and running
-max cover every row of the product, and each query then averages its own
-rows of the maxima over every entry that some query of the group needs
-scored. Queries
-of one block repeat the same token rows (the embedding layer is
-context-free and text is Zipfian), so a group's product holds the rows its
-queries bring, and a row that an earlier query of the group already
-brought, keyed by its float32 bytes as :func:`build_index` keys corpus
-rows, is reused rather than added again. A query's other rows, repeats
-included, are its own product rows in its order. A query joins the group
-while the rows it adds keep the product within ``_MULTI_ROWS``, so the
-product stays small, and a query with more rows is a group alone. The
-gather-max walks the entries it scores in length order, in tiles of
-``_TILE``: a column covers a prefix of that order, so of each tile too,
-and its maxima, one float64 per entry of the tile and row of the
-product, stay small however large the corpus is. The tile moves no bit,
-and the group none beyond what its product rows hold: a max is exact in
-any order, and each query's mean adds the maxima of its rows in its
-order, as when it is scored alone. Neither does pruning: an entry's score
-does not depend on which other entries are scored with it.
-
-A block of one keeps the multi scores of a query scored alone: as a group of
-one its product is its own rows, in order and with repeats. In a larger
-block BLAS may round a similarity in the last bit differently (a row at
-another position of the product, which a shared row may be), so multi
-scores that tie exactly when scored alone may come apart, and the reverse.
-
-Because the embedding layer is context-free, :func:`build_index` works on
-distinct tokens: it segments every source text once, looks up (or
-hash-generates) each distinct token's row once, and computes all sparse
-weights and multi-vector rows in one block. Each pair then gathers its
-entries: the max over its token rows for the dense vector, its tokens'
-weights for the sparse one, and its tokens' deduped row ids. The values
-come from the same functions that embed one query (:func:`embed_tokens`,
-:func:`dense_embed`, :func:`sparse_embed`, :func:`multi_embed`), applied to
-a block of rows, and the index's bytes equal those of embedding each pair
-alone.
+in one pass, and :func:`retrieve_topk` is a block of one. The multi-vector
+product runs over groups of consecutive queries that share product rows
+(:meth:`RetrievalIndex._top`), and its gather-max over the entries' jagged
+diagonals of row ids (:meth:`RetrievalIndex._multi`). :func:`build_index`
+embeds each distinct token once, and the index's arrays are its file
+format.
 """
 
 from __future__ import annotations
@@ -260,15 +179,12 @@ class RetrievalIndex:
     margin, a float64 copy of the distinct rows, inverted sparse lists,
     the multi-vector row ids as jagged diagonals, and the lists of the
     entries that hold each distinct row (``_holders``, sliced by
-    ``_held``), built with one unstable sort of the row ids. Entries are sorted by their
-    count of distinct rows, longest first (``_by_len``, through which
-    scores go back to corpus order), and column k of ``_columns`` holds the
-    k-th row id of each entry with more than k rows, a prefix of that
-    order; there are as many columns as the longest entry has rows. A
-    tile of ascending positions in that order takes from each column the
-    positions below its length, a prefix of the tile, and a column that
-    reaches none of them ends the tile's scan, as every later column is
-    shorter still.
+    ``_held``), built with one unstable sort of the row ids. Entries are
+    sorted by their count of distinct rows, longest first (``_by_len``,
+    through which scores go back to corpus order), and column k of
+    ``_columns`` holds the k-th row id of each entry with more than k rows,
+    a prefix of that order; there are as many columns as the longest entry
+    has rows.
     """
 
     def __init__(
@@ -338,8 +254,10 @@ class RetrievalIndex:
         return len(self.corpus)
 
     def _check_binding(self, table: EmbeddingTable, proj: ProjectionSet) -> None:
-        """Raise FingerprintMismatch unless (table, proj) built this index;
-        the last pair that passed is not hashed again."""
+        """Raise FingerprintMismatch unless (table, proj) built this index.
+        The last pair that passed is not hashed again: it is compared by
+        identity, and its arrays are read-only, so the same objects always
+        hold the same content."""
         bound = self._bound
         if bound is not None and bound[0] is table and bound[1] is proj:
             return
@@ -357,8 +275,19 @@ class RetrievalIndex:
         normalize: bool,
     ) -> list[tuple[np.ndarray, ...]]:
         """Each query's top k as (entry ids, dense, sparse, multi and fused
-        scores), best first, for a block of queries (see the module
-        docstring)."""
+        scores), best first, for a block of queries.
+
+        One float32 product of the block's dense vectors gives the dense
+        bounds. A block repeats token rows (the embedding layer is
+        context-free and text is Zipfian), so consecutive queries share one
+        multi-vector product: a row that an earlier query of the group
+        brought, keyed by its float32 bytes, is reused, and the query's
+        other rows, repeats included, are new product rows in its order,
+        within ``_MULTI_ROWS``. A group of one is the query's own rows, so a
+        block of one keeps a lone query's multi scores; in a larger block a
+        row may sit elsewhere in the product, where BLAS may round it
+        differently (see :meth:`_dense`), so exact multi ties may come
+        apart, and the reverse."""
         if not queries:
             return []
         q32 = np.stack([d.values for d, _, _ in queries])
@@ -367,10 +296,7 @@ class RetrievalIndex:
         out: list[tuple[np.ndarray, ...]] = []
         start = 0
         while start < len(queries):
-            # consecutive queries share one product (see the module
-            # docstring): a row that an earlier query of the group brought is
-            # reused, the query's other rows are new product rows, and it
-            # joins while they keep the product within _MULTI_ROWS
+            # one group's product rows and each query's columns of it
             seen: dict[bytes, int] = {}
             parts, cols = [], []
             size, stop = 0, start
@@ -419,7 +345,7 @@ class RetrievalIndex:
         margin, which carries a relative slack of 2^-20 for the rounding
         of the norms and of the margin itself, and for underflow. The
         kernel's value is a float64, so the float64 sum rounds to no less
-        than it either (rounding to nearest is monotone)."""
+        than it either."""
         bounds = (q32 @ self.dense.T).astype(np.float64)
         bounds += self._dense_margin * np.linalg.norm(q32.astype(np.float64), axis=1)[:, None]
         return bounds
@@ -438,9 +364,22 @@ class RetrievalIndex:
         """``_top`` for the queries of one multi-vector group, given each
         one's dense vector (float64), bounds on its dense scores of every
         entry (None for a full scan) and its sparse scores of every entry.
-        Only the entries that some query's bound cannot rule out of its top
-        k are scored exactly, or every entry is (see the module
-        docstring)."""
+
+        With bounds, every entry's sparse score is taken and its dense and
+        multi scores are bounded from above (:meth:`_dense_bounds`,
+        :meth:`_upper_bounds`). Rounding to nearest is monotone, so a sum
+        or product of terms each at least as large rounds to no less, and
+        the fused score of the bounds, summed as the exact one is, is never
+        below the exact fused score. Round 1 scores the k entries of best bounded
+        score exactly, and the k-th best of the exact fused scores that
+        round takes is a threshold theta: k entries reach it, so every entry
+        of the top k does too, ties at the cut included, and so does its
+        bounded score. Round 2 scores each query's survivors, the entries
+        whose bounded score reaches its theta, and the top k are taken
+        among them in corpus order; an entry's score does not depend on
+        which others are scored with it. ``normalize`` needs every entry's
+        scores for the min-max range, so every entry is scored then, as it
+        is when k is at least the corpus size."""
         a1, a2, a3 = weights.alpha1, weights.alpha2, weights.alpha3
         keep = np.ones(len(self), dtype=bool)
         survivors = None
@@ -455,16 +394,13 @@ class RetrievalIndex:
             # both rounds scan the product by distinct row (see _multi): lay
             # it out so once, and its transpose there is a view
             product = np.ascontiguousarray(product.T).T
-            # round 1: each query's k best bounded entries, scored exactly;
-            # k of them reach the k-th best exact fused score theta
+            # round 1: each query's k best bounded entries
             keep[:] = False
             for bound in bounds:
                 keep[np.argpartition(-bound, k - 1)[:k]] = True
             ids, sms = self._exact(product, cols, keep)
             sds = self._dense(qs, ids)
-            # round 2: each query's survivors, the entries whose bounded
-            # score reaches its theta; every other entry scores below theta,
-            # so below its k-th best survivor, and is not in its top k
+            # round 2: each query's survivors
             survivors = []
             for ss, sd, sm, bound in zip(sparse, sds, sms, bounds):
                 fused = a1 * sd + a2 * ss[ids] + a3 * sm
@@ -493,9 +429,17 @@ class RetrievalIndex:
 
     def _upper_bounds(self, product: np.ndarray, cols: list[list[int]]) -> list[np.ndarray]:
         """An upper bound on every entry's multi score, for each query of a
-        group: the mean, in the query's order, of each of its product rows'
-        best similarity where the entry holds the row's best distinct row
-        and its second best (counting repeats) elsewhere."""
+        group.
+
+        Of the similarities of product row c to every distinct row, let
+        ``top_c`` be the largest, at row ``r_c``, and ``second_c`` the second
+        largest counting repeats (``top_c`` when there is one distinct row).
+        An entry that holds ``r_c`` matches c at ``top_c``, any other entry at
+        most at ``second_c``. The bound is the mean of these, summed in the
+        query's own order of rows: it adds the same terms as the exact mean
+        in the same order, each at least as large, so it rounds to no less
+        than the exact score (see :meth:`_group_top`). The entries that
+        hold ``r_c`` come from the postings ``_holders``."""
         rows = np.arange(len(product))
         best = product.argmax(axis=1)
         top = product[rows, best]
@@ -537,7 +481,10 @@ class RetrievalIndex:
         """Each query's exact dense score of the entries ``ids``: float64 dot
         products of the stored float32 rows, upcast ``_TILE`` rows at a
         time. One einsum loop sums every row in the same order, wherever
-        the row sits and whatever is scored with it; BLAS does not."""
+        the row sits and whatever is scored with it, so byte-identical rows
+        tie exactly and a query's dense scores are the same in any block. A
+        BLAS product may round a row's dot product apart by the row's
+        position, so it serves only for bounds."""
         out = np.empty((len(qs), len(ids)))
         # every entry, in order, is read by slices rather than gathered
         every = len(ids) == len(self)
@@ -562,7 +509,15 @@ class RetrievalIndex:
         """Late-interaction score of the entries at ``positions`` (ascending,
         in length order) for each query of a group, from the group's
         (product rows, distinct rows) similarities; query i's rows are the
-        product rows ``cols[i]``, in its order."""
+        product rows ``cols[i]``, in its order.
+
+        The gather-max walks
+        the positions in tiles of ``_TILE``, so its maxima, one float64 per
+        entry of the tile and row of the product, stay small however large
+        the corpus is. Neither the tile nor the group moves a bit beyond
+        what the product rows hold: a max is exact in any order, and each
+        query's mean adds the maxima of its rows in its order, as when it is
+        scored alone."""
         # the transpose, copied, holds each distinct row's sims contiguously,
         # so one gather per diagonal column serves every row of the product,
         # and the running max over a column's prefix of entries needs no
@@ -571,7 +526,8 @@ class RetrievalIndex:
         out = [np.empty(len(positions)) for _ in cols]
         for a in range(0, len(positions), _TILE):
             # a column covers a prefix of the length order, so of the tile's
-            # positions too, and the columns that reach it are the first ones
+            # positions too, and the columns that reach it are the first
+            # ones: a column that reaches none ends the tile's scan
             tile = positions[a : a + _TILE]
             reach = np.searchsorted(tile, self._column_lengths).tolist()
             best = by_row[self._columns[0][tile]]
@@ -596,9 +552,11 @@ def build_index(
 ) -> RetrievalIndex:
     """Embed every pair's source text; entries keep corpus order.
 
-    Each distinct token is looked up, weighted and projected once, and each
-    pair gathers its entries from those per-token results (see the module
-    docstring).
+    The embedding layer is context-free, so each distinct token is looked
+    up (or hash-generated), weighted and projected once, in one block, by
+    the functions that embed one query, and each pair gathers its entries
+    from those rows: the index's bytes equal those of embedding each pair
+    alone.
     """
     # each token string gets a dense id in order of first appearance; tok is
     # the id of every token occurrence, pair after pair, and owner its pair
@@ -752,13 +710,8 @@ def retrieve_topk(
 
     Raises FingerprintMismatch if (table, proj) differ from what the index
     was built with, and EmptyQuery for blank queries. Returns all entries
-    when the corpus is smaller than k. Scored as a block of one, with the
-    bits of a query scored alone (see the module docstring).
-
-    The result is that of scoring every entry. With raw scores and k below
-    the corpus size, only the entries whose upper bound on the fused score
-    reaches the k-th best exact score of the best-bounded k are scored
-    exactly; ``normalize_scores`` scores every entry.
+    when the corpus is smaller than k. Scored as a block of one, which
+    keeps the bits of a query scored alone (:meth:`RetrievalIndex._top`).
     """
     (result,) = retrieve_many(
         [query_text], index, table, proj, weights, k, normalize_scores=normalize_scores

@@ -1,4 +1,5 @@
-"""Large buffers in memory maps of their own, recycled by size (afsp._binio)."""
+"""Loaded files and scan buffers in memory maps of their own, recycled by
+size (afsp._binio)."""
 
 import gc
 import mmap
@@ -23,9 +24,8 @@ from helpers import corpus_table, en_sentence, synthetic_corpus, zh_sentence
 
 
 @pytest.fixture
-def small_maps(monkeypatch):
-    """Map every buffer of 64 bytes or more, starting with no spares."""
-    monkeypatch.setattr(_binio, "_MAP_MIN_BYTES", 64)
+def no_spares(monkeypatch):
+    """Start with no spare maps."""
     monkeypatch.setattr(_binio, "_spare_maps", {})
 
 
@@ -37,7 +37,7 @@ def _root(arr):
     return arr.obj if isinstance(arr, memoryview) else arr
 
 
-def test_large_file_is_read_into_a_map_the_table_keeps_uncopied(tmp_path, small_maps):
+def test_large_file_is_read_into_a_map_the_table_keeps_uncopied(tmp_path, no_spares):
     table = corpus_table(dim=16)
     path = tmp_path / "table.bin"
     save_table(table, path)
@@ -48,14 +48,20 @@ def test_large_file_is_read_into_a_map_the_table_keeps_uncopied(tmp_path, small_
     assert not loaded.matrix.flags.writeable
 
 
-def test_small_file_is_read_into_bytes(tmp_path):
-    path = tmp_path / "table.bin"
-    save_table(corpus_table(dim=16), path)
-    assert path.stat().st_size < _binio._MAP_MIN_BYTES
-    assert isinstance(_root(load_table(path).matrix), bytes)
+def test_small_file_is_read_into_a_sealed_aligned_map(tmp_path, no_spares):
+    # a few kilobytes: a file of any size takes the one path
+    path = tmp_path / "index.bin"
+    index = build_index(synthetic_corpus(5, seed=2), corpus_table(dim=8), init_projections(8, seed=1))
+    save_index(index, path)
+    assert path.stat().st_size < 1 << 16
+    loaded = load_index(path)
+    for arr in (loaded.dense, loaded.multi_rows, loaded.sparse_weights):
+        assert isinstance(_root(arr), mmap.mmap)
+        assert _binio.sealed(arr) and not arr.flags.writeable
+    assert loaded.dense.ctypes.data % _binio._ALIGN == 0
 
 
-def test_freed_file_map_is_reused_by_the_next_load(tmp_path, small_maps):
+def test_freed_file_map_is_reused_by_the_next_load(tmp_path, no_spares):
     path = tmp_path / "table.bin"
     save_table(corpus_table(dim=16), path)
     matrix = load_table(path).matrix
@@ -67,7 +73,7 @@ def test_freed_file_map_is_reused_by_the_next_load(tmp_path, small_maps):
     assert load_table(path).matrix.ctypes.data == address
 
 
-def test_empty_maps_a_large_array_and_recycles_it_after_its_last_view(small_maps):
+def test_empty_maps_a_large_array_and_recycles_it_after_its_last_view(no_spares):
     a = _binio.empty((4, 8), np.float64)
     assert a.shape == (4, 8) and a.flags.c_contiguous and a.flags.writeable
     assert isinstance(_root(a), mmap.mmap)
@@ -79,7 +85,8 @@ def test_empty_maps_a_large_array_and_recycles_it_after_its_last_view(small_maps
     del view
     gc.collect()
     assert _binio.empty((32,), np.float64).ctypes.data == address
-    assert _binio.empty((2,), np.float64).base is None
+    small = _binio.empty((2,), np.float64)
+    assert isinstance(_root(small), mmap.mmap) and small.flags.writeable
 
 
 def test_a_callers_read_only_view_of_a_map_is_not_sealed():
@@ -91,7 +98,7 @@ def test_a_callers_read_only_view_of_a_map_is_not_sealed():
     assert not np.shares_memory(table.matrix, rows)
 
 
-def test_mapped_index_scores_equal_the_built_index_bit_for_bit(tmp_path, small_maps):
+def test_mapped_index_scores_equal_the_built_index_bit_for_bit(tmp_path, no_spares):
     corpus = synthetic_corpus(40, seed=8, unique_src=True)
     table = corpus_table(dim=32)
     proj = init_projections(32, seed=13)
@@ -119,9 +126,9 @@ def scored(results):
 
 @pytest.mark.parametrize("entries, dim", [(1100, 256), (30, 16)])
 def test_loaded_dense_rows_are_aligned_whatever_the_pair_table_length(tmp_path, entries, dim):
-    # 1,100 x 256 float32 rows make a file past _MAP_MIN_BYTES, read into a
-    # map; 30 x 16 a small one, read into bytes. Padding one pair's target
-    # by 0-63 bytes puts the dense block at every offset modulo 64 in the file.
+    # 1,100 x 256 float32 rows make a file of about 1.5 MB, 30 x 16 one of a
+    # few kilobytes; both are read into a map. Padding one pair's target by
+    # 0-63 bytes puts the dense block at every offset modulo 64 in the file.
     corpus = synthetic_corpus(entries, seed=6)
     table = corpus_table(dim=dim)
     proj = init_projections(dim, seed=13)
@@ -142,8 +149,8 @@ def test_loaded_dense_rows_are_aligned_whatever_the_pair_table_length(tmp_path, 
         save_index(index, path)
         data = path.read_bytes()
         offsets.add((data.index(built.dense.tobytes()[:64])) % 64)
-        assert (len(data) >= _binio._MAP_MIN_BYTES) == (entries > 100)
         loaded = load_index(path)
+        assert isinstance(_root(loaded.dense), mmap.mmap)
         assert loaded.dense.ctypes.data % _binio._ALIGN == 0
         assert loaded.dense.tobytes() == built.dense.tobytes()
         # the file's bytes are unchanged, and so are the ones saved again

@@ -584,6 +584,15 @@ def test_load_config_sections_and_unknowns(tmp_path):
         ("generation: {timeout: 0}\n", "section generation: timeout must be > 0"),
         ("generation: {max_tokens: 0}\n", "section generation: max_tokens must be >= 1"),
         ("generation: {max_in_flight: 0}\n", "section generation: max_in_flight must be >= 1"),
+        ("retrieval: {normalize_scores: \"false\"}\n", "section retrieval: normalize_scores must be"),
+        ("retrieval: {normalize_scores: 1}\n", "section retrieval: normalize_scores must be"),
+        ("retrieval: {k: 2.9}\n", "section retrieval: k must be an integer"),
+        ("retrieval: {k: true}\n", "section retrieval: k must be an integer"),
+        ("seeds: {projection: 1.9}\n", "section seeds: projection must be an integer"),
+        ("generation: {n_candidates: 2.5}\n", "section generation: n_candidates must be an integer"),
+        ("generation: {retries: 1.5}\n", "section generation: retries must be an integer"),
+        ("generation: {max_in_flight: false}\n", "section generation: max_in_flight must be an integer"),
+        ("generation: {top_k: 4.0}\n", "section generation: top_k must be an integer"),
     ],
     ids=[
         "unknown-section", "unknown-paths-key", "unknown-retrieval-key", "unknown-seeds-key",
@@ -591,6 +600,9 @@ def test_load_config_sections_and_unknowns(tmp_path):
         "paths-not-mapping", "path-not-string", "lang-names-not-mapping", "alphas-not-list",
         "alpha-not-number", "negative-k", "negative-projection-seed", "n-candidates-not-number",
         "negative-retries", "zero-timeout", "zero-max-tokens", "zero-max-in-flight",
+        "normalize-scores-string", "normalize-scores-int", "float-k", "bool-k",
+        "float-projection-seed", "float-n-candidates", "float-retries", "bool-max-in-flight",
+        "float-top-k",
     ],
 )
 def test_load_config_rejects_with_value_error(tmp_path, text, message):

@@ -23,7 +23,6 @@ from afsp.reranker import (
     DEFAULT_FEATURE_DIM,
     NGramRegressor,
     featurize,
-    featurize_many,
     load_model,
     rank,
     rank_many,
@@ -45,45 +44,58 @@ def small_dataset():
     return examples
 
 
+def rows(texts, feature_dim=FEATURE_DIM, hash_seed=0):
+    """Each text's (indices, values) row of one featurize call."""
+    indptr, indices, values = featurize(texts, feature_dim, hash_seed)
+    assert len(indptr) == len(texts) + 1 and indptr[0] == 0
+    bounds = indptr.tolist()
+    return [(indices[a:b], values[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
 def test_featurize_identical_texts_identical_vectors():
-    a = featurize("some translated text", FEATURE_DIM)
-    b = featurize("some translated text", FEATURE_DIM)
-    assert a.indices.tolist() == b.indices.tolist()
-    assert a.values.tolist() == b.values.tolist()
+    (a_idx, a_val), (b_idx, b_val) = rows(["some translated text", "some translated text"])
+    assert a_idx.tolist() == b_idx.tolist()
+    assert a_val.tolist() == b_val.tolist()
 
 
 def test_featurize_dense_slots():
-    fv = featurize("你好", FEATURE_DIM)
-    assert fv.indices[-2] == FEATURE_DIM
-    assert fv.indices[-1] == FEATURE_DIM + 1
-    assert fv.values[-1] == 1.0  # all characters are CJK
-    assert fv.values[-2] == pytest.approx(2 / 100)
-
-    fv_en = featurize("plain english", FEATURE_DIM)
-    assert fv_en.values[-1] == 0.0
+    (indices, values), (_, values_en) = rows(["你好", "plain english"])
+    assert indices[-2] == FEATURE_DIM
+    assert indices[-1] == FEATURE_DIM + 1
+    assert values[-1] == 1.0  # all characters are CJK
+    assert values[-2] == pytest.approx(2 / 100)
+    assert values_en[-1] == 0.0
 
 
 def test_featurize_two_char_text_per_order_norms():
-    fv = featurize("ab", FEATURE_DIM)
+    ((_, values),) = rows(["ab"])
     # unigrams a, b normalized together; the bigram block is a single gram
-    gram_values = sorted(fv.values[:-2].tolist())
+    gram_values = sorted(values[:-2].tolist())
     assert gram_values == pytest.approx([1 / np.sqrt(2), 1 / np.sqrt(2), 1.0])
 
 
 def test_featurize_length_cap():
-    fv = featurize("word " * 300, FEATURE_DIM)
-    assert fv.values[-2] == 1.0
+    ((_, values),) = rows(["word " * 300])
+    assert values[-2] == 1.0
 
 
 def test_featurize_empty_raises():
     with pytest.raises(EmptyText):
-        featurize("   ", FEATURE_DIM)
+        featurize(["   "], FEATURE_DIM)
+
+
+def test_featurize_rejects_one_str():
+    # a str is a sequence of characters, which would featurize one text per
+    # character
+    for text in ("text", ""):
+        with pytest.raises(TypeError):
+            featurize(text, FEATURE_DIM)
 
 
 def test_featurize_hash_seed_changes_indices():
-    a = featurize("hello there", FEATURE_DIM, hash_seed=0)
-    b = featurize("hello there", FEATURE_DIM, hash_seed=1)
-    assert a.indices[:-2].tolist() != b.indices[:-2].tolist()
+    ((a, _),) = rows(["hello there"], hash_seed=0)
+    ((b, _),) = rows(["hello there"], hash_seed=1)
+    assert a[:-2].tolist() != b[:-2].tolist()
 
 
 def test_score_zero_model_is_half():
@@ -334,25 +346,30 @@ def random_texts(seed, count=40):
     return texts
 
 
+def assert_rows_match_reference(texts, feature_dim, hash_seed):
+    got = rows(texts, feature_dim, hash_seed)
+    assert len(got) == len(texts)
+    for text, (indices, values) in zip(texts, got):
+        want_indices, want_values = featurize_per_position(text, feature_dim, hash_seed)
+        assert indices.tobytes() == want_indices.tobytes()
+        assert values.tobytes() == want_values.tobytes()
+
+
 @pytest.mark.parametrize("feature_dim,hash_seed", [(FEATURE_DIM, 0), (7, 0), (7, 2**64 - 5), (DEFAULT_FEATURE_DIM, 99)])
 def test_featurize_many_matches_per_position_reference(feature_dim, hash_seed):
     texts = random_texts(seed=feature_dim + hash_seed % 1000)
-    batch = featurize_many(texts, feature_dim, hash_seed)
-    assert len(batch) == len(texts)
-    for text, fv in zip(texts, batch):
-        indices, values = featurize_per_position(text, feature_dim, hash_seed)
-        assert fv.indices.tobytes() == indices.tobytes()
-        assert fv.values.tobytes() == values.tobytes()
-        single = featurize(text, feature_dim, hash_seed)
-        assert single.indices.tobytes() == indices.tobytes()
-        assert single.values.tobytes() == values.tobytes()
+    assert_rows_match_reference(texts, feature_dim, hash_seed)
+    # a text's row does not depend on the texts that share its call
+    for text in texts[:5]:
+        assert_rows_match_reference([text], feature_dim, hash_seed)
 
 
 def test_featurize_many_blank_text_anywhere_raises():
     for batch in (["   "], ["ok", "\t\n"], ["ok", "fine", "\u3000"], ["", "ok"]):
         with pytest.raises(EmptyText):
-            featurize_many(batch, FEATURE_DIM)
-    assert featurize_many([], FEATURE_DIM) == []
+            featurize(batch, FEATURE_DIM)
+    indptr, indices, values = featurize([], FEATURE_DIM)
+    assert indptr.tolist() == [0] and len(indices) == len(values) == 0
 
 
 def test_rank_scores_equal_single_text_scores_and_ties_keep_order():
@@ -402,10 +419,7 @@ _texts = st.one_of(
     hash_seed=st.integers(0, 2**64 - 1),
 )
 def test_featurize_many_matches_reference_on_drawn_batches(texts, feature_dim, hash_seed):
-    for text, fv in zip(texts, featurize_many(texts, feature_dim, hash_seed), strict=True):
-        indices, values = featurize_per_position(text, feature_dim, hash_seed)
-        assert fv.indices.tobytes() == indices.tobytes()
-        assert fv.values.tobytes() == values.tobytes()
+    assert_rows_match_reference(texts, feature_dim, hash_seed)
 
 
 def test_featurize_many_with_more_distinct_characters_than_fit_in_16_bits():
@@ -417,10 +431,7 @@ def test_featurize_many_with_more_distinct_characters_than_fit_in_16_bits():
     texts = ["".join(chars[i : i + 700]) for i in range(0, len(chars), 700)]
     texts += ["".join(rng.choices(chars, k=300)) + " " + texts[0][:50] for _ in range(5)]
     assert len(set("".join(texts))) > 65_536
-    for text, fv in zip(texts, featurize_many(texts, DEFAULT_FEATURE_DIM, 11), strict=True):
-        indices, values = featurize_per_position(text, DEFAULT_FEATURE_DIM, 11)
-        assert fv.indices.tobytes() == indices.tobytes()
-        assert fv.values.tobytes() == values.tobytes()
+    assert_rows_match_reference(texts, DEFAULT_FEATURE_DIM, 11)
 
 
 def test_lowercasing_keeps_every_code_points_whitespace_and_cjk_count():
@@ -505,6 +516,26 @@ def test_one_blank_line_in_a_block_costs_a_call_per_halving(ranking_model):
     # one that holds line 11; scoring each line alone would take 17 calls
     assert len(scorer.calls) == 9
     assert lists[11] in scorer.calls
+
+
+def test_featurize_is_looked_up_once_per_scorer_call(ranking_model, monkeypatch):
+    # a wrapper set on afsp.reranker.featurize, as a tracer sets one, sees
+    # every featurization: one per score_many call, so one per rank_many chunk
+    calls = []
+
+    def spy(texts, *args):
+        calls.append(list(texts))
+        return featurize(texts, *args)
+
+    monkeypatch.setattr(afsp.reranker, "featurize", spy)
+    ranking_model.score_many(["one text", "another"])
+    assert calls == [["one text", "another"]]
+    monkeypatch.setattr(afsp.reranker, "_RANK_CHARS", 25)
+    lists = [["a" * 10], ["b" * 6, "c" * 4], ["d" * 30], ["e" * 5, "f" * 5], ["g" * 15]]
+    scorer = CountingScorer(ranking_model)
+    calls.clear()
+    rank_many(scorer, lists)
+    assert calls == scorer.calls and len(calls) == 3
 
 
 _candidate_lists = st.lists(
