@@ -222,7 +222,8 @@ def evaluate(
             "meteor and comet-style metrics are not implemented (external resources)",
         ),
     )
-    words = _token_pairs(hypotheses, references, mode)
+    # word tokens only for the word metrics; chrF reads the raw strings
+    words = _token_pairs(hypotheses, references, mode) if set(metrics) - {"chrf"} else []
     word_stats = []
     if {"bleu", "rouge1", "rouge2"} & set(metrics):
         orders = BLEU_ORDER if "bleu" in metrics else 2

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import threading
 import time
 from collections import deque
@@ -48,8 +49,8 @@ from .retrieval import (
 
 logger = logging.getLogger(__name__)
 
-# translate_file retrieves this many lines per block, shared among the
-# workers (see translate_file)
+# lines per retrieval block of translate_file, shared among the workers: the
+# one block-size decision, as a block is one multi-vector product
 _BLOCK_LINES = 16
 
 
@@ -95,6 +96,13 @@ def _int(value, key: str) -> int:
     return value
 
 
+def _number(value, key: str) -> float:
+    """``value`` as a float if it is a finite int or float (not a bool)."""
+    if isinstance(value, bool) or not (isinstance(value, (int, float)) and math.isfinite(value)):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _section_fields(name: str, section: dict) -> dict:
     """The PipelineConfig fields one config section sets."""
     if name == "paths":
@@ -107,7 +115,7 @@ def _section_fields(name: str, section: dict) -> dict:
             alphas = section["alphas"]
             if not isinstance(alphas, list) or len(alphas) != 3:
                 raise ValueError("alphas must be a list of exactly 3 numbers")
-            out["weights"] = Weights(*(float(a) for a in alphas))
+            out["weights"] = Weights(*(_number(a, "alphas") for a in alphas))
         if "k" in section:
             out["k"] = _int(section["k"], "k")
         if "normalize_scores" in section:
@@ -122,6 +130,9 @@ def _section_fields(name: str, section: dict) -> dict:
     for key in ("n_candidates", "max_tokens", "retries", "max_in_flight", "top_k"):
         if section.get(key) is not None:
             _int(section[key], key)
+    for key in ("temperature", "top_p", "timeout"):
+        if key in section:
+            _number(section[key], key)
     return {"generation": GenerationConfig(**section)}
 
 

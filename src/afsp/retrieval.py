@@ -16,12 +16,11 @@ by default, with an opt-in min-max normalization over the candidate pool.
 The top k are exact: their entries, order, ties at the cut and four scores
 are those of scoring every entry, in float64 on the stored float32
 representations, so a built and a reloaded index give the same results.
-With raw fusion and k below the corpus size, most entries are only bounded
-from above and never scored exactly (:meth:`RetrievalIndex._group_top`).
 Queries are scored in blocks: :func:`retrieve_many` scores a list of texts
-in one pass, and :func:`retrieve_topk` is a block of one. The multi-vector
-product runs over groups of consecutive queries that share product rows
-(:meth:`RetrievalIndex._top`), and its gather-max over the entries' jagged
+in one pass, and :func:`retrieve_topk` is a block of one. A block's queries
+share one multi-vector product, and with raw fusion and k below the corpus
+size most entries are only bounded from above and never scored exactly
+(:meth:`RetrievalIndex._top`). The gather-max runs over the entries' jagged
 diagonals of row ids (:meth:`RetrievalIndex._multi`). :func:`build_index`
 embeds each distinct token once, and the index's arrays are its file
 format.
@@ -73,11 +72,6 @@ _NORM_TOL = 1e-3
 # pairs per block of build_index's dense max-pooling, which bounds the
 # size of its temporaries
 _POOL_CHUNK = 512
-
-# rows per multi-vector product when a block of queries is scored, which
-# bounds the size of the product; rows that queries of a group share count
-# once (a query with more rows is scored alone)
-_MULTI_ROWS = 64
 
 # entries per tile of the late-interaction gather-max, in length order,
 # which bounds its working memory to _TILE x (product rows) float64
@@ -177,14 +171,11 @@ class RetrievalIndex:
     The constructor builds the scan arrays once, so every query scans the
     same arrays and the first one pays nothing extra: the dense bounds'
     margin, a float64 copy of the distinct rows, inverted sparse lists,
-    the multi-vector row ids as jagged diagonals, and the lists of the
-    entries that hold each distinct row (``_holders``, sliced by
-    ``_held``), built with one unstable sort of the row ids. Entries are
-    sorted by their count of distinct rows, longest first (``_by_len``,
-    through which scores go back to corpus order), and column k of
-    ``_columns`` holds the k-th row id of each entry with more than k rows,
-    a prefix of that order; there are as many columns as the longest entry
-    has rows.
+    the postings of each distinct row, and the multi-vector row ids as
+    jagged diagonals. Entries are sorted by their count of distinct rows,
+    longest first (``_by_len``), and column k of ``_columns`` holds the
+    k-th row id of each entry with more than k rows, a prefix of that
+    order; there are as many columns as the longest entry has rows.
     """
 
     def __init__(
@@ -230,7 +221,8 @@ class RetrievalIndex:
         self._columns = [ids[starts[:n] + k] for k, n in enumerate(longer.tolist())]
         self._column_lengths = longer
         # postings: the entries holding distinct row r are
-        # _holders[_held[r]:_held[r + 1]], in no particular order
+        # _holders[_held[r]:_held[r + 1]], in no particular order (one
+        # unstable sort of the row ids)
         self._holders = np.repeat(np.arange(len(counts), dtype=np.int32), counts)[
             np.argsort(multi_row_ids)
         ]
@@ -278,117 +270,63 @@ class RetrievalIndex:
         scores), best first, for a block of queries.
 
         One float32 product of the block's dense vectors gives the dense
-        bounds. A block repeats token rows (the embedding layer is
-        context-free and text is Zipfian), so consecutive queries share one
-        multi-vector product: a row that an earlier query of the group
-        brought, keyed by its float32 bytes, is reused, and the query's
-        other rows, repeats included, are new product rows in its order,
-        within ``_MULTI_ROWS``. A group of one is the query's own rows, so a
-        block of one keeps a lone query's multi scores; in a larger block a
-        row may sit elsewhere in the product, where BLAS may round it
-        differently (see :meth:`_dense`), so exact multi ties may come
-        apart, and the reverse."""
+        bounds, and one float64 product the block's multi-vector
+        similarities. A block repeats token rows (the embedding layer is
+        context-free and text is Zipfian), so its queries share product
+        rows: a row that an earlier query of the block brought, keyed by
+        its float32 bytes, is reused, and the query's other rows, repeats
+        included, are new product rows in its order. A block of one is the
+        query's own rows, so it keeps a lone query's multi scores; in a
+        larger block a row may sit elsewhere in the product, where BLAS may
+        round it differently (see :meth:`_dense`), so exact multi ties may
+        come apart, and the reverse.
+
+        With raw fusion and k below the corpus size, every entry's sparse
+        score is taken and its dense and multi scores are bounded from above
+        (:meth:`_dense_bounds`, :meth:`_upper_bounds`). Rounding to nearest
+        is monotone, so a sum or product of terms each at least as large
+        rounds to no less, and the fused score of the bounds, summed as the
+        exact one is, is never below the exact fused score. Round 1 scores
+        the k entries of best bounded score exactly, and the k-th best of
+        the exact fused scores that round takes is a threshold theta: k
+        entries reach it, so every entry of the top k does too, ties at the
+        cut included, and so does its bounded score. Round 2 scores each
+        query's survivors, the entries whose bounded score reaches its
+        theta, and the top k are taken among them in corpus order; an
+        entry's score does not depend on which others are scored with it.
+        ``normalize`` needs every entry's scores for the min-max range, so
+        every entry is scored then, as it is when k is at least the corpus
+        size."""
         if not queries:
             return []
         q32 = np.stack([d.values for d, _, _ in queries])
-        q64 = q32.astype(np.float64)
-        bounds = self._dense_bounds(q32) if not normalize and k < len(self) else None
-        out: list[tuple[np.ndarray, ...]] = []
-        start = 0
-        while start < len(queries):
-            # one group's product rows and each query's columns of it
-            seen: dict[bytes, int] = {}
-            parts, cols = [], []
-            size, stop = 0, start
-            while stop < len(queries):
-                rows = queries[stop][2].rows
-                keys = _row_keys(rows)
-                new = [j for j, key in enumerate(keys) if key not in seen]
-                if stop > start and (len(rows) > _MULTI_ROWS or size + len(new) > _MULTI_ROWS):
-                    break
-                fresh = iter(range(size, size + len(new)))
-                cols.append([seen[key] if key in seen else next(fresh) for key in keys])
-                for key, c in zip(keys, cols[-1]):
-                    seen.setdefault(key, c)
-                parts.append(rows[new])
-                size += len(new)
-                stop += 1
-            # the product must be (product rows, distinct rows): rows64 @ q.T
-            # rounds some entries differently
-            product = np.concatenate(parts).astype(np.float64) @ self._rows64.T
-            out += self._group_top(
-                product,
-                cols,
-                q64[start:stop],
-                None if bounds is None else bounds[start:stop],
-                [self._sparse(queries[i][1]) for i in range(start, stop)],
-                weights,
-                k,
-                normalize,
-            )
-            start = stop
-        return out
-
-    def _dense_bounds(self, q32: np.ndarray) -> np.ndarray:
-        """An upper bound on each query's exact dense score (:meth:`_dense`)
-        of every entry: one float32 product of the block with the stored
-        rows, widened by a margin.
-
-        For query q and row d, let S be the true dot product and
-        ``P = sum |q_j d_j| <= |q| |d|`` (Cauchy-Schwarz). A float32 dot
-        product of H terms, in any order and with or without fused
-        multiply-adds, is within ``gamma_H(2^-24) * P`` of S, and the float64
-        kernel within ``gamma_H(2^-53) * P``, where ``gamma_H(u) = H u / (1 -
-        H u)`` (Higham, Accuracy and Stability of Numerical Algorithms,
-        section 3.1). So the kernel's value is at most the float32 value
-        plus ``(gamma_H(2^-24) + gamma_H(2^-53)) * |q| * max |d|``, the
-        margin, which carries a relative slack of 2^-20 for the rounding
-        of the norms and of the margin itself, and for underflow. The
-        kernel's value is a float64, so the float64 sum rounds to no less
-        than it either."""
-        bounds = (q32 @ self.dense.T).astype(np.float64)
-        bounds += self._dense_margin * np.linalg.norm(q32.astype(np.float64), axis=1)[:, None]
-        return bounds
-
-    def _group_top(
-        self,
-        product: np.ndarray,
-        cols: list[list[int]],
-        qs: np.ndarray,
-        dense_bounds: np.ndarray | None,
-        sparse: list[np.ndarray],
-        weights: Weights,
-        k: int,
-        normalize: bool,
-    ) -> list[tuple[np.ndarray, ...]]:
-        """``_top`` for the queries of one multi-vector group, given each
-        one's dense vector (float64), bounds on its dense scores of every
-        entry (None for a full scan) and its sparse scores of every entry.
-
-        With bounds, every entry's sparse score is taken and its dense and
-        multi scores are bounded from above (:meth:`_dense_bounds`,
-        :meth:`_upper_bounds`). Rounding to nearest is monotone, so a sum
-        or product of terms each at least as large rounds to no less, and
-        the fused score of the bounds, summed as the exact one is, is never
-        below the exact fused score. Round 1 scores the k entries of best bounded
-        score exactly, and the k-th best of the exact fused scores that
-        round takes is a threshold theta: k entries reach it, so every entry
-        of the top k does too, ties at the cut included, and so does its
-        bounded score. Round 2 scores each query's survivors, the entries
-        whose bounded score reaches its theta, and the top k are taken
-        among them in corpus order; an entry's score does not depend on
-        which others are scored with it. ``normalize`` needs every entry's
-        scores for the min-max range, so every entry is scored then, as it
-        is when k is at least the corpus size."""
+        qs = q32.astype(np.float64)
+        sparse = [self._sparse(s) for _, s, _ in queries]
+        # the block's product rows and each query's columns of it
+        seen: dict[bytes, int] = {}
+        parts, cols = [], []
+        size = 0
+        for _, _, multi in queries:
+            keys = _row_keys(multi.rows)
+            new = [j for j, key in enumerate(keys) if key not in seen]
+            fresh = iter(range(size, size + len(new)))
+            cols.append([seen[key] if key in seen else next(fresh) for key in keys])
+            for key, c in zip(keys, cols[-1]):
+                seen.setdefault(key, c)
+            parts.append(multi.rows[new])
+            size += len(new)
+        # the product must be (product rows, distinct rows): rows64 @ q.T
+        # rounds some entries differently
+        product = np.concatenate(parts).astype(np.float64) @ self._rows64.T
         a1, a2, a3 = weights.alpha1, weights.alpha2, weights.alpha3
         keep = np.ones(len(self), dtype=bool)
         survivors = None
-        if dense_bounds is not None:
+        if not normalize and k < len(self):
             # each query's fused score with its dense and multi scores
             # bounded, as a1 * sd + a2 * ss + a3 * ub rounds it (products and
             # sums commute bit for bit)
             bounds = self._upper_bounds(product, cols)
-            for sd, ss, bound in zip(dense_bounds, sparse, bounds):
+            for sd, ss, bound in zip(self._dense_bounds(q32), sparse, bounds):
                 bound *= a3
                 bound += a1 * sd + a2 * ss
             # both rounds scan the product by distinct row (see _multi): lay
@@ -427,9 +365,30 @@ class RetrievalIndex:
             out.append((own[top], sd[top], ss[top], sm[top], fused[top]))
         return out
 
+    def _dense_bounds(self, q32: np.ndarray) -> np.ndarray:
+        """An upper bound on each query's exact dense score (:meth:`_dense`)
+        of every entry: one float32 product of the block with the stored
+        rows, widened by a margin.
+
+        For query q and row d, let S be the true dot product and
+        ``P = sum |q_j d_j| <= |q| |d|`` (Cauchy-Schwarz). A float32 dot
+        product of H terms, in any order and with or without fused
+        multiply-adds, is within ``gamma_H(2^-24) * P`` of S, and the float64
+        kernel within ``gamma_H(2^-53) * P``, where ``gamma_H(u) = H u / (1 -
+        H u)`` (Higham, Accuracy and Stability of Numerical Algorithms,
+        section 3.1). So the kernel's value is at most the float32 value
+        plus ``(gamma_H(2^-24) + gamma_H(2^-53)) * |q| * max |d|``, the
+        margin, which carries a relative slack of 2^-20 for the rounding
+        of the norms and of the margin itself, and for underflow. The
+        kernel's value is a float64, so the float64 sum rounds to no less
+        than it either."""
+        bounds = (q32 @ self.dense.T).astype(np.float64)
+        bounds += self._dense_margin * np.linalg.norm(q32.astype(np.float64), axis=1)[:, None]
+        return bounds
+
     def _upper_bounds(self, product: np.ndarray, cols: list[list[int]]) -> list[np.ndarray]:
         """An upper bound on every entry's multi score, for each query of a
-        group.
+        block.
 
         Of the similarities of product row c to every distinct row, let
         ``top_c`` be the largest, at row ``r_c``, and ``second_c`` the second
@@ -438,7 +397,7 @@ class RetrievalIndex:
         most at ``second_c``. The bound is the mean of these, summed in the
         query's own order of rows: it adds the same terms as the exact mean
         in the same order, each at least as large, so it rounds to no less
-        than the exact score (see :meth:`_group_top`). The entries that
+        than the exact score (see :meth:`_top`). The entries that
         hold ``r_c`` come from the postings ``_holders``."""
         rows = np.arange(len(product))
         best = product.argmax(axis=1)
@@ -465,17 +424,14 @@ class RetrievalIndex:
 
     def _exact(
         self, product: np.ndarray, cols: list[list[int]], keep: np.ndarray
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The entries where ``keep`` is set, ascending, and each query's
-        exact multi scores of them."""
+        exact multi scores of them, one row per query."""
         ids = np.flatnonzero(keep)
         positions = np.flatnonzero(keep[self._by_len])
-        scores = np.empty(len(self))
-        sms = []
-        for sm in self._multi(product, cols, positions):
-            scores[self._by_len[positions]] = sm
-            sms.append(scores[ids])
-        return ids, sms
+        scores = np.empty((len(cols), len(self)))
+        scores[:, self._by_len[positions]] = self._multi(product, cols, positions)
+        return ids, scores[:, ids]
 
     def _dense(self, qs: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """Each query's exact dense score of the entries ``ids``: float64 dot
@@ -505,25 +461,24 @@ class RetrievalIndex:
 
     def _multi(
         self, product: np.ndarray, cols: list[list[int]], positions: np.ndarray
-    ) -> list[np.ndarray]:
+    ) -> np.ndarray:
         """Late-interaction score of the entries at ``positions`` (ascending,
-        in length order) for each query of a group, from the group's
+        in length order), one row per query of a block, from the block's
         (product rows, distinct rows) similarities; query i's rows are the
         product rows ``cols[i]``, in its order.
 
-        The gather-max walks
-        the positions in tiles of ``_TILE``, so its maxima, one float64 per
-        entry of the tile and row of the product, stay small however large
-        the corpus is. Neither the tile nor the group moves a bit beyond
-        what the product rows hold: a max is exact in any order, and each
-        query's mean adds the maxima of its rows in its order, as when it is
-        scored alone."""
+        The gather-max walks the positions in tiles of ``_TILE``, so its
+        maxima, one float64 per entry of the tile and row of the product,
+        stay small however large the corpus is. Neither the tile nor the
+        block moves a bit beyond what the product rows hold: a max is exact
+        in any order, and each query's mean adds the maxima of its rows in
+        its order, as when it is scored alone."""
         # the transpose, copied, holds each distinct row's sims contiguously,
         # so one gather per diagonal column serves every row of the product,
         # and the running max over a column's prefix of entries needs no
         # padding
         by_row = np.ascontiguousarray(product.T)
-        out = [np.empty(len(positions)) for _ in cols]
+        out = np.empty((len(cols), len(positions)))
         for a in range(0, len(positions), _TILE):
             # a column covers a prefix of the length order, so of the tile's
             # positions too, and the columns that reach it are the first
@@ -670,7 +625,10 @@ def retrieve_many(
     normalize_scores: bool = False,
 ) -> list[list[ScoredDemo] | AfspError]:
     """:func:`retrieve_topk` for each text, scored as one block, whose
-    queries share the entries that are scanned in full.
+    queries share the entries that are scanned in full and one
+    multi-vector product. The block bounds the work: the product has a row
+    for each query row that no earlier query brought, and the dense bounds
+    and sparse scores a row of N entries per query.
 
     A text that cannot be embedded (EmptyQuery for a blank one) holds its
     error in its place of the result, and the others are still scored.

@@ -314,10 +314,11 @@ def test_translate_input_not_utf8_exits_2_naming_the_path(workspace, tmp_path, c
         ("seeds: {projecton: 17}\n", "projecton"),
         ("generation: {retries: -1}\n", "section generation: retries must be >= 0"),
         ("generation: {n_candidates: 2.5}\n", "section generation: n_candidates must be an integer"),
+        ("generation: {temperature: true}\n", "section generation: temperature must be a finite"),
     ],
     ids=[
         "yaml-syntax", "top-level-list", "section-not-mapping", "alphas-not-list", "unknown-key",
-        "negative-retries", "float-n-candidates",
+        "negative-retries", "float-n-candidates", "bool-temperature",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, text, message):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import afsp.metrics
 from afsp.embedding import _CJK_RE
 from afsp.errors import EmptyCorpus, LengthMismatch
 from afsp.metrics import (
@@ -289,6 +290,29 @@ def test_evaluate_subset_and_unknown_metric():
     assert set(report.corpus) == {"bleu"}
     with pytest.raises(ValueError):
         evaluate(["a"], ["a"], metrics=("meteor",))
+
+
+def test_evaluate_tokenizes_words_only_for_word_metrics(monkeypatch):
+    hyps, refs = ["你好世界", "the cat sat"], ["你好 世界", "a cat sat"]
+    full = evaluate(hyps, refs)
+    calls = []
+    token_pairs = afsp.metrics._token_pairs
+
+    def spy(*args):
+        calls.append(args)
+        return token_pairs(*args)
+
+    monkeypatch.setattr(afsp.metrics, "_token_pairs", spy)
+    report = evaluate(hyps, refs, metrics=("chrf",))
+    assert calls == []
+    assert report.tokenize_mode == full.tokenize_mode
+    assert report.corpus == {"chrf": full.corpus["chrf"]}
+    assert report.per_sentence == {"chrf": full.per_sentence["chrf"]}
+    for name in ("bleu", "rouge1", "rouge2", "rougeL"):
+        report = evaluate(hyps, refs, metrics=(name,))
+        assert len(calls) == 1
+        calls.clear()
+        assert report.corpus == {name: full.corpus[name]}
 
 
 def test_evaluate_char_mode_for_cjk():

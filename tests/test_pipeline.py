@@ -549,6 +549,12 @@ def test_load_config_sections_and_unknowns(tmp_path):
     assert config.generation.endpoint == "http://x/v1"
     assert config.generation.temperature == 0.2
 
+    # ints are numbers too
+    path.write_text("retrieval: {alphas: [1, 0, 0]}\ngeneration: {timeout: 5}\n", encoding="utf-8")
+    config = load_config(path)
+    assert config.weights == Weights(1.0, 0.0, 0.0)
+    assert config.generation.timeout == 5
+
     path.write_text("", encoding="utf-8")
     assert load_config(path) == PipelineConfig()
 
@@ -593,6 +599,15 @@ def test_load_config_sections_and_unknowns(tmp_path):
         ("generation: {retries: 1.5}\n", "section generation: retries must be an integer"),
         ("generation: {max_in_flight: false}\n", "section generation: max_in_flight must be an integer"),
         ("generation: {top_k: 4.0}\n", "section generation: top_k must be an integer"),
+        ("retrieval: {alphas: [true, 0.5, 0]}\n", "section retrieval: alphas must be a finite number"),
+        ("retrieval: {alphas: [1, \"0.5\", 0]}\n", "section retrieval: alphas must be a finite number"),
+        ("retrieval: {alphas: [.nan, 0.5, 0]}\n", "section retrieval: alphas must be a finite number"),
+        ("generation: {temperature: true}\n", "section generation: temperature must be a finite number"),
+        ("generation: {temperature: .inf}\n", "section generation: temperature must be a finite number"),
+        ("generation: {top_p: true}\n", "section generation: top_p must be a finite number"),
+        ("generation: {top_p: \"0.9\"}\n", "section generation: top_p must be a finite number"),
+        ("generation: {timeout: true}\n", "section generation: timeout must be a finite number"),
+        ("generation: {timeout: \"30\"}\n", "section generation: timeout must be a finite number"),
     ],
     ids=[
         "unknown-section", "unknown-paths-key", "unknown-retrieval-key", "unknown-seeds-key",
@@ -602,7 +617,8 @@ def test_load_config_sections_and_unknowns(tmp_path):
         "negative-retries", "zero-timeout", "zero-max-tokens", "zero-max-in-flight",
         "normalize-scores-string", "normalize-scores-int", "float-k", "bool-k",
         "float-projection-seed", "float-n-candidates", "float-retries", "bool-max-in-flight",
-        "float-top-k",
+        "float-top-k", "bool-alpha", "string-alpha", "nan-alpha", "bool-temperature",
+        "inf-temperature", "bool-top-p", "string-top-p", "bool-timeout", "string-timeout",
     ],
 )
 def test_load_config_rejects_with_value_error(tmp_path, text, message):

@@ -692,21 +692,21 @@ def test_retrieve_many_equals_per_query_retrieve_topk(corpus, block):
             assert_same_top(top, want)
 
 
-def test_retrieve_many_scores_a_query_past_the_row_cap_alone(stack):
+def test_retrieve_many_scores_a_long_query_in_the_block_product(stack, monkeypatch):
     corpus, table, proj, index = stack
     rng = random.Random(9)
     long = "".join(zh_sentence(rng) for _ in range(5))
-    assert len(multi_embed(embed_tokens(table, long), proj).rows) > afsp.retrieval._MULTI_ROWS
+    assert len(multi_embed(embed_tokens(table, long), proj).rows) > 64
     block = [zh_sentence(rng), en_sentence(rng), long, zh_sentence(rng), long[:40]]
     w = Weights()
+    want = [retrieve_topk(query, index, table, proj, w, k=len(corpus)) for query in block]
+    groups = spy_groups(monkeypatch)
     got = retrieve_many(block, index, table, proj, w, k=len(corpus))
-    for query, top in zip(block, got):
-        want = retrieve_topk(query, index, table, proj, w, k=len(corpus))
-        assert [g.pair.id for g in top] == [a.pair.id for a in want]
-        assert_same_top(top, want)
-    # a query past the cap is its own multi-vector product, as it is alone
-    alone = retrieve_topk(long, index, table, proj, w, k=len(corpus))
-    assert [(g.s_sparse, g.s_multi) for g in got[2]] == [(a.s_sparse, a.s_multi) for a in alone]
+    # the long query shares the block's one product
+    assert len(groups) == 1 and len(groups[0][1]) == len(block)
+    for top, alone in zip(got, want):
+        assert [g.pair.id for g in top] == [a.pair.id for a in alone]
+        assert_same_top(top, alone)
 
 
 def test_retrieve_many_holds_failed_lines_and_scores_the_rest(stack):
@@ -818,10 +818,10 @@ def test_tiled_block_with_long_and_failed_lines_equals_per_query(stack):
     corpus, table, proj, index = stack
     rng = random.Random(13)
     long = "".join(zh_sentence(rng) for _ in range(5))
-    assert len(multi_embed(embed_tokens(table, long), proj).rows) > afsp.retrieval._MULTI_ROWS
-    # short queries share a group on both sides of the long one; the blank
-    # lines fail, and "鑫淼犇" and "xyzzy plugh", which have only tokens
-    # outside the table, are scored
+    assert len(multi_embed(embed_tokens(table, long), proj).rows) > 64
+    # the long query shares the block's product with the short ones; the
+    # blank lines fail, and "鑫淼犇" and "xyzzy plugh", which have only
+    # tokens outside the table, are scored
     block = [zh_sentence(rng), "   ", en_sentence(rng), "鑫淼犇", long, "", zh_sentence(rng),
              "xyzzy plugh", corpus[5].src_text, long[:40]]
     w = Weights()
@@ -829,8 +829,11 @@ def test_tiled_block_with_long_and_failed_lines_equals_per_query(stack):
     for tile in TILES:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(afsp.retrieval, "_TILE", tile)
+            groups = spy_groups(mp)
             got = retrieve_many(block, index, table, proj, w, k=len(corpus))
             assert comparable(got) == default
+            # one product, with columns for the eight embedded lines
+            assert len(groups) == 1 and len(groups[0][1]) == len(block) - 2
             for query, top in zip(block, got):
                 if isinstance(top, AfspError):
                     with pytest.raises(type(top), match=str(top)):
@@ -865,8 +868,8 @@ def test_any_tile_scores_jagged_corpora_as_the_default_tile(corpus, block, tile)
 
 
 def spy_groups(monkeypatch):
-    """Record each multi-vector group as (product rows, cols), once however
-    many times its product is scored."""
+    """Record each multi-vector product as (product rows, cols), once
+    however many times it is scored."""
     groups = []
     products = []
     multi = afsp.retrieval.RetrievalIndex._multi
@@ -883,10 +886,9 @@ def spy_groups(monkeypatch):
 
 def test_copies_of_a_query_share_one_product(stack, monkeypatch):
     corpus, table, proj, index = stack
-    # 10 rows, "好" twice; 20 copies hold 200 query rows, past _MULTI_ROWS
+    # 10 rows, "好" twice; 20 copies hold 200 query rows
     query = "好好双方同意加强合作"
     assert len(multi_embed(embed_tokens(table, query), proj).rows) == 10
-    assert 20 * 10 > afsp.retrieval._MULTI_ROWS
     w = Weights()
     alone = retrieve_topk(query, index, table, proj, w, k=len(corpus))
     groups = spy_groups(monkeypatch)
@@ -947,12 +949,13 @@ def test_shared_rows_score_as_per_query_retrieve_topk(corpus, block):
             got = retrieve_many(block, index, table, proj, w, k=len(corpus))
         for top, alone in zip(got, want):
             assert_same_top(top, alone)
-        # a group's product stays within the cap unless it is one query
-        # past the cap, which is a group alone
-        assert sum(len(cols) for _, cols in groups) == len(block)
-        for size, cols in groups:
-            assert size <= afsp.retrieval._MULTI_ROWS or len(cols) == 1
-            assert len(cols) == 1 or all(len(c) <= afsp.retrieval._MULTI_ROWS for c in cols)
+        # one product for the block, with each query's own columns of it
+        assert len(groups) == 1
+        size, cols = groups[0]
+        assert len(cols) == len(block)
+        rows = [len(multi_embed(embed_tokens(table, q), proj).rows) for q in block]
+        assert [len(c) for c in cols] == rows
+        assert sorted({c for cs in cols for c in cs}) == list(range(size))
 
 
 # fusion weights the pruning must be exact under: the default, a zero
