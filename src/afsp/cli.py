@@ -191,8 +191,7 @@ def cmd_translate(args) -> int:
         raise ValueError("translate needs --text, or both --input and --out")
     client = None
     if args.mock_script:
-        with open(args.mock_script, encoding="utf-8") as fh:
-            client = MockClient(json.load(fh))
+        client = MockClient(json.loads("".join(corpus_mod.read_lines(args.mock_script))))
     with TranslationPipeline.from_config(cfg, client=client) as pipeline:
         if args.text is not None:
             result = pipeline.translate(args.text)
@@ -216,10 +215,9 @@ def cmd_translate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    with open(args.hyp, encoding="utf-8") as fh:
-        hyps = [line.rstrip("\n") for line in fh]
-    with open(args.ref, encoding="utf-8") as fh:
-        refs = [line.rstrip("\n") for line in fh]
+    hyps, refs = (
+        [line.rstrip("\n") for line in corpus_mod.read_lines(path)] for path in (args.hyp, args.ref)
+    )
     requested = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
     report = metrics.evaluate(hyps, refs, metrics=requested, tokenize=args.tokenize)
     # ROUGE is computed on [0, 1] and displayed x100 like the other metrics

@@ -12,15 +12,17 @@ from __future__ import annotations
 
 import json
 import random
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 from . import _binio
 from .errors import (
     AfspError,
     DuplicateId,
     EmptyFile,
+    InputNotUtf8,
     MalformedRecord,
     MixedLanguagePair,
     TestSizeTooLarge,
@@ -90,6 +92,17 @@ class Corpus:
         return isinstance(other, Corpus) and self.pairs == other.pairs
 
 
+def read_lines(path: str | Path) -> Iterator[str]:
+    """The lines of a UTF-8 text file, newlines kept: every text file the
+    package reads is read through here, so input that is not UTF-8 raises
+    InputNotUtf8 naming the path."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise InputNotUtf8(path, exc) from exc
+
+
 def _auto_id(index: int) -> str:
     return f"{index:06d}"
 
@@ -115,14 +128,15 @@ def ingest(path: str | Path, format: str = "jsonl") -> Corpus:
 
     Record ids are taken from the file when present and auto-assigned as
     zero-padded row indices otherwise. Raises MalformedRecord (with the
-    offending line number), DuplicateId, MixedLanguagePair, or EmptyFile.
+    offending line number), DuplicateId, MixedLanguagePair, EmptyFile or
+    InputNotUtf8.
     """
     if format not in ("jsonl", "tsv"):
         raise ValueError(f"unknown format {format!r} (expected 'jsonl' or 'tsv')")
     pairs: list[DemoPair] = []
     row = 0
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    with closing(read_lines(path)) as lines:
+        for line_no, line in enumerate(lines, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line.strip():
                 continue

@@ -29,7 +29,8 @@ import logging
 import math
 import random
 import re
-from dataclasses import dataclass
+from contextlib import closing
+from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import combinations as subsets
 from pathlib import Path
@@ -37,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import Corpus, DemoPair
+from .corpus import Corpus, DemoPair, read_lines
 from .embedding import _CJK, EmbeddingTable, _stable_hash64
 from .errors import MalformedRecord, MissingEmbeddingTable, MissingTranslator, NoOpPerturbation
 
@@ -415,18 +416,7 @@ def save_examples(examples: list[RerankerExample], path: str | Path) -> None:
     """Write examples as JSONL: {"text", "score", "pair_id", "ops"}."""
     with open(path, "w", encoding="utf-8") as fh:
         for ex in examples:
-            fh.write(
-                json.dumps(
-                    {
-                        "text": ex.text,
-                        "score": ex.score,
-                        "pair_id": ex.pair_id,
-                        "ops": list(ex.ops),
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+            fh.write(json.dumps(asdict(ex), ensure_ascii=False) + "\n")
 
 
 def load_examples(path: str | Path) -> list[RerankerExample]:
@@ -434,8 +424,8 @@ def load_examples(path: str | Path) -> list[RerankerExample]:
     number, for a line that is not a JSON object with a string text, a
     finite numeric score, a pair_id and a list of ops."""
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    with closing(read_lines(path)) as lines:
+        for line_no, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
@@ -466,9 +456,8 @@ def load_examples(path: str | Path) -> list[RerankerExample]:
 def load_synonyms(path: str | Path) -> dict[str, list[str]]:
     """Synonym TSV: token TAB synonym [TAB synonym ...] per line."""
     table: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            cols = line.rstrip("\n").split("\t")
-            if len(cols) >= 2 and cols[0]:
-                table[cols[0].lower()] = [c for c in cols[1:] if c]
+    for line in read_lines(path):
+        cols = line.rstrip("\n").split("\t")
+        if len(cols) >= 2 and cols[0]:
+            table[cols[0].lower()] = [c for c in cols[1:] if c]
     return table

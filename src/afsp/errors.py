@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Plain I/O problems (missing files, permissions, disk errors) surface as the
-built-in ``OSError`` family; everything below marks a contract violation
-specific to this package.
+built-in ``OSError`` family; the exceptions below mark contract violations
+specific to this package. :func:`check_type` is the type check the config
+dataclasses share.
 """
 
 from __future__ import annotations
@@ -10,6 +11,14 @@ from __future__ import annotations
 
 class AfspError(Exception):
     """Base class for all package-specific errors."""
+
+
+def check_type(value, name: str, what: str, *kinds: type) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is one of ``kinds``;
+    a bool, which Python counts as an int, passes only where ``kinds`` has
+    ``bool``."""
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 # --- corpus ---------------------------------------------------------------

@@ -24,6 +24,7 @@ lists keyed by prompt fingerprint through the same interface.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import random
 import time
@@ -38,6 +39,7 @@ from .errors import (
     NetworkFailure,
     RateLimited,
     ScriptMiss,
+    check_type,
 )
 from .prompting import extract_translation
 
@@ -62,16 +64,23 @@ class GenerationConfig:
     max_in_flight: int = 4
 
     def __post_init__(self):
+        for name in ("endpoint", "model"):
+            check_type(getattr(self, name), name, "a string", str)
+        for name in ("n_candidates", "max_tokens", "retries", "max_in_flight"):
+            check_type(getattr(self, name), name, "an integer", int)
+        check_type(self.top_k, "top_k", "an integer or None", int, type(None))
+        for name in ("temperature", "top_p", "timeout"):
+            check_type(getattr(self, name), name, "a finite number", int, float)
         if self.n_candidates < 1:
             raise ValueError("n_candidates must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be a finite number >= 0, got {self.temperature!r}")
         if not 0 < self.top_p <= 1:
             raise ValueError("top_p must be in (0, 1]")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
-        if not self.timeout > 0:
-            raise ValueError("timeout must be > 0")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be > 0 and finite, got {self.timeout!r}")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
         if self.max_in_flight < 1:

@@ -58,25 +58,10 @@ def detect_mode(texts: list[str]) -> str:
     return "char" if cjk > other else "word"
 
 
-def _resolve_mode(tokenize: str, hyps: list[str], refs: list[str]) -> str:
-    if tokenize == "auto":
-        return detect_mode(hyps + refs)
-    if tokenize not in ("word", "char"):
-        raise ValueError(f"unknown tokenize mode {tokenize!r}")
-    return tokenize
-
-
-def tokens(text: str, mode: str) -> list[str]:
+def _tokens(text: str, mode: str) -> list[str]:
     if mode == "char":
         return [c for c in text if not c.isspace()]
     return _WORD_RE.findall(text.lower())
-
-
-def _check(hyps: list[str], refs: list[str]) -> None:
-    if len(hyps) != len(refs):
-        raise LengthMismatch(f"{len(hyps)} hypotheses vs {len(refs)} references")
-    if not hyps:
-        raise EmptyCorpus("no sentence pairs to score")
 
 
 def _ngram_stats(hyp: Sequence, ref: Sequence, orders: int) -> list[tuple[int, int, int]]:
@@ -99,11 +84,9 @@ def _total(per_pair: list[list[tuple[int, int, int]]]) -> list[tuple[int, int, i
 def _token_pairs(
     hypotheses: list[str], references: list[str], mode: str
 ) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-    return [(tuple(tokens(h, mode)), tuple(tokens(r, mode))) for h, r in zip(hypotheses, references)]
-
-
-def _char_stats(hypothesis: str, reference: str) -> list[tuple[int, int, int]]:
-    return _ngram_stats("".join(hypothesis.split()), "".join(reference.split()), CHRF_ORDER)
+    return [
+        (tuple(_tokens(h, mode)), tuple(_tokens(r, mode))) for h, r in zip(hypotheses, references)
+    ]
 
 
 def _bleu(stats: list[tuple[int, int, int]], smooth: bool) -> float:
@@ -124,10 +107,7 @@ def _bleu(stats: list[tuple[int, int, int]], smooth: bool) -> float:
 def bleu4(hypotheses: list[str], references: list[str], tokenize: str = "auto") -> float:
     """Corpus BLEU with orders 1-4, geometric mean, brevity penalty,
     no smoothing. Range 0-100."""
-    _check(hypotheses, references)
-    mode = _resolve_mode(tokenize, hypotheses, references)
-    pairs = _token_pairs(hypotheses, references, mode)
-    return _bleu(_total([_ngram_stats(ht, rt, BLEU_ORDER) for ht, rt in pairs]), smooth=False)
+    return evaluate(hypotheses, references, ("bleu",), tokenize).corpus["bleu"]
 
 
 def sentence_bleu4(hypothesis: str, reference: str, tokenize: str = "auto") -> float:
@@ -136,9 +116,7 @@ def sentence_bleu4(hypothesis: str, reference: str, tokenize: str = "auto") -> f
     Zero-match orders get an epsilon numerator; orders longer than the
     hypothesis are skipped.
     """
-    mode = _resolve_mode(tokenize, [hypothesis], [reference])
-    ((ht, rt),) = _token_pairs([hypothesis], [reference], mode)
-    return _bleu(_ngram_stats(ht, rt, BLEU_ORDER), smooth=True)
+    return evaluate([hypothesis], [reference], ("bleu",), tokenize).per_sentence["bleu"][0]
 
 
 def _chrf(stats: list[tuple[int, int, int]]) -> float:
@@ -156,12 +134,11 @@ def _chrf(stats: list[tuple[int, int, int]]) -> float:
 def chrf(hypotheses: list[str], references: list[str]) -> float:
     """Character n-gram F-score (orders 1-6, beta=2), corpus-aggregated by
     total counts. Range 0-100."""
-    _check(hypotheses, references)
-    return _chrf(_total([_char_stats(h, r) for h, r in zip(hypotheses, references)]))
+    return evaluate(hypotheses, references, ("chrf",)).corpus["chrf"]
 
 
 def sentence_chrf(hypothesis: str, reference: str) -> float:
-    return _chrf(_char_stats(hypothesis, reference))
+    return evaluate([hypothesis], [reference], ("chrf",)).per_sentence["chrf"][0]
 
 
 def _f1(match: int, hyp_total: int, ref_total: int) -> float:
@@ -209,12 +186,18 @@ def evaluate(
     metrics: tuple[str, ...] = _METRIC_NAMES,
     tokenize: str = "auto",
 ) -> EvalReport:
-    """Corpus and per-sentence values for the requested metrics."""
-    _check(hypotheses, references)
+    """Corpus and per-sentence values for the requested metrics; every
+    other metric function here is this one with one metric."""
+    if len(hypotheses) != len(references):
+        raise LengthMismatch(f"{len(hypotheses)} hypotheses vs {len(references)} references")
+    if not hypotheses:
+        raise EmptyCorpus("no sentence pairs to score")
     for name in metrics:
         if name not in _METRIC_NAMES:
             raise ValueError(f"unknown metric {name!r} (choose from {_METRIC_NAMES})")
-    mode = _resolve_mode(tokenize, hypotheses, references)
+    if tokenize not in ("auto", "word", "char"):
+        raise ValueError(f"unknown tokenize mode {tokenize!r}")
+    mode = detect_mode(hypotheses + references) if tokenize == "auto" else tokenize
     report = EvalReport(
         tokenize_mode=mode,
         notes=(
@@ -232,7 +215,10 @@ def evaluate(
         report.corpus["bleu"] = _bleu(_total(word_stats), smooth=False)
         report.per_sentence["bleu"] = [_bleu(stats, smooth=True) for stats in word_stats]
     if "chrf" in metrics:
-        char_stats = [_char_stats(h, r) for h, r in zip(hypotheses, references)]
+        char_stats = [
+            _ngram_stats("".join(h.split()), "".join(r.split()), CHRF_ORDER)
+            for h, r in zip(hypotheses, references)
+        ]
         report.corpus["chrf"] = _chrf(_total(char_stats))
         report.per_sentence["chrf"] = [_chrf(stats) for stats in char_stats]
     # ROUGE-1/2 are F1 over BLEU's order-1/2 counts; 0 marks the LCS variant

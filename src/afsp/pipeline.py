@@ -20,21 +20,22 @@ from __future__ import annotations
 
 import json
 import logging
-import math
+import os
 import threading
 import time
 from collections import deque
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
 
 import yaml
 
+from .corpus import read_lines
 from .embedding import EmbeddingTable, ProjectionSet, init_projections, load_table
-from .errors import AfspError, InputNotUtf8, StageError
+from .errors import AfspError, StageError, check_type
 from .llm_client import ChatCompletionsClient, GenerationConfig
 from .prompting import PromptRequest, lang_display_name, render_prompt
 from .reranker import NGramRegressor, QualityScorer, load_model, rank, rank_many
@@ -56,13 +57,14 @@ _BLOCK_LINES = 16
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Artifact paths plus per-stage settings, checked when built; defaults
-    follow the standard setup (fusion weights 0.4/0.4/0.2, three
-    demonstrations). ``k = 0`` renders a zero-shot prompt."""
+    """Artifact paths plus per-stage settings, each checked for its type and
+    range when built; defaults follow the standard setup (fusion weights
+    0.4/0.4/0.2, three demonstrations). ``k = 0`` renders a zero-shot
+    prompt."""
 
-    table_path: str | None = None
-    index_path: str | None = None
-    reranker_path: str | None = None
+    table_path: str | os.PathLike | None = None
+    index_path: str | os.PathLike | None = None
+    reranker_path: str | os.PathLike | None = None
     weights: Weights = Weights()
     k: int = 3
     normalize_scores: bool = False
@@ -71,17 +73,25 @@ class PipelineConfig:
     generation: GenerationConfig = field(default_factory=GenerationConfig)
 
     def __post_init__(self):
+        for name in ("table_path", "index_path", "reranker_path"):
+            check_type(getattr(self, name), name, "a path or None", str, os.PathLike, type(None))
+        check_type(self.weights, "weights", "a Weights", Weights)
+        check_type(self.k, "k", "an integer", int)
+        check_type(self.normalize_scores, "normalize_scores", "true or false", bool)
+        check_type(self.projection_seed, "projection_seed", "an integer", int)
+        check_type(self.generation, "generation", "a GenerationConfig", GenerationConfig)
+        check_type(self.lang_names, "lang_names", "a mapping", dict)
+        for code, name in self.lang_names.items():
+            check_type(name, f"lang_names.{code}", "a string", str)
         if self.k < 0:
             raise ValueError(f"k must be >= 0 (0 is zero-shot), got {self.k}")
         if self.projection_seed < 0:
             raise ValueError(f"projection seed must be >= 0, got {self.projection_seed}")
 
 
-_PATH_FIELDS = {"table": "table_path", "index": "index_path", "reranker": "reranker_path"}
-
 # the keys each config section accepts; None accepts any key
 _SECTION_KEYS = {
-    "paths": set(_PATH_FIELDS),
+    "paths": {"table", "index", "reranker"},
     "retrieval": {"alphas", "k", "normalize_scores"},
     "seeds": {"projection"},
     "lang_names": None,
@@ -89,68 +99,41 @@ _SECTION_KEYS = {
 }
 
 
-def _int(value, key: str) -> int:
-    """``value`` if it is an int; a float or a bool (YAML's ``true``) raises."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value, key: str) -> float:
-    """``value`` as a float if it is a finite int or float (not a bool)."""
-    if isinstance(value, bool) or not (isinstance(value, (int, float)) and math.isfinite(value)):
-        raise ValueError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def _section_fields(name: str, section: dict) -> dict:
-    """The PipelineConfig fields one config section sets."""
+    """The PipelineConfig fields one config section sets; the config
+    objects check the values."""
     if name == "paths":
-        if not all(isinstance(value, str) for value in section.values()):
-            raise ValueError("paths must be strings")
-        return {_PATH_FIELDS[key]: value for key, value in section.items()}
+        return {f"{key}_path": value for key, value in section.items()}
     if name == "retrieval":
-        out = {}
-        if "alphas" in section:
-            alphas = section["alphas"]
+        out = dict(section)
+        if "alphas" in out:
+            alphas = out.pop("alphas")
             if not isinstance(alphas, list) or len(alphas) != 3:
                 raise ValueError("alphas must be a list of exactly 3 numbers")
-            out["weights"] = Weights(*(_number(a, "alphas") for a in alphas))
-        if "k" in section:
-            out["k"] = _int(section["k"], "k")
-        if "normalize_scores" in section:
-            value = out["normalize_scores"] = section["normalize_scores"]
-            if not isinstance(value, bool):
-                raise ValueError(f"normalize_scores must be true or false, got {value!r}")
+            out["weights"] = Weights(*alphas)
         return out
     if name == "seeds":
-        return {"projection_seed": _int(section["projection"], "projection")} if section else {}
+        return {"projection_seed": section["projection"]} if section else {}
     if name == "lang_names":
-        return {"lang_names": dict(section)}
-    for key in ("n_candidates", "max_tokens", "retries", "max_in_flight", "top_k"):
-        if section.get(key) is not None:
-            _int(section[key], key)
-    for key in ("temperature", "top_p", "timeout"):
-        if key in section:
-            _number(section[key], key)
+        return {"lang_names": section}
     return {"generation": GenerationConfig(**section)}
 
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Read a YAML config file (sections: paths, retrieval, seeds,
     lang_names, generation). Invalid YAML, an unknown section or key, or a
-    value of the wrong shape raises ValueError naming its section."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ValueError(f"config {path} is not valid YAML: {exc}") from exc
+    value of the wrong type or range raises ValueError naming its section;
+    a file that is not UTF-8 raises InputNotUtf8."""
+    try:
+        raw = yaml.safe_load("".join(read_lines(path)))
+    except yaml.YAMLError as exc:
+        raise ValueError(f"config {path} is not valid YAML: {exc}") from exc
     raw = {} if raw is None else raw
     if not isinstance(raw, dict):
         raise ValueError(f"config {path} must be a mapping of sections")
     unknown = set(raw) - set(_SECTION_KEYS)
     if unknown:
-        raise ValueError(f"unknown config sections: {sorted(unknown)}")
+        raise ValueError(f"unknown config sections: {sorted(unknown, key=str)}")
     config = PipelineConfig()
     for name, known in _SECTION_KEYS.items():
         section = raw.get(name)
@@ -159,12 +142,12 @@ def load_config(path: str | Path) -> PipelineConfig:
             raise ValueError(f"config section {name} must be a mapping")
         unknown = set(section) - known if known is not None else set()
         if unknown:
-            raise ValueError(f"unknown {name} settings: {sorted(unknown)}")
+            raise ValueError(f"unknown {name} settings: {sorted(unknown, key=str)}")
         # each section is applied on its own, so the config's own checks
         # name the section that failed them
         try:
             config = replace(config, **_section_fields(name, section))
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"config section {name}: {exc}") from exc
     return config
 
@@ -420,19 +403,15 @@ class TranslationPipeline:
         """
         started = time.monotonic()
         # input that is not UTF-8 fails here, before any output is touched
-        with open(input_path, encoding="utf-8") as fh:
-            try:
-                for _ in fh:
-                    pass
-            except UnicodeDecodeError as exc:
-                raise InputNotUtf8(input_path, exc) from exc
+        for _ in read_lines(input_path):
+            pass
         workers = self.config.generation.max_in_flight
         block = max(1, _BLOCK_LINES // workers)
         summary = BatchSummary()
         pending: deque[tuple[list[str], Callable]] = deque()
         audit = open(audit_path, "w", encoding="utf-8") if audit_path else nullcontext()
         with (
-            open(input_path, encoding="utf-8") as in_fh,
+            closing(read_lines(input_path)) as in_lines,
             audit as audit_fh,
             open(output_path, "w", encoding="utf-8") as out_fh,
             ThreadPoolExecutor(max_workers=workers) as pool,
@@ -453,7 +432,7 @@ class TranslationPipeline:
                         audit_fh.flush()
                     out_fh.flush()
 
-            while lines := [line.rstrip("\n") for line in islice(in_fh, block)]:
+            while lines := [line.rstrip("\n") for line in islice(in_lines, block)]:
                 pending.append((lines, self._submit_block(pool, lines)))
                 while len(pending) > 1:
                     write_next()

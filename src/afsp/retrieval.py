@@ -61,6 +61,7 @@ from .errors import (
     FingerprintMismatch,
     VersionMismatch,
     ZeroVector,
+    check_type,
 )
 
 INDEX_MAGIC = b"AFSPIDX2"
@@ -88,8 +89,12 @@ class Weights:
 
     def __post_init__(self):
         alphas = (self.alpha1, self.alpha2, self.alpha3)
-        if any(a < 0 or not math.isfinite(a) for a in alphas):
-            raise ValueError(f"weights must be finite and non-negative, got {alphas}")
+        for a in alphas:
+            check_type(a, "alphas", "a finite number", int, float)
+            if not math.isfinite(a):
+                raise ValueError(f"alphas must be a finite number, got {a!r}")
+        if any(a < 0 for a in alphas):
+            raise ValueError(f"weights must be non-negative, got {alphas}")
         if not any(a > 0 for a in alphas):
             raise ValueError("at least one weight must be positive")
 

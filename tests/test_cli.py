@@ -305,6 +305,31 @@ def test_translate_input_not_utf8_exits_2_naming_the_path(workspace, tmp_path, c
 
 
 @pytest.mark.parametrize(
+    "command", ["ingest", "train-reranker", "evaluate", "config", "synonyms", "mock-script"]
+)
+def test_text_input_not_utf8_exits_2_naming_the_file(workspace, tmp_path, capsys, command):
+    root, _ = workspace
+    bad, good, out = tmp_path / "bad.txt", tmp_path / "good.txt", str(tmp_path / "out")
+    bad.write_bytes(b"\xff not utf-8\n")
+    good.write_text("你好\n", encoding="utf-8")
+    config = str(write_translate_config(root, tmp_path / "cfg.yaml"))
+    argv = {
+        "ingest": ["ingest", "--input", str(bad), "--out", out],
+        "train-reranker": ["train-reranker", "--data", str(bad), "--out", out],
+        "evaluate": ["evaluate", "--hyp", str(good), "--ref", str(bad)],
+        "config": ["retrieve", "--config", str(bad), "--query", "你好"],
+        "synonyms": [
+            "degrade", "--corpus", str(root / "corpus.bin"), "--synonyms", str(bad), "--out", out,
+        ],
+        "mock-script": [
+            "translate", "--config", config, "--text", "你好", "--mock-script", str(bad),
+        ],
+    }[command]
+    assert main(argv) == 2
+    assert f"error: {bad}: not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         ("paths: [table\n", "not valid YAML"),
@@ -315,10 +340,13 @@ def test_translate_input_not_utf8_exits_2_naming_the_path(workspace, tmp_path, c
         ("generation: {retries: -1}\n", "section generation: retries must be >= 0"),
         ("generation: {n_candidates: 2.5}\n", "section generation: n_candidates must be an integer"),
         ("generation: {temperature: true}\n", "section generation: temperature must be a finite"),
+        ("generation: {endpoint: 5}\n", "section generation: endpoint must be a string"),
+        ("lang_names: {zh: 5}\n", "section lang_names: lang_names.zh must be a string"),
     ],
     ids=[
         "yaml-syntax", "top-level-list", "section-not-mapping", "alphas-not-list", "unknown-key",
-        "negative-retries", "float-n-candidates", "bool-temperature",
+        "negative-retries", "float-n-candidates", "bool-temperature", "int-endpoint",
+        "int-lang-name",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, text, message):

@@ -12,6 +12,7 @@ from afsp.corpus import (
     DemoPair,
     ingest,
     load,
+    read_lines,
     save,
     split,
     write_pair_table,
@@ -20,6 +21,7 @@ from afsp.errors import (
     AfspError,
     DuplicateId,
     EmptyFile,
+    InputNotUtf8,
     MalformedRecord,
     MixedLanguagePair,
     TestSizeTooLarge,
@@ -111,6 +113,17 @@ def test_ingest_empty_file(tmp_path):
     path.write_text("\n\n", encoding="utf-8")
     with pytest.raises(EmptyFile):
         ingest(path)
+
+
+def test_read_lines_keeps_newlines_and_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    path.write_bytes("你好\r\nworld".encode("utf-8"))
+    assert list(read_lines(path)) == ["你好\n", "world"]
+    path.write_bytes("你好\n".encode("utf-8") + b"\xff\n")
+    for fmt in ("jsonl", "tsv"):
+        with pytest.raises(InputNotUtf8) as info:
+            ingest(path, format=fmt)
+        assert info.value.path == path and str(info.value).startswith(f"{path}: not UTF-8")
 
 
 def test_ingest_bad_tsv_column_count(tmp_path):

@@ -113,6 +113,16 @@ def test_generation_config_validation():
         ("timeout", float("nan"), "timeout must be > 0"),
         ("max_tokens", 0, "max_tokens must be >= 1"),
         ("max_in_flight", 0, "max_in_flight must be >= 1"),
+        ("timeout", float("inf"), "timeout must be > 0 and finite"),
+        ("timeout", True, "timeout must be a finite number"),
+        ("temperature", True, "temperature must be a finite number"),
+        ("temperature", float("inf"), "temperature must be a finite number"),
+        ("top_p", "0.9", "top_p must be a finite number"),
+        ("n_candidates", "3", "n_candidates must be an integer"),
+        ("n_candidates", 2.0, "n_candidates must be an integer"),
+        ("top_k", True, "top_k must be an integer"),
+        ("endpoint", 5, "endpoint must be a string"),
+        ("model", None, "model must be a string"),
     ],
 )
 def test_generation_config_rejects_bad_limits(field, value, message):

@@ -18,8 +18,8 @@ from afsp.metrics import (
     rouge,
     sentence_bleu4,
     sentence_chrf,
-    tokens,
 )
+from afsp.metrics import _tokens as tokens
 from helpers import en_sentence
 
 

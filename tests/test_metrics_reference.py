@@ -20,8 +20,8 @@ from afsp.metrics import (
     rouge,
     sentence_bleu4,
     sentence_chrf,
-    tokens,
 )
+from afsp.metrics import _tokens as tokens
 
 # --- reference implementation -------------------------------------------------
 

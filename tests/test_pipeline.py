@@ -522,6 +522,36 @@ def test_config_checks_k_and_weights_when_built():
         PipelineConfig(projection_seed=-1)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"k": 2.5}, "k must be an integer"),
+        ({"k": True}, "k must be an integer"),
+        ({"normalize_scores": "false"}, "normalize_scores must be true or false"),
+        ({"projection_seed": 1.0}, "projection_seed must be an integer"),
+        ({"table_path": 5}, "table_path must be a path or None"),
+        ({"weights": (1, 0, 0)}, "weights must be a Weights"),
+        ({"lang_names": {"zh": 5}}, "lang_names.zh must be a string"),
+        ({"lang_names": ["zh"]}, "lang_names must be a mapping"),
+        ({"generation": {"n_candidates": 1}}, "generation must be a GenerationConfig"),
+    ],
+    ids=[
+        "float-k", "bool-k", "string-normalize-scores", "float-projection-seed", "int-path",
+        "tuple-weights", "int-lang-name", "list-lang-names", "dict-generation",
+    ],
+)
+def test_config_checks_field_types_when_built(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        PipelineConfig(**kwargs)
+    with pytest.raises(ValueError, match=message):
+        replace(PipelineConfig(), **kwargs)
+
+
+def test_config_takes_path_objects(tmp_path):
+    config = PipelineConfig(table_path=tmp_path / "t.bin", index_path=None, reranker_path="m.bin")
+    assert config.table_path == tmp_path / "t.bin"
+
+
 def test_load_config_sections_and_unknowns(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text(
@@ -576,6 +606,8 @@ def test_load_config_sections_and_unknowns(tmp_path):
         ("seeds: {projecton: 17}\n", "unknown seeds settings"),
         ("seeds: {degrade: 1}\n", "unknown seeds settings"),
         ("generation: {n_candidate: 5}\n", "unknown generation settings"),
+        ("1: {}\nfoo: {}\n", "unknown config sections"),
+        ("generation: {1: 2, n_candidate: 5}\n", "unknown generation settings"),
         ("paths: [table\n", "not valid YAML"),
         ("- paths\n- seeds\n", "mapping of sections"),
         ("paths: 5\n", "section paths"),
@@ -594,7 +626,7 @@ def test_load_config_sections_and_unknowns(tmp_path):
         ("retrieval: {normalize_scores: 1}\n", "section retrieval: normalize_scores must be"),
         ("retrieval: {k: 2.9}\n", "section retrieval: k must be an integer"),
         ("retrieval: {k: true}\n", "section retrieval: k must be an integer"),
-        ("seeds: {projection: 1.9}\n", "section seeds: projection must be an integer"),
+        ("seeds: {projection: 1.9}\n", "section seeds: projection_seed must be an integer"),
         ("generation: {n_candidates: 2.5}\n", "section generation: n_candidates must be an integer"),
         ("generation: {retries: 1.5}\n", "section generation: retries must be an integer"),
         ("generation: {max_in_flight: false}\n", "section generation: max_in_flight must be an integer"),
@@ -608,10 +640,15 @@ def test_load_config_sections_and_unknowns(tmp_path):
         ("generation: {top_p: \"0.9\"}\n", "section generation: top_p must be a finite number"),
         ("generation: {timeout: true}\n", "section generation: timeout must be a finite number"),
         ("generation: {timeout: \"30\"}\n", "section generation: timeout must be a finite number"),
+        ("generation: {endpoint: 5}\n", "section generation: endpoint must be a string"),
+        ("generation: {model: [m]}\n", "section generation: model must be a string"),
+        ("lang_names: {zh: 5}\n", "section lang_names: lang_names.zh must be a string"),
+        ("paths: {index: [i.bin]}\n", "section paths: index_path must be a path"),
     ],
     ids=[
         "unknown-section", "unknown-paths-key", "unknown-retrieval-key", "unknown-seeds-key",
-        "removed-seeds-key", "unknown-generation-key", "yaml-syntax", "top-level-list",
+        "removed-seeds-key", "unknown-generation-key", "mixed-type-sections",
+        "mixed-type-generation-keys", "yaml-syntax", "top-level-list",
         "paths-not-mapping", "path-not-string", "lang-names-not-mapping", "alphas-not-list",
         "alpha-not-number", "negative-k", "negative-projection-seed", "n-candidates-not-number",
         "negative-retries", "zero-timeout", "zero-max-tokens", "zero-max-in-flight",
@@ -619,6 +656,7 @@ def test_load_config_sections_and_unknowns(tmp_path):
         "float-projection-seed", "float-n-candidates", "float-retries", "bool-max-in-flight",
         "float-top-k", "bool-alpha", "string-alpha", "nan-alpha", "bool-temperature",
         "inf-temperature", "bool-top-p", "string-top-p", "bool-timeout", "string-timeout",
+        "int-endpoint", "list-model", "int-lang-name", "list-path",
     ],
 )
 def test_load_config_rejects_with_value_error(tmp_path, text, message):

@@ -134,6 +134,9 @@ def test_weights_validation():
     with pytest.raises(ValueError):
         Weights(0.0, 0.0, 0.0)
     Weights(0.0, 0.0, 1.0)
+    for bad in (True, "0.5", float("nan"), float("inf"), None):
+        with pytest.raises(ValueError, match="alphas must be a finite number"):
+            Weights(bad, 0, 0)
 
 
 @pytest.fixture(scope="module")
