@@ -119,14 +119,20 @@ def write_array(fh: BinaryIO, arr: np.ndarray, dtype: str = "<f4") -> None:
     fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
 
 
-def write_str_column(fh: BinaryIO, texts) -> None:
+def encode_str_column(texts) -> tuple[np.ndarray, np.ndarray]:
+    """The string column of ``texts`` as (u32 offsets, UTF-8 bytes)."""
     blobs = [t.encode("utf-8") for t in texts]
     offsets = np.zeros(len(blobs) + 1, dtype=np.int64)
     np.cumsum([len(b) for b in blobs], out=offsets[1:])
     if offsets[-1] > 0xFFFFFFFF:
         raise ValueError("string column exceeds 4 GiB")
+    return offsets.astype("<u4"), np.frombuffer(b"".join(blobs), dtype=np.uint8)
+
+
+def write_str_column(fh: BinaryIO, column: tuple[np.ndarray, np.ndarray]) -> None:
+    offsets, data = column
     write_array(fh, offsets, "<u4")
-    fh.write(b"".join(blobs))
+    fh.write(data)
 
 
 class Reader:
@@ -214,17 +220,14 @@ class Reader:
         self.pos = pos
         return out
 
-    def str_column(self, count: int, what: str) -> list[str]:
-        """One string column of ``count`` strings (see the module docstring)."""
+    def str_column(self, count: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+        """One string column of ``count`` strings (see the module
+        docstring) as read-only views (offsets, bytes), no copy; the bytes
+        are not checked to be UTF-8."""
         offsets = self.array("<u4", count + 1, what)
         if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
             raise VersionMismatch(f"{what}: string offsets are not monotone from 0")
-        blob = self.take(int(offsets[-1]), what)
-        bounds = offsets.tolist()
-        try:
-            return [blob[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
-        except UnicodeDecodeError as exc:
-            raise VersionMismatch(f"corrupt UTF-8 while reading {what}: {exc}") from exc
+        return offsets, self.array("u1", int(offsets[-1]), what)
 
     def end(self, what: str) -> None:
         """Raise VersionMismatch unless every byte has been read."""

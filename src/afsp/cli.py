@@ -185,13 +185,27 @@ def cmd_train_reranker(args) -> int:
     return EXIT_OK
 
 
+def _mock_script(path: str) -> dict[str, list[str]]:
+    """The --mock-script file: a JSON object mapping prompt fingerprints to
+    lists of candidate strings."""
+    try:
+        script = json.loads("".join(corpus_mod.read_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from exc
+    if not isinstance(script, dict) or not all(
+        isinstance(c, list) and all(isinstance(t, str) for t in c) for c in script.values()
+    ):
+        raise ValueError(f"{path}: a mock script maps prompt fingerprints to lists of strings")
+    return script
+
+
 def cmd_translate(args) -> int:
     cfg = _base_config(args)
     if args.text is None and not (args.input and args.out):
         raise ValueError("translate needs --text, or both --input and --out")
     client = None
     if args.mock_script:
-        client = MockClient(json.loads("".join(corpus_mod.read_lines(args.mock_script))))
+        client = MockClient(_mock_script(args.mock_script))
     with TranslationPipeline.from_config(cfg, client=client) as pipeline:
         if args.text is not None:
             result = pipeline.translate(args.text)

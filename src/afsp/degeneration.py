@@ -422,7 +422,7 @@ def save_examples(examples: list[RerankerExample], path: str | Path) -> None:
 def load_examples(path: str | Path) -> list[RerankerExample]:
     """Read save_examples' JSONL. Raises MalformedRecord, with the line
     number, for a line that is not a JSON object with a string text, a
-    finite numeric score, a pair_id and a list of ops."""
+    finite numeric score, a string pair_id and a list of string ops."""
     examples = []
     with closing(read_lines(path)) as lines:
         for line_no, line in enumerate(lines, start=1):
@@ -440,14 +440,18 @@ def load_examples(path: str | Path) -> list[RerankerExample]:
             score = rec["score"]
             if isinstance(score, bool) or not isinstance(score, (int, float)) or not math.isfinite(score):
                 raise MalformedRecord(line_no, f"score must be a finite number, got {score!r}")
-            if not isinstance(rec["text"], str) or not isinstance(rec["ops"], list):
-                raise MalformedRecord(line_no, "text must be a string and ops a list")
+            for name in ("text", "pair_id"):
+                if not isinstance(rec[name], str):
+                    raise MalformedRecord(line_no, f"{name} must be a string")
+            ops = rec["ops"]
+            if not isinstance(ops, list) or not all(isinstance(op, str) for op in ops):
+                raise MalformedRecord(line_no, "ops must be a list of strings")
             examples.append(
                 RerankerExample(
                     text=rec["text"],
                     score=float(score),
                     pair_id=rec["pair_id"],
-                    ops=tuple(rec["ops"]),
+                    ops=tuple(ops),
                 )
             )
     return examples

@@ -150,10 +150,10 @@ def table_fingerprint(table: EmbeddingTable, proj: ProjectionSet) -> bytes:
     h.update(table.dim.to_bytes(4, "little"))
     h.update((table.oov_seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
     h.update("\x1f".join(table.vocab).encode("utf-8"))
-    h.update(np.ascontiguousarray(table.matrix, dtype="<f4").tobytes())
+    h.update(np.ascontiguousarray(table.matrix, dtype="<f4"))
     h.update((proj.seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
-    h.update(np.ascontiguousarray(proj.w_sparse, dtype="<f4").tobytes())
-    h.update(np.ascontiguousarray(proj.w_multi, dtype="<f4").tobytes())
+    h.update(np.ascontiguousarray(proj.w_sparse, dtype="<f4"))
+    h.update(np.ascontiguousarray(proj.w_multi, dtype="<f4"))
     return h.digest()
 
 
@@ -523,10 +523,10 @@ def build_index(
     ids: dict[str, int] = {}
     occurrences: list[int] = []
     lengths = []
-    for pair in corpus:
-        tokens = segment(pair.src_text)
+    for row, text in enumerate(corpus.strings("src_text")):
+        tokens = segment(text)
         if not tokens:
-            raise EmptyText(f"pair {pair.id!r}: no tokens in {pair.src_text!r}")
+            raise EmptyText(f"pair {corpus[row].id!r}: no tokens in {text!r}")
         occurrences += [ids.setdefault(t, len(ids)) for t in tokens]
         lengths.append(len(tokens))
     tok = np.array(occurrences, dtype=np.intp)

@@ -209,10 +209,13 @@ def test_train_reranker_bad_limits_exit_2(workspace, capsys, tmp_path, flag, val
         ('{"text": "a b", "score": "high", "pair_id": "p1", "ops": []}', "score must be a finite number"),
         ('{"text": "a b", "score": NaN, "pair_id": "p1", "ops": []}', "score must be a finite number"),
         ('{"text": 7, "score": 0.5, "pair_id": "p1", "ops": []}', "text must be a string"),
+        ('{"text": "a b", "score": 0.5, "pair_id": 5, "ops": []}', "pair_id must be a string"),
+        ('{"text": "a b", "score": 0.5, "pair_id": "p1", "ops": "se"}', "ops must be a list"),
+        ('{"text": "a b", "score": 0.5, "pair_id": "p1", "ops": [1, null]}', "ops must be a list of strings"),
     ],
     ids=[
         "invalid-json", "list-line", "no-text", "no-score", "no-pair-id", "no-ops", "non-numeric-score",
-        "nan-score", "text-not-string",
+        "nan-score", "text-not-string", "pair-id-not-string", "ops-not-list", "op-not-string",
     ],
 )
 def test_train_reranker_malformed_example_exit_2(workspace, capsys, tmp_path, record, message):
@@ -327,6 +330,21 @@ def test_text_input_not_utf8_exits_2_naming_the_file(workspace, tmp_path, capsys
     }[command]
     assert main(argv) == 2
     assert f"error: {bad}: not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "script",
+    ["[1]", '{"fp": "abc"}', '{"fp": ["ok", 1]}', '{"fp": null}', "{not json"],
+    ids=["list", "string-candidates", "int-candidate", "null-candidates", "not-json"],
+)
+def test_malformed_mock_script_exits_2_naming_the_file(workspace, tmp_path, capsys, script):
+    root, _ = workspace
+    path = tmp_path / "script.json"
+    path.write_text(script, encoding="utf-8")
+    config = str(write_translate_config(root, tmp_path / "cfg.yaml"))
+    argv = ["translate", "--config", config, "--text", "你好", "--mock-script", str(path)]
+    assert main(argv) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
+import io
 import json
 import struct
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +19,7 @@ from afsp.corpus import (
     split,
     write_pair_table,
 )
+from afsp.embedding import init_projections
 from afsp.errors import (
     AfspError,
     DuplicateId,
@@ -27,7 +30,14 @@ from afsp.errors import (
     TestSizeTooLarge,
     VersionMismatch,
 )
-from helpers import draw_corruption, synthetic_corpus, synthetic_pairs, write_jsonl
+from afsp.retrieval import INDEX_MAGIC, build_index, load_index, save_index
+from helpers import (
+    corpus_table,
+    draw_corruption,
+    synthetic_corpus,
+    synthetic_pairs,
+    write_jsonl,
+)
 
 
 def test_demo_pair_rejects_blank_text():
@@ -309,3 +319,139 @@ def test_load_rejects_non_monotone_string_offsets(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(VersionMismatch, match="monotone"):
         load(path)
+
+
+# -- the columnar loader, through both files that hold a pair table --------
+
+GOOD = {
+    "id": ["a", "b", "c"],
+    "src_text": ["你好", "世界", "再见"],
+    "tgt_text": ["hello", "world", "bye"],
+    "src_lang": ["zh"] * 3,
+    "tgt_lang": ["en"] * 3,
+}
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+
+@pytest.fixture(scope="module")
+def index_parts(tmp_path_factory):
+    """For 1-5 entries: an index file's bytes before and after its pair
+    table, so that any pair table of that length can go in between."""
+    table = corpus_table(dim=8)
+    proj = init_projections(8, seed=3)
+    path = tmp_path_factory.mktemp("parts") / "index.bin"
+    parts = {}
+    for n in range(1, 6):
+        index = build_index(synthetic_corpus(n, seed=n), table, proj)
+        save_index(index, path)
+        data = path.read_bytes()
+        head = len(INDEX_MAGIC) + 32 + 20
+        parts[n] = data[:head], data[head + len(pair_table_bytes(index.corpus)) :]
+    return parts
+
+
+def pair_table_bytes(table) -> bytes:
+    """A pair table from a Corpus, a list of DemoPairs or a dict of one
+    column per field, each a list of strings or an (offsets, bytes) pair."""
+    fh = io.BytesIO()
+    if isinstance(table, dict):
+        for field in GOOD:
+            column = table[field]
+            if isinstance(column, list):
+                column = _binio.encode_str_column(column)
+            _binio.write_str_column(fh, column)
+    else:
+        write_pair_table(fh, table)
+    return fh.getvalue()
+
+
+@pytest.fixture(params=["corpus", "index"])
+def load_table(request, tmp_path, index_parts):
+    """Write a file holding the given pair table of n pairs, in the corpus
+    or the index format, and load it; returns the loaded corpus."""
+
+    def write_and_load(table, n: int) -> Corpus:
+        path = tmp_path / f"{request.param}.bin"
+        if request.param == "corpus":
+            path.write_bytes(CORPUS_MAGIC + struct.pack("<I", n) + pair_table_bytes(table))
+            return load(path)
+        head, tail = index_parts[n]
+        path.write_bytes(head + pair_table_bytes(table) + tail)
+        return load_index(path).corpus
+
+    return write_and_load
+
+
+def test_offset_inside_a_character_is_version_mismatch(load_table):
+    # the blob is valid UTF-8, but the second text starts at byte 4 of 好
+    offsets, data = _binio.encode_str_column(GOOD["src_text"])
+    offsets = offsets.copy()
+    offsets[1] = 4
+    with pytest.raises(VersionMismatch, match="UTF-8"):
+        load_table({**GOOD, "src_text": (offsets, data)}, 3)
+
+
+@pytest.mark.parametrize("field", ["src_text", "tgt_text"])
+def test_all_whitespace_text_is_rejected(load_table, field):
+    for space in WHITESPACE + [" \t\u3000\u00a0\n"]:
+        texts = list(GOOD[field])
+        texts[1] = space
+        with pytest.raises(VersionMismatch, match="invalid pair table: pair 'b': empty"):
+            load_table({**GOOD, field: texts}, 3)
+
+
+def test_text_starting_with_whitespace_or_a_lead_byte_of_one_loads(load_table):
+    # each starts with a byte that also starts a whitespace character
+    texts = ["\u3000你好", "、世界", "\u00a0x"]
+    assert load_table({**GOOD, "src_text": texts}, 3).strings("src_text") == texts
+
+
+@pytest.mark.parametrize(
+    "field, texts, message",
+    [
+        ("id", ["a", "b", "a"], "duplicate pair id 'a'"),
+        ("id", ["", "b", ""], "duplicate pair id ''"),
+        ("src_lang", ["zh", "zh", "ja"], "pair 'c' is ja->en, corpus is zh->en"),
+        ("tgt_lang", ["en", "", "en"], "pair 'b' is zh->, corpus is zh->en"),
+        ("src_lang", ["", "", ""], "missing language code"),
+        ("tgt_lang", ["zh", "zh", "zh"], "src_lang and tgt_lang are both 'zh'"),
+    ],
+    ids=["duplicate-id", "duplicate-empty-id", "mixed", "one-empty-code", "empty-code", "same-lang"],
+)
+def test_invalid_pair_table_is_version_mismatch(load_table, field, texts, message):
+    with pytest.raises(VersionMismatch, match=f"invalid pair table: .*{message}"):
+        load_table({**GOOD, field: texts}, 3)
+
+
+def test_loading_builds_no_demo_pair(load_table, monkeypatch):
+    pairs = synthetic_pairs(5, seed=3)
+    built = []
+    check = DemoPair.__post_init__
+    monkeypatch.setattr(DemoPair, "__post_init__", lambda self: built.append(self) or check(self))
+    corpus = load_table(pairs, 5)
+    assert built == []
+    # the columns are read-only views of the loaded file's bytes
+    assert all(_binio.sealed(a) for column in corpus._columns.values() for a in column)
+    assert corpus[3] == pairs[3]
+    assert built == [pairs[3]]
+
+
+@st.composite
+def unicode_corpora(draw) -> Corpus:
+    n = draw(st.integers(1, 5))
+    ids = draw(st.lists(st.text(max_size=6), min_size=n, max_size=n, unique=True))
+    text = st.text(min_size=1, max_size=12).filter(str.strip)
+    code = st.text(min_size=1, max_size=3)
+    src_lang = draw(code)
+    tgt_lang = draw(code.filter(lambda c: c != src_lang))
+    return Corpus([DemoPair(i, draw(text), draw(text), src_lang, tgt_lang) for i in ids])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(corpus=unicode_corpora())
+def test_unicode_corpus_round_trips(load_table, corpus):
+    loaded = load_table(corpus, len(corpus))
+    assert loaded == corpus
+    assert list(loaded) == list(corpus)
+    assert loaded[:] == list(corpus) and loaded.pairs[-1] == corpus[len(corpus) - 1]
