@@ -48,7 +48,7 @@ from .pipeline import (
     TranslationResult,
     load_config,
 )
-from .prompting import PromptRequest, extract_translation, render_prompt
+from .prompting import extract_translation, render_prompt
 from .reranker import (
     NGramRegressor,
     QualityScorer,

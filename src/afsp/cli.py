@@ -25,7 +25,7 @@ from .errors import (
     ScriptMiss,
     StageError,
 )
-from .llm_client import EndpointTranslator, GenerationConfig, MockClient
+from .llm_client import ChatCompletionsClient, EndpointTranslator, GenerationConfig, MockClient
 from .pipeline import (
     PipelineConfig,
     TranslationPipeline,
@@ -141,20 +141,22 @@ def cmd_degrade(args) -> int:
     loaded = corpus_mod.load(args.corpus)
     table = load_table(args.embeddings) if args.embeddings else None
     synonyms = degeneration.load_synonyms(args.synonyms) if args.synonyms else None
-    if args.translator_endpoint:
-        translator = EndpointTranslator(
-            GenerationConfig(endpoint=args.translator_endpoint, model=args.model or "default")
+    with ChatCompletionsClient() as client:
+        if args.translator_endpoint:
+            translator = EndpointTranslator(
+                GenerationConfig(endpoint=args.translator_endpoint, model=args.model or "default"),
+                client,
+            )
+        else:
+            translator = degeneration.MockBackTranslator(args.seed)
+        examples = degeneration.generate_dataset(
+            loaded,
+            max_size=args.max_ops,
+            seed=args.seed,
+            translator=translator,
+            table=table,
+            synonyms=synonyms,
         )
-    else:
-        translator = degeneration.MockBackTranslator(args.seed)
-    examples = degeneration.generate_dataset(
-        loaded,
-        max_size=args.max_ops,
-        seed=args.seed,
-        translator=translator,
-        table=table,
-        synonyms=synonyms,
-    )
     degeneration.save_examples(examples, args.out)
     print(json.dumps({"examples": len(examples), "out": str(args.out)}))
     return EXIT_OK

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from collections.abc import Iterator, Sequence
 from contextlib import closing
 from dataclasses import dataclass
@@ -228,12 +229,52 @@ def read_lines(path: str | Path) -> Iterator[str]:
             raise InputNotUtf8(path, exc) from exc
 
 
-def _auto_id(index: int) -> str:
-    return f"{index:06d}"
+# a JSON \uD800-\uDFFF escape: a line without one holds no lone surrogate
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F][0-9a-fA-F]{2}")
 
 
-def _pair_from_record(rec: dict, line_no: int, auto_index: int) -> DemoPair:
-    pair_id = str(rec["id"]) if rec.get("id") not in (None, "") else _auto_id(auto_index)
+def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """The JSON object on each non-blank line of a JSONL file, with its
+    line number. Raises MalformedRecord for a line that is not a JSON
+    object, or whose escapes leave a lone surrogate, which is not text."""
+    with closing(read_lines(path)) as lines:
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
+            if not isinstance(rec, dict):
+                raise MalformedRecord(line_no, "record is not a JSON object")
+            if _SURROGATE_ESCAPE.search(line):
+                try:
+                    json.dumps(rec, ensure_ascii=False).encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise MalformedRecord(
+                        line_no, "a \\ud800-\\udfff escape leaves a lone surrogate"
+                    ) from exc
+            yield line_no, rec
+
+
+def _tsv_records(path: str | Path) -> Iterator[tuple[int, dict]]:
+    with closing(read_lines(path)) as lines:
+        for line_no, line in enumerate(lines, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line.strip():
+                continue
+            cols = line.split("\t")
+            if len(cols) not in (4, 5):
+                raise MalformedRecord(
+                    line_no, f"expected 4 or 5 tab-separated columns, got {len(cols)}"
+                )
+            # a line of 4 columns has no id
+            names = ("id", "src", "tgt", "src_lang", "tgt_lang")[-len(cols) :]
+            yield line_no, dict(zip(names, cols))
+
+
+def _pair_from_record(rec: dict, line_no: int, row: int) -> DemoPair:
+    pair_id = str(rec["id"]) if rec.get("id") not in (None, "") else f"{row:06d}"
     try:
         return DemoPair(
             id=pair_id,
@@ -258,32 +299,8 @@ def ingest(path: str | Path, format: str = "jsonl") -> Corpus:
     """
     if format not in ("jsonl", "tsv"):
         raise ValueError(f"unknown format {format!r} (expected 'jsonl' or 'tsv')")
-    pairs: list[DemoPair] = []
-    row = 0
-    with closing(read_lines(path)) as lines:
-        for line_no, line in enumerate(lines, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            if format == "jsonl":
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
-                if not isinstance(rec, dict):
-                    raise MalformedRecord(line_no, "record is not a JSON object")
-            else:
-                cols = line.split("\t")
-                if len(cols) == 5:
-                    rec = dict(zip(("id", "src", "tgt", "src_lang", "tgt_lang"), cols))
-                elif len(cols) == 4:
-                    rec = dict(zip(("src", "tgt", "src_lang", "tgt_lang"), cols))
-                else:
-                    raise MalformedRecord(
-                        line_no, f"expected 4 or 5 tab-separated columns, got {len(cols)}"
-                    )
-            pairs.append(_pair_from_record(rec, line_no, auto_index=row))
-            row += 1
+    with closing(read_records(path) if format == "jsonl" else _tsv_records(path)) as records:
+        pairs = [_pair_from_record(rec, line_no, row) for row, (line_no, rec) in enumerate(records)]
     if not pairs:
         raise EmptyFile(f"{path}: no records")
     return Corpus(pairs)
@@ -309,15 +326,11 @@ def split(corpus: Corpus, test_size: int, seed: int) -> tuple[Corpus, Corpus]:
     return Corpus(demo), Corpus(test)
 
 
-def write_pair_table(fh: BinaryIO, pairs: Corpus | Sequence[DemoPair]) -> None:
-    """Write the pair table: one string column per DemoPair field. A
-    corpus writes the columns it stores."""
+def write_pair_table(fh: BinaryIO, corpus: Corpus) -> None:
+    """Write the pair table: the corpus's stored string column for each
+    DemoPair field."""
     for field in _PAIR_FIELDS:
-        if isinstance(pairs, Corpus):
-            column = pairs._columns[field]
-        else:
-            column = _binio.encode_str_column([getattr(p, field) for p in pairs])
-        _binio.write_str_column(fh, column)
+        _binio.write_str_column(fh, corpus._columns[field])
 
 
 def read_pair_table(reader: _binio.Reader, count: int) -> Corpus:

@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import Corpus, DemoPair, read_lines
+from .corpus import Corpus, DemoPair, read_lines, read_records
 from .embedding import _CJK, EmbeddingTable, _stable_hash64
 from .errors import MalformedRecord, MissingEmbeddingTable, MissingTranslator, NoOpPerturbation
 
@@ -421,19 +421,12 @@ def save_examples(examples: list[RerankerExample], path: str | Path) -> None:
 
 def load_examples(path: str | Path) -> list[RerankerExample]:
     """Read save_examples' JSONL. Raises MalformedRecord, with the line
-    number, for a line that is not a JSON object with a string text, a
-    finite numeric score, a string pair_id and a list of string ops."""
+    number, for a line that read_records rejects or whose object lacks a
+    string text, a finite numeric score, a string pair_id or a list of
+    string ops."""
     examples = []
-    with closing(read_lines(path)) as lines:
-        for line_no, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(rec, dict):
-                raise MalformedRecord(line_no, "record is not a JSON object")
+    with closing(read_records(path)) as records:
+        for line_no, rec in records:
             for name in ("text", "score", "pair_id", "ops"):
                 if name not in rec:
                     raise MalformedRecord(line_no, f"missing field {name!r}")

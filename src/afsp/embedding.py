@@ -86,14 +86,15 @@ class EmbeddingTable:
     oov_seed: int
 
     def __post_init__(self):
-        if len(set(self.vocab)) != len(self.vocab):
+        ids = {t: i for i, t in enumerate(self.vocab)}
+        if len(ids) != len(self.vocab):
             raise ValueError("vocab entries must be unique")
         if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.vocab):
             raise ValueError("matrix must be 2-D with one row per vocab entry")
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("embedding matrix has non-finite entries")
         object.__setattr__(self, "matrix", _frozen(self.matrix))
-        object.__setattr__(self, "_ids", {t: i for i, t in enumerate(self.vocab)})
+        object.__setattr__(self, "_ids", ids)
 
     @property
     def dim(self) -> int:

@@ -41,7 +41,7 @@ from .errors import (
     ScriptMiss,
     check_type,
 )
-from .prompting import extract_translation
+from .prompting import extract_translation, lang_display_name, render_prompt
 
 API_KEY_ENV = "AFSP_API_KEY"
 
@@ -252,19 +252,18 @@ class MockClient:
 
 
 class EndpointTranslator:
-    """Plain translator over a chat-completions endpoint, single candidate.
+    """Translator over a chat-completions endpoint, single candidate: it
+    sends the pipeline's prompt with no demonstrations, as a run with
+    ``k = 0`` does.
 
     Satisfies the degeneration module's translator contract for real
-    back-translation round trips.
+    back-translation round trips. The client stays the caller's to close.
     """
 
-    def __init__(self, cfg: GenerationConfig, client: ChatCompletionsClient | None = None):
+    def __init__(self, cfg: GenerationConfig, client: ChatCompletionsClient):
         self.cfg = replace(cfg, n_candidates=1)
-        self.client = client or ChatCompletionsClient()
+        self.client = client
 
     def __call__(self, text: str, from_lang: str, to_lang: str) -> str:
-        prompt = (
-            f"Translate the following text from {from_lang} to {to_lang}. "
-            f"Provide only the translation.\n{text}"
-        )
+        prompt = render_prompt(lang_display_name(from_lang), lang_display_name(to_lang), text)
         return self.client.generate_candidates(prompt, self.cfg).candidates[0]

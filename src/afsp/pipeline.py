@@ -37,7 +37,7 @@ from .corpus import read_lines
 from .embedding import EmbeddingTable, ProjectionSet, init_projections, load_table
 from .errors import AfspError, StageError, check_type
 from .llm_client import ChatCompletionsClient, GenerationConfig
-from .prompting import PromptRequest, lang_display_name, render_prompt
+from .prompting import lang_display_name, render_prompt
 from .reranker import NGramRegressor, QualityScorer, load_model, rank, rank_many
 from .retrieval import (
     RetrievalIndex,
@@ -279,14 +279,7 @@ class TranslationPipeline:
 
     def _render(self, text: str, demos: tuple[tuple[str, str], ...]) -> str:
         with _stage("prompt"):
-            return render_prompt(
-                PromptRequest(
-                    src_lang_name=self.src_lang_name,
-                    tgt_lang_name=self.tgt_lang_name,
-                    input_text=text,
-                    demos=demos,
-                )
-            )
+            return render_prompt(self.src_lang_name, self.tgt_lang_name, text, demos)
 
     def translate(self, text: str) -> TranslationResult:
         """Best candidate plus the full scored list and demo provenance.

@@ -10,7 +10,6 @@ pass through untouched.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import EmptyInput, EmptyOutput
 
@@ -54,38 +53,31 @@ def lang_display_name(code: str, overrides: dict[str, str] | None = None) -> str
     return DEFAULT_LANG_NAMES.get(code, code)
 
 
-@dataclass(frozen=True)
-class PromptRequest:
-    """Everything needed to render one translation prompt.
-
-    demos are (source, target) pairs already ordered by descending relevance.
-    """
-
-    src_lang_name: str
-    tgt_lang_name: str
-    input_text: str
-    demos: tuple[tuple[str, str], ...] = field(default_factory=tuple)
-
-
-def render_prompt(req: PromptRequest) -> str:
-    """Fill the fixed template with the demonstrations and input sentence."""
-    if not req.input_text.strip():
+def render_prompt(
+    src_lang_name: str,
+    tgt_lang_name: str,
+    input_text: str,
+    demos: tuple[tuple[str, str], ...] = (),
+) -> str:
+    """Fill the fixed template with the demonstrations, (source, target)
+    pairs ordered by descending relevance, and the input sentence."""
+    if not input_text.strip():
         raise EmptyInput("input sentence is empty")
     blocks = "".join(
         DEMO_BLOCK_V1.format(
             n=i,
-            src_lang=req.src_lang_name,
-            tgt_lang=req.tgt_lang_name,
+            src_lang=src_lang_name,
+            tgt_lang=tgt_lang_name,
             src_demo=src,
             tgt_demo=tgt,
         )
-        for i, (src, tgt) in enumerate(req.demos, start=1)
+        for i, (src, tgt) in enumerate(demos, start=1)
     )
     return PROMPT_TEMPLATE_V1.format(
-        src_lang=req.src_lang_name,
-        tgt_lang=req.tgt_lang_name,
+        src_lang=src_lang_name,
+        tgt_lang=tgt_lang_name,
         demo_blocks=blocks,
-        input_text=req.input_text,
+        input_text=input_text,
     )
 
 

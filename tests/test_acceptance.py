@@ -267,7 +267,7 @@ def test_criterion_7_end_to_end_selection(reranker_stack):
 
 
 def test_criterion_8_prompt_golden():
-    rendered = render_prompt(K3_REQUEST)
+    rendered = render_prompt(*K3_REQUEST)
     assert rendered.encode("utf-8") == GOLDEN.read_bytes()
     assert "You are a professional translator" in rendered
     assert len(K3_REQUEST.demos) == 3

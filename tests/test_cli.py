@@ -140,6 +140,17 @@ def test_validation_errors_exit_2(tmp_path):
     assert main(["ingest", "--input", str(bad), "--out", str(tmp_path / "o.bin")]) == 2
 
 
+def test_ingest_lone_surrogate_escape_exits_2_naming_the_line(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(
+        '{"src": "你好", "tgt": "hello", "src_lang": "zh", "tgt_lang": "en"}\n'
+        '{"src": "再见", "tgt": "\\ud800x", "src_lang": "zh", "tgt_lang": "en"}\n',
+        encoding="utf-8",
+    )
+    assert main(["ingest", "--input", str(bad), "--out", str(tmp_path / "o.bin")]) == 2
+    assert "error: line 2: " in capsys.readouterr().err
+
+
 def test_degrade_requires_replace_resources(workspace, tmp_path):
     root, _ = workspace
     assert main([
@@ -212,10 +223,12 @@ def test_train_reranker_bad_limits_exit_2(workspace, capsys, tmp_path, flag, val
         ('{"text": "a b", "score": 0.5, "pair_id": 5, "ops": []}', "pair_id must be a string"),
         ('{"text": "a b", "score": 0.5, "pair_id": "p1", "ops": "se"}', "ops must be a list"),
         ('{"text": "a b", "score": 0.5, "pair_id": "p1", "ops": [1, null]}', "ops must be a list of strings"),
+        ('{"text": "a \\ud800x", "score": 0.5, "pair_id": "p1", "ops": []}', "lone surrogate"),
     ],
     ids=[
         "invalid-json", "list-line", "no-text", "no-score", "no-pair-id", "no-ops", "non-numeric-score",
         "nan-score", "text-not-string", "pair-id-not-string", "ops-not-list", "op-not-string",
+        "lone-surrogate",
     ],
 )
 def test_train_reranker_malformed_example_exit_2(workspace, capsys, tmp_path, record, message):

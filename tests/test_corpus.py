@@ -103,6 +103,26 @@ def test_ingest_reports_offending_line(tmp_path):
     assert excinfo.value.line_no == 2
 
 
+@pytest.mark.parametrize("field", ["id", "src", "tgt"])
+def test_ingest_lone_surrogate_escape_is_malformed_on_its_line(tmp_path, field):
+    path = tmp_path / "pairs.jsonl"
+    rec = {"id": "1", "src": "你好", "tgt": "hello", "src_lang": "zh", "tgt_lang": "en"}
+    bad = json.dumps({**rec, "id": "2", field: "\ud800x"})
+    path.write_text(json.dumps(rec) + "\n\n" + bad + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord, match="lone surrogate") as excinfo:
+        ingest(path)
+    assert excinfo.value.line_no == 3
+
+
+def test_ingest_keeps_escaped_surrogate_pairs(tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text(
+        r'{"src": "你好", "tgt": "a \ud83d\ude00 \\ud800", "src_lang": "zh", "tgt_lang": "en"}',
+        encoding="utf-8",
+    )
+    assert ingest(path)[0].tgt_text == "a \U0001f600 \\ud800"
+
+
 def test_ingest_missing_field(tmp_path):
     path = tmp_path / "pairs.jsonl"
     path.write_text('{"id": "1", "src": "你好"}\n', encoding="utf-8")
@@ -267,17 +287,16 @@ def test_load_rejects_trailing_bytes(tmp_path):
 @pytest.mark.parametrize(
     "pairs",
     [
-        [DemoPair("1", "你好", "hello", "zh", "en"), DemoPair("1", "再见", "bye", "zh", "en")],
-        [DemoPair("1", "你好", "hello", "zh", "en"), DemoPair("2", "再见", "bye", "ja", "en")],
+        {"id": ["1", "1"], "src_text": ["你好", "再见"], "tgt_text": ["hello", "bye"],
+         "src_lang": ["zh", "zh"], "tgt_lang": ["en", "en"]},
+        {"id": ["1", "2"], "src_text": ["你好", "再见"], "tgt_text": ["hello", "bye"],
+         "src_lang": ["zh", "ja"], "tgt_lang": ["en", "en"]},
     ],
 )
 def test_load_rejects_an_invalid_pair_table(tmp_path, pairs):
     # a file holding pairs that Corpus would reject
     path = tmp_path / "corpus.bin"
-    with open(path, "wb") as fh:
-        fh.write(CORPUS_MAGIC)
-        _binio.write_u32(fh, len(pairs))
-        write_pair_table(fh, pairs)
+    path.write_bytes(CORPUS_MAGIC + struct.pack("<I", 2) + pair_table_bytes(pairs))
     with pytest.raises(VersionMismatch, match="invalid pair table"):
         load(path)
 
@@ -351,8 +370,8 @@ def index_parts(tmp_path_factory):
 
 
 def pair_table_bytes(table) -> bytes:
-    """A pair table from a Corpus, a list of DemoPairs or a dict of one
-    column per field, each a list of strings or an (offsets, bytes) pair."""
+    """A pair table from a Corpus or a dict of one column per field, each
+    a list of strings or an (offsets, bytes) pair."""
     fh = io.BytesIO()
     if isinstance(table, dict):
         for field in GOOD:
@@ -428,7 +447,7 @@ def test_loading_builds_no_demo_pair(load_table, monkeypatch):
     built = []
     check = DemoPair.__post_init__
     monkeypatch.setattr(DemoPair, "__post_init__", lambda self: built.append(self) or check(self))
-    corpus = load_table(pairs, 5)
+    corpus = load_table(Corpus(pairs), 5)
     assert built == []
     # the columns are read-only views of the loaded file's bytes
     assert all(_binio.sealed(a) for column in corpus._columns.values() for a in column)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from afsp.degeneration import (
     DegenerationOp,
     MockBackTranslator,
     OpCombination,
+    RerankerExample,
     apply_op,
     enumerate_combinations,
     generate_dataset,
@@ -16,7 +18,7 @@ from afsp.degeneration import (
     save_examples,
     score_of,
 )
-from afsp.errors import MissingEmbeddingTable, MissingTranslator, NoOpPerturbation
+from afsp.errors import MalformedRecord, MissingEmbeddingTable, MissingTranslator, NoOpPerturbation
 from helpers import corpus_table, synthetic_corpus
 
 PAIR = DemoPair("p1", "猫坐了下来", "the cat sat", "zh", "en")
@@ -211,3 +213,20 @@ def test_examples_round_trip(tmp_path, dataset_100):
     path = tmp_path / "examples.jsonl"
     save_examples(examples[:50], path)
     assert load_examples(path) == examples[:50]
+
+
+@pytest.mark.parametrize("escape", [r"\ud800", r"\uDFFF"])
+def test_load_examples_lone_surrogate_escape_is_malformed_on_its_line(tmp_path, escape):
+    path = tmp_path / "examples.jsonl"
+    rec = {"text": "a b", "score": 0.5, "pair_id": "p1", "ops": []}
+    bad = json.dumps(rec).replace("a b", escape + "x")
+    path.write_text(json.dumps(rec) + "\n\n" + bad + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord, match="lone surrogate") as excinfo:
+        load_examples(path)
+    assert excinfo.value.line_no == 3
+
+
+def test_load_examples_keeps_escaped_surrogate_pairs(tmp_path):
+    path = tmp_path / "examples.jsonl"
+    path.write_text(r'{"text": "a \ud83d\ude00", "score": 1, "pair_id": "p1", "ops": []}', encoding="utf-8")
+    assert load_examples(path) == [RerankerExample("a \U0001f600", 1.0, "p1", ())]

@@ -8,6 +8,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 import requests
 
+from afsp.cli import main
+from afsp.corpus import save
+from afsp.embedding import save_table
 from afsp.errors import (
     AllCandidatesEmpty,
     MalformedResponse,
@@ -22,6 +25,8 @@ from afsp.llm_client import (
     MockClient,
     fingerprint,
 )
+from afsp.prompting import render_prompt
+from helpers import corpus_table, synthetic_corpus
 
 
 class ScriptedHandler(BaseHTTPRequestHandler):
@@ -275,11 +280,36 @@ def test_endpoint_translator_round_trip(server):
     server.behaviours.append({"kind": "echo", "contents": ["pivot text"]})
     server.behaviours.append({"kind": "echo", "contents": ["round tripped"]})
     config = cfg(server, max_in_flight=2, top_k=5)
-    translator = EndpointTranslator(config)
-    assert translator.cfg == replace(config, n_candidates=1)
-    assert translator("original", "en", "zh") == "pivot text"
-    assert translator("pivot text", "zh", "en") == "round tripped"
+    with ChatCompletionsClient() as client:
+        translator = EndpointTranslator(config, client)
+        assert translator.cfg == replace(config, n_candidates=1)
+        assert translator("original", "en", "zh") == "pivot text"
+        assert translator("pivot text", "zh", "en") == "round tripped"
     assert server.requests[0]["body"]["n"] == 1
+    assert [r["body"]["messages"] for r in server.requests] == [
+        [{"role": "user", "content": render_prompt("English", "Chinese", "original")}],
+        [{"role": "user", "content": render_prompt("Chinese", "English", "pivot text")}],
+    ]
+
+
+def test_degrade_with_a_translator_endpoint_closes_its_session(server, monkeypatch, tmp_path):
+    closed = []
+    close = requests.Session.close
+    monkeypatch.setattr(requests.Session, "close", lambda self: (closed.append(self), close(self)))
+    save(synthetic_corpus(2, seed=3), tmp_path / "corpus.bin")
+    save_table(corpus_table(dim=8), tmp_path / "table.bin")
+    gc.collect()  # sockets other tests left open are not this call's
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([
+            "degrade", "--corpus", str(tmp_path / "corpus.bin"),
+            "--embeddings", str(tmp_path / "table.bin"), "--max-ops", "1",
+            "--translator-endpoint", endpoint(server), "--out", str(tmp_path / "d.jsonl"),
+        ]) == 0
+        gc.collect()
+    assert server.requests
+    assert len(closed) == 1
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_mock_client_passthrough_and_miss():

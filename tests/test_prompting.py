@@ -1,10 +1,10 @@
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
 
 from afsp.errors import EmptyInput, EmptyOutput
 from afsp.prompting import (
-    PromptRequest,
     extract_translation,
     lang_display_name,
     render_prompt,
@@ -12,7 +12,10 @@ from afsp.prompting import (
 
 GOLDEN = Path(__file__).parent / "data" / "prompt_k3.golden.txt"
 
-K3_REQUEST = PromptRequest(
+# render_prompt's arguments, in order
+Request = namedtuple("Request", "src_lang_name tgt_lang_name input_text demos")
+
+K3_REQUEST = Request(
     src_lang_name="Chinese",
     tgt_lang_name="English",
     input_text="外交部发言人今天发表讲话。",
@@ -25,29 +28,23 @@ K3_REQUEST = PromptRequest(
 
 
 def test_render_k3_matches_golden_bytes():
-    rendered = render_prompt(K3_REQUEST)
+    rendered = render_prompt(*K3_REQUEST)
     assert rendered.encode("utf-8") == GOLDEN.read_bytes()
 
 
 def test_render_opens_with_translator_line():
-    assert render_prompt(K3_REQUEST).startswith("You are a professional translator")
+    assert render_prompt(*K3_REQUEST).startswith("You are a professional translator")
 
 
 def test_render_zero_shot_has_no_numbered_blocks():
-    req = PromptRequest(
-        src_lang_name="Chinese",
-        tgt_lang_name="English",
-        input_text="你好。",
-        demos=(),
-    )
-    rendered = render_prompt(req)
+    rendered = render_prompt("Chinese", "English", "你好。")
     assert "1." not in rendered
     assert rendered.count("Chinese text:") == 1
     assert rendered.endswith("English translation:")
 
 
 def test_render_preserves_demo_order_and_src_before_tgt():
-    rendered = render_prompt(K3_REQUEST)
+    rendered = render_prompt(*K3_REQUEST)
     positions = [rendered.index(src) for src, _ in K3_REQUEST.demos]
     assert positions == sorted(positions)
     for src, tgt in K3_REQUEST.demos:
@@ -55,13 +52,9 @@ def test_render_preserves_demo_order_and_src_before_tgt():
 
 
 def test_render_passes_braces_through():
-    req = PromptRequest(
-        src_lang_name="Chinese",
-        tgt_lang_name="English",
-        input_text="含有{花括号}的句子",
-        demos=(("源{文本}", "target {with} braces"),),
+    rendered = render_prompt(
+        "Chinese", "English", "含有{花括号}的句子", (("源{文本}", "target {with} braces"),)
     )
-    rendered = render_prompt(req)
     assert "{花括号}" in rendered
     assert "target {with} braces" in rendered
     assert "{src_lang}" not in rendered
@@ -69,20 +62,14 @@ def test_render_passes_braces_through():
 
 
 def test_render_distinct_inputs_distinct_prompts():
-    base = render_prompt(K3_REQUEST)
-    other = PromptRequest(
-        src_lang_name=K3_REQUEST.src_lang_name,
-        tgt_lang_name=K3_REQUEST.tgt_lang_name,
-        input_text="另一个句子。",
-        demos=K3_REQUEST.demos,
-    )
-    assert render_prompt(other) != base
+    base = render_prompt(*K3_REQUEST)
+    other = K3_REQUEST._replace(input_text="另一个句子。")
+    assert render_prompt(*other) != base
 
 
 def test_render_empty_input():
-    req = PromptRequest("Chinese", "English", "   ", ())
     with pytest.raises(EmptyInput):
-        render_prompt(req)
+        render_prompt("Chinese", "English", "   ")
 
 
 def test_lang_display_name():
