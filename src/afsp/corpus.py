@@ -11,8 +11,8 @@ A :class:`Corpus` is columnar: it holds the pair table's five string
 columns, each as u32 offsets and one UTF-8 blob, the layout the file has. A
 loaded corpus views the loaded file's bytes, so loading makes no Python
 object per pair; ``corpus[i]`` decodes one :class:`DemoPair` when it is
-asked for. Every corpus, built from pairs or loaded, passes one vectorized
-check of its columns when it is made.
+asked for. Every corpus, built from pairs, ingested or loaded, passes one
+vectorized check of its columns when it is made, the only check of pairs.
 """
 
 from __future__ import annotations
@@ -59,7 +59,8 @@ _SPACES = np.array([
 
 @dataclass(frozen=True)
 class DemoPair:
-    """One aligned source/target sentence pair."""
+    """One aligned source/target sentence pair: a plain record, checked when
+    it joins a :class:`Corpus`."""
 
     id: str
     src_text: str
@@ -67,17 +68,13 @@ class DemoPair:
     src_lang: str
     tgt_lang: str
 
-    def __post_init__(self):
-        if not self.src_text.strip():
-            raise ValueError(f"pair {self.id!r}: empty source text")
-        if not self.tgt_text.strip():
-            raise ValueError(f"pair {self.id!r}: empty target text")
-        if not self.src_lang or not self.tgt_lang:
-            raise ValueError(f"pair {self.id!r}: missing language code")
-        if self.src_lang == self.tgt_lang:
-            raise ValueError(
-                f"pair {self.id!r}: src_lang and tgt_lang are both {self.src_lang!r}"
-            )
+
+class _BadPair(ValueError):
+    """A pair that no corpus holds; ``row`` is its row."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
 
 
 class Corpus(Sequence[DemoPair]):
@@ -141,9 +138,9 @@ def _string(column: _Column, row: int) -> str:
 
 def _check_columns(columns: dict[str, _Column]) -> tuple[str, str]:
     """The corpus's (src_lang, tgt_lang). Raises unless the columns hold
-    pairs that :class:`DemoPair` accepts and that make one corpus:
-    ValueError for a column that is not UTF-8, a blank text or a bad
-    language code, EmptyFile, MixedLanguagePair or DuplicateId."""
+    pairs that make one corpus: ValueError for a column that is not UTF-8,
+    _BadPair (naming its row) for a blank text or a bad language code,
+    EmptyFile, MixedLanguagePair or DuplicateId."""
     ids = columns["id"]
     if len(ids[0]) == 1:
         raise EmptyFile("a corpus needs at least one pair")
@@ -158,13 +155,13 @@ def _check_columns(columns: dict[str, _Column]) -> tuple[str, str]:
     for field, side in (("src_text", "source"), ("tgt_text", "target")):
         blank = np.flatnonzero(_blank(columns[field]))
         if len(blank):
-            raise ValueError(f"pair {_string(ids, blank[0])!r}: empty {side} text")
+            raise _BadPair(f"pair {_string(ids, blank[0])!r}: empty {side} text", blank[0])
     src, tgt = columns["src_lang"], columns["tgt_lang"]
     src_lang, tgt_lang = _string(src, 0), _string(tgt, 0)
     if not src_lang or not tgt_lang:
-        raise ValueError(f"pair {_string(ids, 0)!r}: missing language code")
+        raise _BadPair(f"pair {_string(ids, 0)!r}: missing language code", 0)
     if src_lang == tgt_lang:
-        raise ValueError(f"pair {_string(ids, 0)!r}: src_lang and tgt_lang are both {src_lang!r}")
+        raise _BadPair(f"pair {_string(ids, 0)!r}: src_lang and tgt_lang are both {src_lang!r}", 0)
     # the first row after the first that repeats no earlier one is the
     # first that differs from the first
     mixed = np.flatnonzero(~(_repeats(src) & _repeats(tgt))[1:]) + 1
@@ -273,37 +270,36 @@ def _tsv_records(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield line_no, dict(zip(names, cols))
 
 
-def _pair_from_record(rec: dict, line_no: int, row: int) -> DemoPair:
-    pair_id = str(rec["id"]) if rec.get("id") not in (None, "") else f"{row:06d}"
-    try:
-        return DemoPair(
-            id=pair_id,
-            src_text=str(rec["src"]),
-            tgt_text=str(rec["tgt"]),
-            src_lang=str(rec["src_lang"]),
-            tgt_lang=str(rec["tgt_lang"]),
-        )
-    except KeyError as exc:
-        raise MalformedRecord(line_no, f"missing field {exc.args[0]!r}") from exc
-    except ValueError as exc:
-        raise MalformedRecord(line_no, str(exc)) from exc
-
-
 def ingest(path: str | Path, format: str = "jsonl") -> Corpus:
     """Load a corpus from a JSONL or TSV file.
 
     Record ids are taken from the file when present and auto-assigned as
-    zero-padded row indices otherwise. Raises MalformedRecord (with the
-    offending line number), DuplicateId, MixedLanguagePair, EmptyFile or
-    InputNotUtf8.
+    zero-padded row indices otherwise. The fields are gathered into the
+    corpus's columns, which are checked once, as every corpus is. Raises
+    MalformedRecord (with the offending line number), DuplicateId,
+    MixedLanguagePair, EmptyFile or InputNotUtf8.
     """
     if format not in ("jsonl", "tsv"):
         raise ValueError(f"unknown format {format!r} (expected 'jsonl' or 'tsv')")
+    line_nos, ids = [], []
+    fields: dict[str, list[str]] = {"src": [], "tgt": [], "src_lang": [], "tgt_lang": []}
     with closing(read_records(path) if format == "jsonl" else _tsv_records(path)) as records:
-        pairs = [_pair_from_record(rec, line_no, row) for row, (line_no, rec) in enumerate(records)]
-    if not pairs:
+        for row, (line_no, rec) in enumerate(records):
+            line_nos.append(line_no)
+            ids.append(str(rec["id"]) if rec.get("id") not in (None, "") else f"{row:06d}")
+            for name, values in fields.items():
+                if name not in rec:
+                    raise MalformedRecord(line_no, f"missing field {name!r}")
+                if not isinstance(rec[name], str):
+                    raise MalformedRecord(line_no, f"{name} must be a string")
+                values.append(rec[name])
+    if not line_nos:
         raise EmptyFile(f"{path}: no records")
-    return Corpus(pairs)
+    columns = map(_binio.encode_str_column, (ids, *fields.values()))
+    try:
+        return Corpus._from_columns(dict(zip(_PAIR_FIELDS, columns)))
+    except _BadPair as exc:
+        raise MalformedRecord(line_nos[exc.row], str(exc)) from exc
 
 
 def split(corpus: Corpus, test_size: int, seed: int) -> tuple[Corpus, Corpus]:

@@ -451,10 +451,12 @@ def load_examples(path: str | Path) -> list[RerankerExample]:
 
 
 def load_synonyms(path: str | Path) -> dict[str, list[str]]:
-    """Synonym TSV: token TAB synonym [TAB synonym ...] per line."""
+    """Synonym TSV: token TAB synonym [TAB synonym ...] per line. A line
+    with no non-empty synonym is skipped, so its token falls back to the
+    table's nearest neighbour."""
     table: dict[str, list[str]] = {}
     for line in read_lines(path):
-        cols = line.rstrip("\n").split("\t")
-        if len(cols) >= 2 and cols[0]:
-            table[cols[0].lower()] = [c for c in cols[1:] if c]
+        token, *cols = line.rstrip("\n").split("\t")
+        if token and any(cols):
+            table[token.lower()] = [c for c in cols if c]
     return table

@@ -8,7 +8,7 @@ from afsp.embedding import save_table
 from afsp.llm_client import fingerprint
 from afsp.pipeline import PipelineConfig, TranslationPipeline
 from afsp.llm_client import MockClient
-from helpers import corpus_table, synthetic_pairs, write_jsonl
+from helpers import corpus_table, corpus_vocab, synthetic_pairs, write_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +149,30 @@ def test_ingest_lone_surrogate_escape_exits_2_naming_the_line(tmp_path, capsys):
     )
     assert main(["ingest", "--input", str(bad), "--out", str(tmp_path / "o.bin")]) == 2
     assert "error: line 2: " in capsys.readouterr().err
+
+
+def test_ingest_non_string_field_exits_2_naming_the_line(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(
+        '{"src": "你好", "tgt": "hello", "src_lang": "zh", "tgt_lang": "en"}\n'
+        '{"src": null, "tgt": "bye", "src_lang": "zh", "tgt_lang": "en"}\n',
+        encoding="utf-8",
+    )
+    assert main(["ingest", "--input", str(bad), "--out", str(tmp_path / "o.bin")]) == 2
+    assert "error: line 2: src must be a string" in capsys.readouterr().err
+
+
+def test_degrade_skips_empty_synonym_lists(workspace, tmp_path):
+    # every token of the corpus has a line without synonyms, so Replace
+    # falls back to the table's nearest neighbour
+    root, _ = workspace
+    synonyms, out = tmp_path / "synonyms.tsv", tmp_path / "d.jsonl"
+    synonyms.write_text("".join(f"{token}\t\t\n" for token in corpus_vocab()), encoding="utf-8")
+    assert main([
+        "degrade", "--corpus", str(root / "corpus.bin"), "--embeddings", str(root / "table.bin"),
+        "--synonyms", str(synonyms), "--max-ops", "2", "--seed", "7", "--out", str(out),
+    ]) == 0
+    assert out.read_text(encoding="utf-8") == (root / "degraded.jsonl").read_text(encoding="utf-8")
 
 
 def test_degrade_requires_replace_resources(workspace, tmp_path):

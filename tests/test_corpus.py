@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from afsp import _binio
+from afsp import corpus as corpus_mod
 from afsp.corpus import (
     CORPUS_MAGIC,
     Corpus,
@@ -41,15 +42,15 @@ from helpers import (
 
 
 def test_demo_pair_rejects_blank_text():
-    with pytest.raises(ValueError):
-        DemoPair("1", "  ", "hello", "zh", "en")
-    with pytest.raises(ValueError):
-        DemoPair("1", "你好", "\t", "zh", "en")
+    with pytest.raises(ValueError, match="^pair '1': empty source text$"):
+        Corpus([DemoPair("1", "  ", "hello", "zh", "en")])
+    with pytest.raises(ValueError, match="^pair '1': empty target text$"):
+        Corpus([DemoPair("1", "你好", "\t", "zh", "en")])
 
 
 def test_demo_pair_rejects_same_language():
-    with pytest.raises(ValueError):
-        DemoPair("1", "hi", "hello", "en", "en")
+    with pytest.raises(ValueError, match="^pair '1': src_lang and tgt_lang are both 'en'$"):
+        Corpus([DemoPair("1", "hi", "hello", "en", "en")])
 
 
 def test_corpus_rejects_duplicate_and_mixed():
@@ -128,6 +129,37 @@ def test_ingest_missing_field(tmp_path):
     path.write_text('{"id": "1", "src": "你好"}\n', encoding="utf-8")
     with pytest.raises(MalformedRecord):
         ingest(path)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("src", None), ("tgt", ["hello"]), ("src_lang", 1), ("tgt_lang", True)]
+)
+def test_ingest_non_string_field_is_malformed(tmp_path, field, value):
+    path = tmp_path / "pairs.jsonl"
+    rec = {"id": "1", "src": "你好", "tgt": "hello", "src_lang": "zh", "tgt_lang": "en"}
+    bad = {**rec, "id": "2", field: value}
+    path.write_text(json.dumps(rec) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord, match=f"^line 2: {field} must be a string$"):
+        ingest(path)
+
+
+def hook_demo_pair(monkeypatch) -> list[DemoPair]:
+    """Every DemoPair that afsp.corpus builds from now on, in order."""
+    built = []
+    def build(*args, **kwargs) -> DemoPair:
+        built.append(DemoPair(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(corpus_mod, "DemoPair", build)
+    return built
+
+
+def test_ingest_builds_no_demo_pair(tmp_path, monkeypatch):
+    path = tmp_path / "pairs.jsonl"
+    write_jsonl(path, synthetic_pairs(5, seed=3))
+    built = hook_demo_pair(monkeypatch)
+    assert len(ingest(path)) == 5
+    assert built == []
 
 
 def test_ingest_duplicate_ids(tmp_path):
@@ -442,11 +474,46 @@ def test_invalid_pair_table_is_version_mismatch(load_table, field, texts, messag
         load_table({**GOOD, field: texts}, 3)
 
 
+# one bad pair per case: the field it changes, the column it gets, the row
+# whose line an ingested file names (None if the error names no line), the
+# error a built corpus raises and the reason every path gives
+PAIR_FAULTS = {
+    "blank-source": ("src_text", ["你好", " \u3000", "再见"], 1, ValueError, "pair 'b': empty source text"),
+    "blank-target": ("tgt_text", ["hello", "world", "\t"], 2, ValueError, "pair 'c': empty target text"),
+    "missing-code": ("src_lang", ["", "", ""], 0, ValueError, "pair 'a': missing language code"),
+    "equal-codes": ("tgt_lang", ["zh"] * 3, 0, ValueError, "pair 'a': src_lang and tgt_lang are both 'zh'"),
+    "mixed": ("src_lang", ["zh", "zh", "ja"], None, MixedLanguagePair, "pair 'c' is ja->en, corpus is zh->en"),
+    "mixed-empty-code": ("tgt_lang", ["en", "", "en"], None, MixedLanguagePair, "pair 'b' is zh->, corpus is zh->en"),
+    "duplicate-id": ("id", ["a", "b", "a"], None, DuplicateId, "duplicate pair id 'a'"),
+}
+
+
+@pytest.mark.parametrize("fault", PAIR_FAULTS.values(), ids=PAIR_FAULTS)
+def test_a_bad_pair_gives_one_reason_built_ingested_and_loaded(load_table, tmp_path, fault):
+    field, texts, row, error, reason = fault
+    table = {**GOOD, field: texts}
+    with pytest.raises(error) as built:
+        Corpus([DemoPair(*fields) for fields in zip(*table.values())])
+    assert str(built.value) == reason
+    # the three records are on lines 2, 4 and 5
+    path = tmp_path / "pairs.jsonl"
+    keys = ("id", "src", "tgt", "src_lang", "tgt_lang")
+    records = [json.dumps(dict(zip(keys, fields))) for fields in zip(*table.values())]
+    path.write_text("\n{}\n\n{}\n{}\n".format(*records), encoding="utf-8")
+    with pytest.raises(error if row is None else MalformedRecord) as ingested:
+        ingest(path)
+    if row is None:
+        assert str(ingested.value) == reason
+    else:
+        assert (ingested.value.line_no, ingested.value.reason) == ([2, 4, 5][row], reason)
+    with pytest.raises(VersionMismatch) as loaded:
+        load_table(table, 3)
+    assert str(loaded.value) == f"invalid pair table: {reason}"
+
+
 def test_loading_builds_no_demo_pair(load_table, monkeypatch):
     pairs = synthetic_pairs(5, seed=3)
-    built = []
-    check = DemoPair.__post_init__
-    monkeypatch.setattr(DemoPair, "__post_init__", lambda self: built.append(self) or check(self))
+    built = hook_demo_pair(monkeypatch)
     corpus = load_table(Corpus(pairs), 5)
     assert built == []
     # the columns are read-only views of the loaded file's bytes

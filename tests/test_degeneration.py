@@ -15,6 +15,7 @@ from afsp.degeneration import (
     enumerate_combinations,
     generate_dataset,
     load_examples,
+    load_synonyms,
     save_examples,
     score_of,
 )
@@ -138,6 +139,12 @@ def test_replace_synonym_override():
         synonyms=synonyms,
     )
     assert out == "feline"
+
+
+def test_load_synonyms_skips_lines_without_synonyms(tmp_path):
+    path = tmp_path / "synonyms.tsv"
+    path.write_text("hello\t\t\nCat\t\tfeline\t\ndog\n\tpup\n", encoding="utf-8")
+    assert load_synonyms(path) == {"cat": ["feline"]}
 
 
 def test_same_seed_same_combination_output():
