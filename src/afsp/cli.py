@@ -10,7 +10,6 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import replace
 
 from . import corpus as corpus_mod
 from . import degeneration, metrics, reranker
@@ -29,11 +28,11 @@ from .llm_client import ChatCompletionsClient, EndpointTranslator, GenerationCon
 from .pipeline import (
     PipelineConfig,
     TranslationPipeline,
+    apply_sections,
     audit_record,
     load_config,
     load_retrieval_stack,
 )
-from .retrieval import Weights
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -42,35 +41,22 @@ EXIT_SERVICE = 3
 _SERVICE_ERRORS = (NetworkFailure, RateLimited, MalformedResponse, AllCandidatesEmpty, ScriptMiss)
 
 
-def _parse_alphas(text: str) -> Weights:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"--alphas needs three comma-separated values, got {text!r}")
-    return Weights(*(float(p) for p in parts))
+def _parse_alphas(text: str) -> list[float]:
+    return [float(part) for part in text.split(",")]
 
 
 def _base_config(args) -> PipelineConfig:
-    """The config file (or the defaults) with the flags given applied, all
-    checked before any artifact loads."""
-    cfg = load_config(args.config) if args.config else PipelineConfig()
-    overrides = {
-        "index_path": args.index or None,
-        "table_path": args.embeddings or None,
-        "reranker_path": getattr(args, "reranker", None) or None,
-        "projection_seed": args.seed,
-        "k": args.k,
-        "weights": _parse_alphas(args.alphas) if args.alphas else None,
-        "normalize_scores": args.normalize_scores or None,
+    """The config file (or the defaults) with the flags given applied as
+    settings sections, all checked before any artifact loads."""
+    flags = vars(args)
+    given = {
+        "paths": {"index": args.index, "table": args.embeddings, "reranker": flags.get("reranker")},
+        "seeds": {"projection": args.seed},
+        "retrieval": {"k": args.k, "alphas": args.alphas, "normalize_scores": args.normalize_scores},
+        "generation": {key: flags.get(key) for key in ("endpoint", "model", "n_candidates")},
     }
-    generation = {
-        "endpoint": getattr(args, "endpoint", None) or None,
-        "model": getattr(args, "model", None) or None,
-        "n_candidates": getattr(args, "n_candidates", None),
-    }
-    generation = {k: v for k, v in generation.items() if v is not None}
-    if generation:
-        overrides["generation"] = replace(cfg.generation, **generation)
-    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    sections = {n: {k: v for k, v in s.items() if v is not None} for n, s in given.items()}
+    return apply_sections(load_config(args.config) if args.config else PipelineConfig(), sections)
 
 
 def cmd_ingest(args) -> int:
@@ -134,10 +120,6 @@ def cmd_prompt(args) -> int:
 
 
 def cmd_degrade(args) -> int:
-    if args.max_ops >= 1 and not args.embeddings and not args.synonyms:
-        raise ValueError(
-            "degrade needs --embeddings (or --synonyms) for the Replace operation"
-        )
     loaded = corpus_mod.load(args.corpus)
     table = load_table(args.embeddings) if args.embeddings else None
     synonyms = degeneration.load_synonyms(args.synonyms) if args.synonyms else None
@@ -281,8 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--embeddings")
         p.add_argument("--seed", type=int, default=None, help="projection seed")
         p.add_argument("--k", type=int, default=None)
-        p.add_argument("--alphas", help="comma-separated fusion weights, e.g. 0.4,0.4,0.2")
-        p.add_argument("--normalize-scores", action="store_true")
+        p.add_argument(
+            "--alphas", type=_parse_alphas, help="comma-separated fusion weights, e.g. 0.4,0.4,0.2"
+        )
+        p.add_argument("--normalize-scores", action="store_true", default=None)
 
     p = sub.add_parser("retrieve", help="top-k demonstrations for a query")
     add_config_flags(p)

@@ -17,6 +17,7 @@ vectorized check of its columns when it is made, the only check of pairs.
 
 from __future__ import annotations
 
+import codecs
 import json
 import random
 import re
@@ -49,7 +50,7 @@ _PAIR_FIELDS = ("id", "src_text", "tgt_text", "src_lang", "tgt_lang")
 _Column = tuple[np.ndarray, np.ndarray]
 
 # the UTF-8 bytes of each character that str.isspace() accepts, read as one
-# big-endian integer
+# big-endian integer, in ascending order
 _SPACES = np.array([
     int.from_bytes(chr(c).encode("utf-8"), "big")
     for c in (*range(0x09, 0x0E), *range(0x1C, 0x21), 0x85, 0xA0, 0x1680,
@@ -145,8 +146,11 @@ def _check_columns(columns: dict[str, _Column]) -> tuple[str, str]:
     if len(ids[0]) == 1:
         raise EmptyFile("a corpus needs at least one pair")
     for field, (offsets, data) in columns.items():
+        # decoded 64 KiB at a time, so no copy of the whole column is made
+        chunks = (memoryview(data)[i : i + (1 << 16)] for i in range(0, len(data), 1 << 16))
         try:
-            str(data, "utf-8")
+            for _ in codecs.iterdecode(chunks, "utf-8"):
+                pass
         except UnicodeDecodeError as exc:
             raise ValueError(f"{field} column is not UTF-8: {exc}") from exc
         # ... and so is each string in it, if none starts on a continuation byte
@@ -190,7 +194,9 @@ def _blank(column: _Column) -> np.ndarray:
     size = 1 + (head[:, 0] >= 0xC0) + (head[:, 0] >= 0xE0)
     first = ((head[:, 0] << 16) | (head[:, 1] << 8) | head[:, 2]) >> (8 * (3 - size))
     maybe = np.ones(len(starts), dtype=bool)
-    maybe[nonempty] = np.isin(first, _SPACES)
+    # not np.isin, whose first call imports numpy.ma (about 1 MB)
+    at = np.minimum(np.searchsorted(_SPACES, first), len(_SPACES) - 1)
+    maybe[nonempty] = _SPACES[at] == first
     blank = np.zeros(len(starts), dtype=bool)
     for row in np.flatnonzero(maybe):
         blank[row] = not _string(column, row).strip()
@@ -204,7 +210,8 @@ def _repeats(column: _Column) -> np.ndarray:
     offsets, data = column
     lengths = np.diff(offsets)
     repeats = np.zeros(len(lengths), dtype=bool)
-    for width in np.unique(lengths):
+    # not np.unique, whose first call imports numpy.ma (about 1 MB)
+    for width in set(lengths.tolist()):
         rows = np.flatnonzero(lengths == width)
         words = np.zeros((len(rows), max(1, -(-int(width) // 8)) * 8), dtype=np.uint8)
         words[:, :width] = data[offsets[rows, None] + np.arange(width)]

@@ -6,8 +6,9 @@ Each target sentence is disturbed by combinations of six operations:
   output).
 - Back: round-trip through a pluggable translator (tgt -> src -> tgt); a
   seeded mock translator ships for offline runs.
-- Replace: swap a fraction of tokens for their nearest vocabulary neighbour
-  by cosine over the embedding table (a synonym table overrides when given).
+- Replace: swap a fraction of tokens for a synonym, or for their nearest
+  vocabulary neighbour by cosine over the embedding table (``_op_replace``
+  states the rule).
 - Insert: copy a contiguous source-token span into the target.
 - Ret: duplicate a contiguous target span in place.
 - Se: per-token spelling edits (adjacent swap, deletion, duplication).
@@ -48,22 +49,17 @@ Translator = Callable[[str, str, str], str]
 
 
 class DegenerationOp(Enum):
+    """The six operations, declared in canonical application order."""
+
     PARALLEL = "Parallel"
     BACK = "Back"
-    INSERT = "Insert"
-    SE = "Se"
-    RET = "Ret"
     REPLACE = "Replace"
+    INSERT = "Insert"
+    RET = "Ret"
+    SE = "Se"
 
 
-CANONICAL_ORDER = (
-    DegenerationOp.PARALLEL,
-    DegenerationOp.BACK,
-    DegenerationOp.REPLACE,
-    DegenerationOp.INSERT,
-    DegenerationOp.RET,
-    DegenerationOp.SE,
-)
+CANONICAL_ORDER = tuple(DegenerationOp)
 
 _CANONICAL_POS = {op: i for i, op in enumerate(CANONICAL_ORDER)}
 
@@ -89,9 +85,7 @@ class OpCombination:
     def __post_init__(self):
         if len(set(self.ops)) != len(self.ops):
             raise ValueError(f"duplicate operations in combination: {self.ops}")
-        object.__setattr__(
-            self, "ops", tuple(sorted(self.ops, key=_CANONICAL_POS.__getitem__))
-        )
+        object.__setattr__(self, "ops", tuple(sorted(self.ops, key=_CANONICAL_POS.__getitem__)))
 
     @property
     def size(self) -> int:
@@ -116,11 +110,9 @@ def enumerate_combinations(max_size: int) -> list[OpCombination]:
     ordered by (size, canonical position)."""
     if not 0 <= max_size <= len(CANONICAL_ORDER):
         raise ValueError(f"max_size must be in [0, {len(CANONICAL_ORDER)}]")
-    combos = []
-    for size in range(max_size + 1):
-        for ops in subsets(CANONICAL_ORDER, size):
-            combos.append(OpCombination(ops=ops))
-    return combos
+    return [
+        OpCombination(ops=ops) for n in range(max_size + 1) for ops in subsets(CANONICAL_ORDER, n)
+    ]
 
 
 def score_of(combo: OpCombination) -> float:
@@ -207,10 +199,6 @@ class _Resources:
 
     def nearest_token(self, token: str) -> str:
         """Nearest vocabulary token by cosine, excluding the token itself."""
-        if self.table is None:
-            raise MissingEmbeddingTable(
-                "token replacement needs an embedding table or a synonym map"
-            )
         cached = self._neighbour_cache.get(token)
         if cached is not None:
             return cached
@@ -294,17 +282,23 @@ def _op_ret(pair: DemoPair, text: str, rng: random.Random, res: _Resources) -> s
 
 
 def _op_replace(pair: DemoPair, text: str, rng: random.Random, res: _Resources) -> str:
+    """Replace a fraction of the tokens: a token with a synonym takes one,
+    any other its nearest table neighbour. Without a table only tokens the
+    map covers are drawn; without either, MissingEmbeddingTable."""
     tokens = _surface_tokens(text)
-    if not tokens:
+    synonyms = res.synonyms or {}
+    if res.table is not None:
+        drawable = range(len(tokens))
+    elif res.synonyms is not None:
+        drawable = [i for i, tok in enumerate(tokens) if tok.lower() in synonyms]
+    else:
+        raise MissingEmbeddingTable("token replacement needs an embedding table or a synonym map")
+    if not drawable:
         return text
-    n_replace = max(1, round(REPLACE_FRACTION * len(tokens)))
-    positions = rng.sample(range(len(tokens)), min(n_replace, len(tokens)))
-    for pos in positions:
+    n_replace = max(1, round(REPLACE_FRACTION * len(drawable)))
+    for pos in rng.sample(drawable, min(n_replace, len(drawable))):
         key = tokens[pos].lower()
-        if res.synonyms and key in res.synonyms:
-            tokens[pos] = rng.choice(res.synonyms[key])
-        else:
-            tokens[pos] = res.nearest_token(key)
+        tokens[pos] = rng.choice(synonyms[key]) if key in synonyms else res.nearest_token(key)
     return _join_tokens(tokens)
 
 

@@ -9,13 +9,14 @@ Candidates are requested in one multi-choice call; endpoints that reject
 ``n > 1`` (HTTP 400 or 422) are retried as n sequential single-completion
 calls, which yields an identical CandidateSet; other 4xx fail at once. Every
 raw completion passes through ``extract_translation``; completions that come
-back empty, or that cannot be encoded as UTF-8 (a lone surrogate), are
-dropped.
+back empty or null, or that cannot be encoded as UTF-8 (a lone surrogate),
+are dropped.
 
 Transient failures (timeouts, connection errors, HTTP 5xx) are retried with
 exponential backoff and jitter inside a total budget of
-``(retries + 1) * timeout`` seconds. HTTP 429 honours Retry-After, which
-then replaces the backoff before the next attempt.
+``(retries + 1) * timeout`` seconds, so an attempt waits at most the time
+left. HTTP 429 honours Retry-After, which then replaces the backoff before
+the next attempt.
 
 For offline runs and tests, :class:`MockClient` serves scripted candidate
 lists keyed by prompt fingerprint through the same interface.
@@ -186,12 +187,13 @@ class ChatCompletionsClient:
                 if delay > 0:
                     time.sleep(delay)
                 retry_after = None
-            if time.monotonic() >= deadline:
+            left = deadline - time.monotonic()
+            if left <= 0:
                 break
             sent += 1
             try:
                 resp = self._session.post(
-                    url, json=body, headers=headers, timeout=cfg.timeout
+                    url, json=body, headers=headers, timeout=min(cfg.timeout, left)
                 )
             except requests.RequestException as exc:
                 last_error = exc
@@ -233,9 +235,12 @@ def _parse_retry_after(value: str | None) -> float | None:
 
 def _parse_choices(resp: requests.Response) -> list[str]:
     try:
-        return [str(choice["message"]["content"]) for choice in resp.json()["choices"]]
+        contents = [choice["message"]["content"] for choice in resp.json()["choices"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise MalformedResponse(f"cannot parse chat-completions response: {exc}") from exc
+    if not all(isinstance(content, (str, type(None))) for content in contents):
+        raise MalformedResponse("a completion's content is not a string or null")
+    return [content or "" for content in contents]
 
 
 class MockClient:

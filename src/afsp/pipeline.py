@@ -38,7 +38,7 @@ from .embedding import EmbeddingTable, ProjectionSet, init_projections, load_tab
 from .errors import AfspError, StageError, check_type
 from .llm_client import ChatCompletionsClient, GenerationConfig
 from .prompting import lang_display_name, render_prompt
-from .reranker import NGramRegressor, QualityScorer, load_model, rank, rank_many
+from .reranker import QualityScorer, load_model, rank, rank_many
 from .retrieval import (
     RetrievalIndex,
     ScoredDemo,
@@ -82,6 +82,7 @@ class PipelineConfig:
         check_type(self.generation, "generation", "a GenerationConfig", GenerationConfig)
         check_type(self.lang_names, "lang_names", "a mapping", dict)
         for code, name in self.lang_names.items():
+            check_type(code, "a lang_names code", 'a string (quote a code such as "no")', str)
             check_type(name, f"lang_names.{code}", "a string", str)
         if self.k < 0:
             raise ValueError(f"k must be >= 0 (0 is zero-shot), got {self.k}")
@@ -99,8 +100,8 @@ _SECTION_KEYS = {
 }
 
 
-def _section_fields(name: str, section: dict) -> dict:
-    """The PipelineConfig fields one config section sets; the config
+def _section_fields(config: PipelineConfig, name: str, section: dict) -> dict:
+    """The PipelineConfig fields one settings section sets; the config
     objects check the values."""
     if name == "paths":
         return {f"{key}_path": value for key, value in section.items()}
@@ -116,27 +117,18 @@ def _section_fields(name: str, section: dict) -> dict:
         return {"projection_seed": section["projection"]} if section else {}
     if name == "lang_names":
         return {"lang_names": section}
-    return {"generation": GenerationConfig(**section)}
+    return {"generation": replace(config.generation, **section)}
 
 
-def load_config(path: str | Path) -> PipelineConfig:
-    """Read a YAML config file (sections: paths, retrieval, seeds,
-    lang_names, generation). Invalid YAML, an unknown section or key, or a
-    value of the wrong type or range raises ValueError naming its section;
-    a file that is not UTF-8 raises InputNotUtf8."""
-    try:
-        raw = yaml.safe_load("".join(read_lines(path)))
-    except yaml.YAMLError as exc:
-        raise ValueError(f"config {path} is not valid YAML: {exc}") from exc
-    raw = {} if raw is None else raw
-    if not isinstance(raw, dict):
-        raise ValueError(f"config {path} must be a mapping of sections")
-    unknown = set(raw) - set(_SECTION_KEYS)
+def apply_sections(config: PipelineConfig, sections: dict) -> PipelineConfig:
+    """``config`` with the config file's sections applied, as the file and
+    the CLI flags give them. An unknown section or key, or a value of the
+    wrong type or range, raises ValueError naming its section."""
+    unknown = set(sections) - set(_SECTION_KEYS)
     if unknown:
         raise ValueError(f"unknown config sections: {sorted(unknown, key=str)}")
-    config = PipelineConfig()
     for name, known in _SECTION_KEYS.items():
-        section = raw.get(name)
+        section = sections.get(name)
         section = {} if section is None else section
         if not isinstance(section, dict):
             raise ValueError(f"config section {name} must be a mapping")
@@ -146,10 +138,23 @@ def load_config(path: str | Path) -> PipelineConfig:
         # each section is applied on its own, so the config's own checks
         # name the section that failed them
         try:
-            config = replace(config, **_section_fields(name, section))
+            config = replace(config, **_section_fields(config, name, section))
         except ValueError as exc:
             raise ValueError(f"config section {name}: {exc}") from exc
     return config
+
+
+def load_config(path: str | Path) -> PipelineConfig:
+    """The defaults with a YAML file's sections (paths, retrieval, seeds,
+    lang_names, generation) applied. Invalid YAML or settings raise
+    ValueError; a file that is not UTF-8 raises InputNotUtf8."""
+    try:
+        raw = yaml.safe_load("".join(read_lines(path)))
+    except yaml.YAMLError as exc:
+        raise ValueError(f"config {path} is not valid YAML: {exc}") from exc
+    if not isinstance(raw, (dict, type(None))):
+        raise ValueError(f"config {path} must be a mapping of sections")
+    return apply_sections(PipelineConfig(), raw or {})
 
 
 @dataclass(frozen=True)
@@ -208,9 +213,7 @@ class TranslationPipeline:
     def from_config(cls, config: PipelineConfig, client=None) -> "TranslationPipeline":
         """Load all artifacts named in the config from disk."""
         index, table, projections = load_retrieval_stack(config)
-        scorer: NGramRegressor | None = None
-        if config.reranker_path:
-            scorer = load_model(config.reranker_path)
+        scorer = load_model(config.reranker_path) if config.reranker_path else None
         owned = client is None
         pipeline = cls(
             index=index,
@@ -288,12 +291,13 @@ class TranslationPipeline:
         candidate is returned directly (its score slot is None). Any error
         is raised as a StageError labelled with the stage that failed.
         """
+        self._check_scorer()
         demos, demo_ids = self._retrieve(text)
         generated = self._generate(text, demos, demo_ids)
         if isinstance(generated, TranslationResult):
             return generated
         with _stage("rerank"):
-            return _ranked(generated, rank(self._scorer(), generated), demo_ids)
+            return _ranked(generated, rank(self.scorer, generated), demo_ids)
 
     def _generate(
         self, text: str, demos: tuple[tuple[str, str], ...], demo_ids: tuple[str, ...]
@@ -312,10 +316,11 @@ class TranslationPipeline:
                 )
             return candidates
 
-    def _scorer(self) -> QualityScorer:
-        if self.scorer is None:
-            raise ValueError("no reranker model configured; set n_candidates=1 to skip reranking")
-        return self.scorer
+    def _check_scorer(self) -> None:
+        """Ranking candidates needs a scorer: checked before any work."""
+        if self.scorer is None and self.config.generation.n_candidates > 1:
+            with _stage("rerank"):
+                raise ValueError("no reranker model configured; set n_candidates=1 to skip reranking")
 
     def _rank_block(
         self, generated: list[TranslationResult | list[str] | StageError], retrieved: list
@@ -324,10 +329,7 @@ class TranslationPipeline:
         lists are ranked in one :func:`rank_many` pass, and a list that
         cannot be ranked fails its line alone in the rerank stage."""
         to_rank = [i for i, g in enumerate(generated) if isinstance(g, list)]
-        try:
-            ranked = rank_many(self._scorer(), [generated[i] for i in to_rank])
-        except ValueError as exc:  # no scorer
-            ranked = [exc] * len(to_rank)
+        ranked = rank_many(self.scorer, [generated[i] for i in to_rank])
         results = list(generated)
         for i, r in zip(to_rank, ranked):
             results[i] = (
@@ -391,10 +393,11 @@ class TranslationPipeline:
         while they work and writes a block once it is ranked; at most two
         blocks are in flight.
 
-        Input that is not UTF-8 raises InputNotUtf8 before any output file
-        is opened.
+        A run that needs a scorer and has none, or input that is not UTF-8,
+        raises before any output file is opened.
         """
         started = time.monotonic()
+        self._check_scorer()
         # input that is not UTF-8 fails here, before any output is touched
         for _ in read_lines(input_path):
             pass

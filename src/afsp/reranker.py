@@ -277,12 +277,15 @@ def train(
     mini-batches of ``DEFAULT_BATCH_SIZE`` examples.
 
     Deterministic for a fixed (dataset, seed). Raises ValueError when
-    epochs or feature_dim is below 1, DegenerateDataset when the data
-    cannot supervise a regressor and NonFiniteLoss if optimization diverges.
+    epochs or feature_dim is below 1 or learning_rate is not finite and > 0,
+    DegenerateDataset when the data cannot supervise a regressor and
+    NonFiniteLoss if optimization diverges past finite float32 weights.
     """
     for name, value in (("epochs", epochs), ("feature_dim", feature_dim)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+    if not 0 < learning_rate < math.inf:
+        raise ValueError(f"learning_rate must be a finite number > 0, got {learning_rate!r}")
     examples = list(dataset)
     if len(examples) < 10:
         raise DegenerateDataset(f"need at least 10 examples, got {len(examples)}")
@@ -327,6 +330,9 @@ def train(
             bias -= learning_rate * grad_bias / math.sqrt(grad_sq_bias)
         report.epoch_mse.append(float(np.mean(batch_losses)))
 
+    # checked before the float32 cast, which would overflow to inf
+    if not np.all(np.abs(np.append(weights, bias)) <= np.finfo(np.float32).max):
+        raise NonFiniteLoss("a weight or the bias does not fit a finite float32")
     model = NGramRegressor(
         feature_dim=feature_dim,
         hash_seed=hash_seed,

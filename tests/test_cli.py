@@ -175,6 +175,35 @@ def test_degrade_skips_empty_synonym_lists(workspace, tmp_path):
     assert out.read_text(encoding="utf-8") == (root / "degraded.jsonl").read_text(encoding="utf-8")
 
 
+def test_degrade_with_synonyms_and_no_table_replaces_covered_tokens(workspace, tmp_path):
+    root, _ = workspace
+    synonyms, out = tmp_path / "synonyms.tsv", tmp_path / "d.jsonl"
+    covered = corpus_vocab()[:10]
+    synonyms.write_text("".join(f"{token}\tSYN{token}\n" for token in covered), encoding="utf-8")
+    assert main([
+        "degrade", "--corpus", str(root / "corpus.bin"), "--synonyms", str(synonyms),
+        "--max-ops", "1", "--seed", "7", "--out", str(out),
+    ]) == 0
+    replaced = [
+        json.loads(line)["text"]
+        for line in out.read_text(encoding="utf-8").splitlines()
+        if json.loads(line)["ops"] == ["Replace"]
+    ]
+    assert replaced and all("SYN" in text for text in replaced)
+
+
+def test_degrade_skips_replace_when_the_synonyms_cover_no_token(workspace, tmp_path):
+    root, _ = workspace
+    synonyms, out = tmp_path / "synonyms.tsv", tmp_path / "d.jsonl"
+    synonyms.write_text("notinthecorpus\tsynonym\n", encoding="utf-8")
+    assert main([
+        "degrade", "--corpus", str(root / "corpus.bin"), "--synonyms", str(synonyms),
+        "--max-ops", "1", "--seed", "7", "--out", str(out),
+    ]) == 0
+    ops = [json.loads(line)["ops"] for line in out.read_text(encoding="utf-8").splitlines()]
+    assert ["Parallel"] in ops and ["Replace"] not in ops
+
+
 def test_degrade_requires_replace_resources(workspace, tmp_path):
     root, _ = workspace
     assert main([
@@ -222,7 +251,11 @@ def test_train_reranker_reports_progress(workspace, capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "flag, value, message",
-    [("--epochs", "0", "epochs must be at least 1"), ("--feature-dim", "0", "feature_dim must be at least 1")],
+    [
+        ("--epochs", "0", "epochs must be at least 1"),
+        ("--feature-dim", "0", "feature_dim must be at least 1"),
+        ("--lr", "inf", "learning_rate must be a finite number > 0"),
+    ],
 )
 def test_train_reranker_bad_limits_exit_2(workspace, capsys, tmp_path, flag, value, message):
     root, _ = workspace
@@ -296,6 +329,33 @@ def test_bad_weights_or_k_exit_2_before_loading(workspace, tmp_path, capsys, com
     argv += ["--text", "你好"] if command == "translate" else ["--query", "你好"]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, text", [("--alphas=1,2", "retrieval: {alphas: [1, 2]}\n"), ("--k=-2", "retrieval: {k: -2}\n")]
+)
+def test_a_bad_setting_gives_one_reason_from_a_flag_and_from_yaml(tmp_path, capsys, flag, text):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert main(["retrieve", flag, "--query", "你好"]) == 2
+    from_flag = capsys.readouterr().err
+    assert main(["retrieve", "--config", str(path), "--query", "你好"]) == 2
+    assert capsys.readouterr().err == from_flag
+
+
+def test_translate_without_a_reranker_exits_2_before_any_output(workspace, tmp_path, capsys):
+    root, pairs = workspace
+    inp, out, audit = tmp_path / "in.txt", tmp_path / "out.txt", tmp_path / "a.jsonl"
+    inp.write_text(pairs[0].src_text + "\n", encoding="utf-8")
+    script = tmp_path / "script.json"
+    script.write_text("{}", encoding="utf-8")
+    assert main([
+        "translate", "--index", str(root / "index.bin"), "--embeddings", str(root / "table.bin"),
+        "--seed", "17", "--n-candidates", "2", "--mock-script", str(script),
+        "--input", str(inp), "--out", str(out), "--audit", str(audit),
+    ]) == 2
+    assert "error: [rerank] no reranker model configured" in capsys.readouterr().err
+    assert not out.exists() and not audit.exists()
 
 
 @pytest.mark.parametrize("command", ["index", "retrieve"])

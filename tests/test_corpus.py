@@ -1,7 +1,11 @@
 import io
 import json
+import os
 import struct
+import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -541,3 +545,40 @@ def test_unicode_corpus_round_trips(load_table, corpus):
     assert loaded == corpus
     assert list(loaded) == list(corpus)
     assert loaded[:] == list(corpus) and loaded.pairs[-1] == corpus[len(corpus) - 1]
+
+
+def test_loading_checks_utf8_without_a_copy_of_a_column(tmp_path):
+    # a 1.2 MB target column of 3-byte characters, which straddle the
+    # check's 64 KiB slices: its peak stays under half the column's size
+    texts = [f"译文{i:05d}" + "好" * 380 for i in range(1050)]
+    pairs = [DemoPair(f"{i:05d}", f"source {i}", t, "en", "zh") for i, t in enumerate(texts)]
+    path = tmp_path / "c.bin"
+    save(Corpus(pairs), path)
+    assert path.stat().st_size > 1_200_000
+    load(path)  # the loader's buffer pool is warm
+    tracemalloc.start()
+    try:
+        loaded = load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.strings("tgt_text") == texts
+    assert peak < 600_000
+
+
+def test_the_column_check_imports_no_numpy_ma():
+    # np.unique and np.isin import numpy.ma at their first call (numpy 2),
+    # which raised a loading process's peak memory by about 1 MB
+    script = (
+        "import sys, numpy\n"
+        "eager = 'numpy.ma' in sys.modules\n"
+        "from afsp.corpus import Corpus, DemoPair\n"
+        "Corpus([DemoPair('a', ' x', 'y', 'en', 'zh'), DemoPair('b', 'z', '　w', 'en', 'zh')])\n"
+        "print(eager, 'numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(corpus_mod.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    eager, imported = run.stdout.split()
+    if eager == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy")
+    assert imported == "False"

@@ -46,6 +46,8 @@ def test_enumerate_order_is_size_then_canonical():
     assert sizes == sorted(sizes)
     singles = [c.ops[0] for c in combos if c.size == 1]
     assert tuple(singles) == CANONICAL_ORDER
+    assert [op.value for op in CANONICAL_ORDER] == ["Parallel", "Back", "Replace", "Insert", "Ret", "Se"]
+    assert CANONICAL_ORDER == tuple(DegenerationOp)
     expected_pairs = list(itertools.combinations(CANONICAL_ORDER, 2))
     assert [c.ops for c in combos if c.size == 2] == expected_pairs
 
@@ -139,6 +141,18 @@ def test_replace_synonym_override():
         synonyms=synonyms,
     )
     assert out == "feline"
+
+
+def test_replace_without_a_table_draws_only_tokens_the_map_covers():
+    synonyms = {"cat": ["feline"]}
+    for seed in range(20):
+        out = apply_op(DegenerationOp.REPLACE, PAIR, "the cat sat", random.Random(seed), synonyms=synonyms)
+        assert out == "the feline sat"
+
+
+def test_replace_without_a_table_leaves_a_text_the_map_does_not_cover():
+    with pytest.raises(NoOpPerturbation):
+        apply_op(DegenerationOp.REPLACE, PAIR, "the cat sat", random.Random(0), synonyms={"dog": ["pup"]})
 
 
 def test_load_synonyms_skips_lines_without_synonyms(tmp_path):

@@ -480,3 +480,50 @@ def test_client_drops_completions_without_utf8():
     session = StubSession([StubResponse(200, payload={"choices": choices[:1]})])
     with pytest.raises(AllCandidatesEmpty):
         ChatCompletionsClient(session).generate_candidates("p", stub_cfg(n_candidates=1))
+
+
+def test_null_content_is_an_empty_completion():
+    choices = [{"message": {"content": c}} for c in (None, "kept")]
+    session = StubSession([StubResponse(200, payload={"choices": choices})])
+    result = ChatCompletionsClient(session).generate_candidates("p", stub_cfg(n_candidates=2))
+    assert result.candidates == ("kept",)
+    session = StubSession([StubResponse(200, payload={"choices": choices[:1]})])
+    with pytest.raises(AllCandidatesEmpty):
+        ChatCompletionsClient(session).generate_candidates("p", stub_cfg(n_candidates=1))
+
+
+@pytest.mark.parametrize("content", [["a"], 5, {"text": "a"}, True])
+def test_non_string_content_is_a_malformed_response(content):
+    choices = [{"message": {"content": c}} for c in ("kept", content)]
+    session = StubSession([StubResponse(200, payload={"choices": choices})])
+    with pytest.raises(MalformedResponse, match="not a string"):
+        ChatCompletionsClient(session).generate_candidates("p", stub_cfg(n_candidates=2))
+
+
+class ClockSession(StubSession):
+    """Each request takes the next of ``took`` seconds of a fake clock,
+    which sleeping advances too; records each request's (start, timeout)."""
+
+    def __init__(self, monkeypatch, took, responses=()):
+        super().__init__(responses)
+        self.now, self.took, self.sent = 0.0, list(took), []
+        monkeypatch.setattr("afsp.llm_client.time.monotonic", lambda: self.now)
+        monkeypatch.setattr("afsp.llm_client.time.sleep", self.sleep)
+
+    def sleep(self, seconds):
+        self.now += seconds
+
+    def post(self, url, json, headers, timeout):
+        self.sent.append((self.now, timeout))
+        self.now += self.took.pop(0)
+        return super().post(url, json, headers, timeout)
+
+
+def test_each_attempt_is_sent_with_the_time_left_in_the_budget(monkeypatch):
+    # timeout 5 s and one retry give a 10 s budget; the first 503 uses 9 s
+    session = ClockSession(monkeypatch, [9.0, 0.1], [StubResponse(503)])
+    cfg = stub_cfg(n_candidates=1, timeout=5.0, retries=1)
+    assert ChatCompletionsClient(session).generate_candidates("p", cfg).candidates == ("c0",)
+    (first_at, first), (second_at, second) = session.sent
+    assert (first_at, first) == (0.0, 5.0)
+    assert second_at > 9.0 and second_at + second == pytest.approx(10.0)

@@ -368,22 +368,33 @@ def test_translate_file_generation_failure_does_not_stall_the_blocks_rank(stack,
     assert [produced[i] for i in (0, 1, 2)] == [pipeline.translate(lines[i]).best for i in (0, 1, 2)]
 
 
-def test_translate_file_without_a_scorer_fails_each_line_in_rerank(stack, tmp_path):
+def test_a_run_without_a_scorer_fails_before_any_work(stack, tmp_path, monkeypatch):
     corpus, table, proj, index, _ = stack
     config = PipelineConfig(projection_seed=17, k=2, generation=GenerationConfig(n_candidates=2))
     pipeline = TranslationPipeline(
         index=index, table=table, projections=proj, config=config, client=None, scorer=None
     )
-    lines = [corpus[i].src_text for i in range(5)]
-    pipeline.client = scripted_client(pipeline, stack, lines, lambda t: ["a", "b"])
-    summary, produced, records = run_file(pipeline, tmp_path, lines)
-    assert (summary.count, summary.failures) == (5, 5)
-    assert produced == [""] * 5
-    for line, record in zip(lines, records):
-        assert json.loads(record) == {
-            "input": line,
-            "error": "[rerank] no reranker model configured; set n_candidates=1 to skip reranking",
-        }
+    calls = []
+    for name in ("retrieve_topk", "retrieve_many"):
+        monkeypatch.setattr(afsp.pipeline, name, lambda *args, **kw: calls.append(args))
+
+    class Client:
+        def generate_candidates(self, prompt, cfg):
+            calls.append(prompt)
+            return CandidateSet(fingerprint(prompt), ("a", "b"))
+
+    pipeline.client = Client()
+    message = "[rerank] no reranker model configured; set n_candidates=1 to skip reranking"
+    with pytest.raises(StageError) as info:
+        pipeline.translate(corpus[0].src_text)
+    assert (info.value.stage, str(info.value)) == ("rerank", message)
+    inp, out, audit = tmp_path / "in.txt", tmp_path / "out.txt", tmp_path / "audit.jsonl"
+    inp.write_text("".join(corpus[i].src_text + "\n" for i in range(5)), encoding="utf-8")
+    with pytest.raises(StageError) as info:
+        pipeline.translate_file(inp, out, audit_path=audit)
+    assert (info.value.stage, str(info.value)) == ("rerank", message)
+    assert calls == []
+    assert not out.exists() and not audit.exists()
 
 
 def test_translate_file_blank_line_fails_alone(stack, tmp_path):
@@ -664,6 +675,15 @@ def test_load_config_rejects_with_value_error(tmp_path, text, message):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=message):
         load_config(path)
+
+
+def test_load_config_rejects_a_language_code_yaml_reads_as_a_boolean(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("lang_names: {no: Norwegian, en: Anglais}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="section lang_names: a lang_names code must be a string"):
+        load_config(path)
+    path.write_text('lang_names: {"no": Norwegian, en: Anglais}\n', encoding="utf-8")
+    assert load_config(path).lang_names == {"no": "Norwegian", "en": "Anglais"}
 
 
 def test_from_config_loads_artifacts(stack, tmp_path):

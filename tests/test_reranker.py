@@ -16,6 +16,7 @@ from afsp.errors import (
     DegenerateDataset,
     EmptyCandidateList,
     EmptyText,
+    NonFiniteLoss,
     VersionMismatch,
 )
 import afsp.reranker
@@ -152,6 +153,17 @@ def test_train_rejects_degenerate_data():
         train(flat, feature_dim=FEATURE_DIM)
     with pytest.raises(DegenerateDataset):
         train(small_dataset()[:4], feature_dim=FEATURE_DIM)
+
+
+@pytest.mark.parametrize("learning_rate", [float("inf"), float("nan"), 0.0, -1.0])
+def test_train_rejects_a_learning_rate_that_is_not_finite_and_positive(learning_rate):
+    with pytest.raises(ValueError, match="learning_rate must be a finite number > 0"):
+        train(small_dataset()[:20], epochs=1, learning_rate=learning_rate, feature_dim=FEATURE_DIM)
+
+
+def test_train_raises_when_a_weight_does_not_fit_float32():
+    with pytest.raises(NonFiniteLoss, match="float32"):
+        train(small_dataset()[:20], epochs=1, learning_rate=1e300, feature_dim=FEATURE_DIM)
 
 
 def test_trained_model_separates_parallel_from_clean():
