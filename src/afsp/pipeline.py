@@ -127,8 +127,8 @@ def apply_sections(config: PipelineConfig, sections: dict) -> PipelineConfig:
     unknown = set(sections) - set(_SECTION_KEYS)
     if unknown:
         raise ValueError(f"unknown config sections: {sorted(unknown, key=str)}")
-    for name, known in _SECTION_KEYS.items():
-        section = sections.get(name)
+    for name, section in sections.items():
+        known = _SECTION_KEYS[name]
         section = {} if section is None else section
         if not isinstance(section, dict):
             raise ValueError(f"config section {name} must be a mapping")

@@ -76,6 +76,20 @@ def test_prompt_command(workspace, capsys):
     assert pairs[0].src_text in prompt
 
 
+def test_prompt_flags_keep_the_config_files_lang_names(workspace, capsys, tmp_path):
+    root, pairs = workspace
+    path = tmp_path / "cfg.yaml"
+    path.write_text("lang_names: {zh: Mandarin}\n", encoding="utf-8")
+    assert main([
+        "prompt", "--config", str(path), "--index", str(root / "index.bin"),
+        "--embeddings", str(root / "table.bin"), "--seed", "17",
+        "--query", pairs[0].src_text, "--k", "1",
+    ]) == 0
+    prompt = capsys.readouterr().out
+    assert "1. Mandarin text:" in prompt
+    assert "Chinese" not in prompt
+
+
 def test_translate_text_with_mock_script(workspace, capsys, tmp_path):
     root, pairs = workspace
     config_path = tmp_path / "cfg.yaml"
