@@ -1,15 +1,17 @@
 """Little-endian binary read/write helpers for the artifact file formats.
 
 All multi-byte integers are little-endian; float arrays are raw float32
-little-endian. Single strings are u32 length-prefixed UTF-8; a string column
-is ``count + 1`` u32 byte offsets (starting at 0) followed by one UTF-8 blob
-holding every string back to back.
+little-endian. A format's fixed header fields are one ``struct.Struct`` of
+its module, which its save packs and its load reads with
+:meth:`Reader.unpack`. Single strings are u32 length-prefixed UTF-8; a
+string column is ``count + 1`` u32 byte offsets (starting at 0) followed by
+one UTF-8 blob holding every string back to back.
 
 A loader reads its whole file in one call and parses it with a
 :class:`Reader`, which checks every size against the bytes that are there
 before it slices them, so a corrupt or truncated file raises
-VersionMismatch and never IndexError, UnicodeDecodeError or an allocation
-sized by a corrupt count.
+VersionMismatch and never IndexError, struct.error, UnicodeDecodeError or
+an allocation sized by a corrupt count.
 
 Every loaded file's bytes, and every array made by :func:`empty`, live in
 an anonymous memory map of their own rather than on the malloc heap. Once
@@ -43,8 +45,7 @@ import numpy as np
 
 from .errors import VersionMismatch
 
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
+U32 = struct.Struct("<I")
 
 # a file's map has this many bytes past its end, room for Reader.align to
 # move the unread bytes to an address that is a multiple of it
@@ -97,22 +98,10 @@ def sealed(arr: np.ndarray) -> bool:
     return False
 
 
-def write_u32(fh: BinaryIO, value: int) -> None:
-    fh.write(_U32.pack(value))
-
-
-def write_u64(fh: BinaryIO, value: int) -> None:
-    fh.write(_U64.pack(value & 0xFFFFFFFFFFFFFFFF))
-
-
 def write_str(fh: BinaryIO, text: str) -> None:
     data = text.encode("utf-8")
-    write_u32(fh, len(data))
+    fh.write(U32.pack(len(data)))
     fh.write(data)
-
-
-def write_f32(fh: BinaryIO, value: float) -> None:
-    fh.write(struct.pack("<f", value))
 
 
 def write_array(fh: BinaryIO, arr: np.ndarray, dtype: str = "<f4") -> None:
@@ -175,32 +164,23 @@ class Reader:
         self.pos += shift
         self.size += shift
 
-    def take(self, n: int, what: str) -> bytes:
-        end = self.pos + n
-        if end > self.size:
+    def _skip(self, nbytes: int, what: str) -> int:
+        """Move past the next ``nbytes`` and return where they start."""
+        start = self.pos
+        if start + nbytes > self.size:
             raise VersionMismatch(f"truncated file while reading {what}")
-        out = self.data[self.pos : end]
-        self.pos = end
-        return out
+        self.pos = start + nbytes
+        return start
 
-    def u32(self, what: str) -> int:
-        return _U32.unpack(self.take(4, what))[0]
-
-    def u64(self, what: str) -> int:
-        return _U64.unpack(self.take(8, what))[0]
-
-    def f32(self, what: str) -> float:
-        return struct.unpack("<f", self.take(4, what))[0]
+    def unpack(self, layout: struct.Struct, what: str) -> tuple:
+        """The fields of ``layout`` packed at the cursor."""
+        return layout.unpack_from(self.data, self._skip(layout.size, what))
 
     def array(self, dtype: str, count: int, what: str) -> np.ndarray:
         """A read-only view of the next ``count`` items, no copy."""
         dt = np.dtype(dtype)
-        if self.pos + count * dt.itemsize > self.size:
-            raise VersionMismatch(f"truncated file while reading {what}")
-        end = self.pos + count * dt.itemsize
-        arr = self._root[self.pos : end].view(dt)
-        self.pos = end
-        return arr
+        start = self._skip(count * dt.itemsize, what)
+        return self._root[start : self.pos].view(dt)
 
     def strs(self, count: int, what: str) -> list[str]:
         """``count`` u32 length-prefixed strings."""
@@ -211,7 +191,7 @@ class Reader:
                 if pos + 4 > end:
                     raise VersionMismatch(f"truncated file while reading {what}")
                 start = pos + 4
-                pos = start + _U32.unpack_from(data, pos)[0]
+                pos = start + U32.unpack_from(data, pos)[0]
                 if pos > end:
                     raise VersionMismatch(f"truncated file while reading {what}")
                 out.append(data[start:pos].decode("utf-8"))

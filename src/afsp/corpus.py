@@ -351,7 +351,7 @@ def save(corpus: Corpus, path: str | Path) -> None:
     """Write the corpus in the binary format (magic ``AFSPCOR2``)."""
     with open(path, "wb") as fh:
         fh.write(CORPUS_MAGIC)
-        _binio.write_u32(fh, len(corpus))
+        fh.write(_binio.U32.pack(len(corpus)))
         write_pair_table(fh, corpus)
 
 
@@ -360,6 +360,6 @@ def load(path: str | Path) -> Corpus:
     bad header (an ``AFSPCOR1`` file included), a truncated or corrupt file,
     or trailing bytes."""
     reader = _binio.Reader.open(path, CORPUS_MAGIC, hint="rebuild with `afsp ingest`")
-    corpus = read_pair_table(reader, reader.u32("pair count"))
+    corpus = read_pair_table(reader, *reader.unpack(_binio.U32, "pair count"))
     reader.end("the pair table")
     return corpus

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -32,9 +33,11 @@ from typing import Sequence
 import numpy as np
 
 from . import _binio
-from .errors import EmptyText, VersionMismatch, ZeroVector
+from .errors import EmptyText, VersionMismatch, ZeroVector, check_seed
 
 TABLE_MAGIC = b"AFSPEMB1"
+# the table file's header: vocab size V, embedding dim H, OOV seed
+_TABLE_HEAD = struct.Struct("<IIQ")
 
 OOV_ID_SPACE = 1 << 20
 
@@ -86,6 +89,7 @@ class EmbeddingTable:
     oov_seed: int
 
     def __post_init__(self):
+        check_seed(self.oov_seed, "oov seed")
         ids = {t: i for i, t in enumerate(self.vocab)}
         if len(ids) != len(self.vocab):
             raise ValueError("vocab entries must be unique")
@@ -145,6 +149,7 @@ class ProjectionSet:
     seed: int
 
     def __post_init__(self):
+        check_seed(self.seed, "projection seed")
         object.__setattr__(self, "w_sparse", _frozen(self.w_sparse))
         object.__setattr__(self, "w_multi", _frozen(self.w_multi))
 
@@ -240,8 +245,7 @@ def init_projections(dim: int, seed: int) -> ProjectionSet:
     """Draw the sparse/multi projections from N(0, 1/dim) with a fixed seed."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if seed < 0:
-        raise ValueError(f"projection seed must be >= 0, got {seed}")
+    check_seed(seed, "projection seed")  # before numpy reads it
     rng = np.random.default_rng(seed)
     std = 1.0 / np.sqrt(dim)
     w_sparse = (rng.standard_normal(dim) * std).astype(np.float32)
@@ -253,9 +257,7 @@ def save_table(table: EmbeddingTable, path: str | Path) -> None:
     """Write the table in the binary format (magic ``AFSPEMB1``)."""
     with open(path, "wb") as fh:
         fh.write(TABLE_MAGIC)
-        _binio.write_u32(fh, len(table.vocab))
-        _binio.write_u32(fh, table.dim)
-        _binio.write_u64(fh, table.oov_seed)
+        fh.write(_TABLE_HEAD.pack(len(table.vocab), table.dim, table.oov_seed))
         for token in table.vocab:
             _binio.write_str(fh, token)
         _binio.write_array(fh, table.matrix)
@@ -263,9 +265,7 @@ def save_table(table: EmbeddingTable, path: str | Path) -> None:
 
 def load_table(path: str | Path) -> EmbeddingTable:
     reader = _binio.Reader.open(path, TABLE_MAGIC)
-    v = reader.u32("vocab size")
-    h = reader.u32("embedding dim")
-    oov_seed = reader.u64("oov seed")
+    v, h, oov_seed = reader.unpack(_TABLE_HEAD, "table header")
     vocab = tuple(reader.strs(v, "vocab"))
     # a read-only view of the file's bytes: the constructor keeps it uncopied
     matrix = reader.array("<f4", v * h, "embedding matrix").reshape(v, h)

@@ -3,7 +3,7 @@
 Plain I/O problems (missing files, permissions, disk errors) surface as the
 built-in ``OSError`` family; the exceptions below mark contract violations
 specific to this package. :func:`check_type` is the type check the config
-dataclasses share.
+dataclasses share, :func:`check_seed` the range check of a stored seed.
 """
 
 from __future__ import annotations
@@ -19,6 +19,13 @@ def check_type(value, name: str, what: str, *kinds: type) -> None:
     ``bool``."""
     if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
         raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def check_seed(value, name: str) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an int in [0, 2**64)."""
+    check_type(value, name, "an integer", int)
+    if not 0 <= value < 1 << 64:
+        raise ValueError(f"{name} must be {'>= 0' if value < 0 else '< 2**64'}, got {value}")
 
 
 # --- corpus ---------------------------------------------------------------

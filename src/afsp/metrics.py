@@ -192,6 +192,8 @@ def evaluate(
         raise LengthMismatch(f"{len(hypotheses)} hypotheses vs {len(references)} references")
     if not hypotheses:
         raise EmptyCorpus("no sentence pairs to score")
+    if not metrics:
+        raise ValueError(f"no metrics requested (choose from {_METRIC_NAMES})")
     for name in metrics:
         if name not in _METRIC_NAMES:
             raise ValueError(f"unknown metric {name!r} (choose from {_METRIC_NAMES})")

@@ -35,7 +35,7 @@ import yaml
 
 from .corpus import read_lines
 from .embedding import EmbeddingTable, ProjectionSet, init_projections, load_table
-from .errors import AfspError, StageError, check_type
+from .errors import AfspError, StageError, check_seed, check_type
 from .llm_client import ChatCompletionsClient, GenerationConfig
 from .prompting import lang_display_name, render_prompt
 from .reranker import QualityScorer, load_model, rank, rank_many
@@ -86,8 +86,7 @@ class PipelineConfig:
             check_type(name, f"lang_names.{code}", "a string", str)
         if self.k < 0:
             raise ValueError(f"k must be >= 0 (0 is zero-shot), got {self.k}")
-        if self.projection_seed < 0:
-            raise ValueError(f"projection seed must be >= 0, got {self.projection_seed}")
+        check_seed(self.projection_seed, "projection seed")
 
 
 # the keys each config section accepts; None accepts any key
@@ -393,10 +392,14 @@ class TranslationPipeline:
         while they work and writes a block once it is ranked; at most two
         blocks are in flight.
 
-        A run that needs a scorer and has none, or input that is not UTF-8,
-        raises before any output file is opened.
+        A run that needs a scorer and has none, input that is not UTF-8, or
+        two of the input, output and audit paths that name one file, raises
+        before any output file is opened.
         """
         started = time.monotonic()
+        files = [Path(path).resolve() for path in (input_path, output_path, audit_path) if path]
+        if len(set(files)) < len(files):
+            raise ValueError("the input, output and audit paths must name different files")
         self._check_scorer()
         # input that is not UTF-8 fails here, before any output is touched
         for _ in read_lines(input_path):

@@ -51,9 +51,13 @@ from .errors import (
     EmptyText,
     NonFiniteLoss,
     VersionMismatch,
+    check_seed,
 )
 
 MODEL_MAGIC = b"AFSPRRK1"
+# the model file: this header, feature_dim + DENSE_SLOTS float32 weights, the bias
+_MODEL_HEAD = struct.Struct("<IQ")  # feature dim, hash seed
+_BIAS = struct.Struct("<f")
 
 DEFAULT_FEATURE_DIM = 1 << 18
 NGRAM_RANGE = (1, 4)
@@ -81,10 +85,12 @@ def featurize(
     ``feature_dim`` and ``feature_dim + 1``. Indices may repeat across
     orders (hash collisions); a dot product sums them.
 
-    Raises TypeError for one ``str`` and EmptyText if any text is blank.
+    Raises TypeError for one ``str``, EmptyText if any text is blank and
+    ValueError for a hash seed outside [0, 2**64).
     """
     if isinstance(texts, str):
         raise TypeError("featurize takes a sequence of texts, not one str")
+    check_seed(hash_seed, "hash seed")
     if any(not text.strip() for text in texts):
         raise EmptyText("cannot featurize empty text")
     lowered = [text.lower() for text in texts]
@@ -132,7 +138,7 @@ def _gram_features(
     ``text_ids`` each position's text and ``ends`` each text's end.
     """
     size = len(char_ids)
-    base = hashlib.blake2b(digest_size=8, key=struct.pack("<Q", hash_seed & 0xFFFFFFFFFFFFFFFF))
+    base = hashlib.blake2b(digest_size=8, key=hash_seed.to_bytes(8, "little"))
     at = np.arange(size, dtype=char_ids.dtype)  # gram start
     remaining = ends[text_ids] - at  # characters left in the text
     ids, grams = char_ids, chars  # dense gram id, gram
@@ -235,12 +241,22 @@ def _sigmoid(z: float) -> float:
 
 @dataclass(frozen=True)
 class NGramRegressor:
-    """Linear-sigmoid scorer over hashed character n-gram features."""
+    """Linear-sigmoid scorer over hashed character n-gram features; raises
+    ValueError when built with fields it could not score or save with."""
 
     feature_dim: int
     hash_seed: int
     weights: np.ndarray
     bias: float
+
+    def __post_init__(self):
+        check_seed(self.hash_seed, "hash seed")
+        if self.feature_dim < 1:
+            raise ValueError(f"feature dim must be >= 1, got {self.feature_dim}")
+        if np.shape(self.weights) != (self.feature_dim + DENSE_SLOTS,):
+            raise ValueError(f"need feature dim + {DENSE_SLOTS} weights in one row")
+        if not (np.all(np.isfinite(self.weights)) and math.isfinite(self.bias)):
+            raise ValueError("non-finite weights or bias")
 
     def score(self, text: str) -> float:
         """Quality estimate strictly inside (0, 1)."""
@@ -345,9 +361,9 @@ def train(
 
 def _model_fingerprint(model: NGramRegressor) -> str:
     h = hashlib.sha256()
-    h.update(struct.pack("<IQ", model.feature_dim, model.hash_seed & 0xFFFFFFFFFFFFFFFF))
+    h.update(_MODEL_HEAD.pack(model.feature_dim, model.hash_seed))
     h.update(np.ascontiguousarray(model.weights, dtype="<f4").tobytes())
-    h.update(struct.pack("<f", model.bias))
+    h.update(_BIAS.pack(model.bias))
     return h.hexdigest()
 
 
@@ -415,25 +431,20 @@ def save_model(model: NGramRegressor, path: str | Path) -> None:
     """Write the model in the binary format (magic ``AFSPRRK1``)."""
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
-        _binio.write_u32(fh, model.feature_dim)
-        _binio.write_u64(fh, model.hash_seed)
+        fh.write(_MODEL_HEAD.pack(model.feature_dim, model.hash_seed))
         _binio.write_array(fh, model.weights)
-        _binio.write_f32(fh, model.bias)
+        fh.write(_BIAS.pack(model.bias))
 
 
 def load_model(path: str | Path) -> NGramRegressor:
     """Read a ``save_model`` file; raises VersionMismatch if it is corrupt,
     truncated or holds non-finite weights."""
     reader = _binio.Reader.open(path, MODEL_MAGIC)
-    feature_dim = reader.u32("feature dim")
-    hash_seed = reader.u64("hash seed")
+    feature_dim, hash_seed = reader.unpack(_MODEL_HEAD, "model header")
     weights = reader.array("<f4", feature_dim + DENSE_SLOTS, "weights").copy()
-    bias = reader.f32("bias")
+    (bias,) = reader.unpack(_BIAS, "bias")
     reader.end("the bias")
-    if feature_dim < 1:
-        raise VersionMismatch("invalid reranker model: feature dim is 0")
-    if not (np.all(np.isfinite(weights)) and math.isfinite(bias)):
-        raise VersionMismatch("invalid reranker model: non-finite weights or bias")
-    return NGramRegressor(
-        feature_dim=feature_dim, hash_seed=hash_seed, weights=weights, bias=bias
-    )
+    try:
+        return NGramRegressor(feature_dim, hash_seed, weights, bias)
+    except ValueError as exc:
+        raise VersionMismatch(f"invalid reranker model: {exc}") from exc

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +39,7 @@ import numpy as np
 from . import _binio
 from .corpus import Corpus, DemoPair, read_pair_table, write_pair_table
 from .embedding import (
+    _TABLE_HEAD,
     OOV_ID_SPACE,
     DenseVec,
     EmbeddingTable,
@@ -65,6 +67,9 @@ from .errors import (
 )
 
 INDEX_MAGIC = b"AFSPIDX2"
+# the index file's header: table fingerprint; entries N, dim H, distinct
+# multi-vector rows U, sparse weights, entry row ids
+_INDEX_HEAD = struct.Struct("<32s5I")
 
 # how far from 1 a loaded dense or multi-vector row's norm may be; rows are
 # normalized in float64 and stored as float32
@@ -146,12 +151,10 @@ def score_hybrid(s_dense: float, s_sparse: float, s_multi: float, w: Weights) ->
 def table_fingerprint(table: EmbeddingTable, proj: ProjectionSet) -> bytes:
     """32-byte digest binding an index to its table and projections."""
     h = hashlib.sha256()
-    h.update(len(table.vocab).to_bytes(4, "little"))
-    h.update(table.dim.to_bytes(4, "little"))
-    h.update((table.oov_seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
+    h.update(_TABLE_HEAD.pack(len(table.vocab), table.dim, table.oov_seed))
     h.update("\x1f".join(table.vocab).encode("utf-8"))
     h.update(np.ascontiguousarray(table.matrix, dtype="<f4"))
-    h.update((proj.seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
+    h.update(proj.seed.to_bytes(8, "little"))
     h.update(np.ascontiguousarray(proj.w_sparse, dtype="<f4"))
     h.update(np.ascontiguousarray(proj.w_multi, dtype="<f4"))
     return h.digest()
@@ -710,21 +713,14 @@ def _top_k_stable(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def save_index(index: RetrievalIndex, path: str | Path) -> None:
-    """Write the index in the binary format (magic ``AFSPIDX2``): the
-    fingerprint, five u32 counts (entries N, dim H, distinct multi-vector
-    rows U, sparse weights, entry row ids), the pair table, then each array
-    as one block in the order of :class:`RetrievalIndex`'s fields."""
+    """Write the index in the binary format (magic ``AFSPIDX2``): its
+    header, the pair table, then each array as one block in the order of
+    :class:`RetrievalIndex`'s fields."""
     with open(path, "wb") as fh:
         fh.write(INDEX_MAGIC)
-        fh.write(index.fingerprint)
-        for count in (
-            len(index.corpus),
-            index.dense.shape[1],
-            len(index.multi_rows),
-            len(index.sparse_ids),
-            len(index.multi_row_ids),
-        ):
-            _binio.write_u32(fh, count)
+        n, dim = index.dense.shape
+        counts = (n, dim, len(index.multi_rows), len(index.sparse_ids), len(index.multi_row_ids))
+        fh.write(_INDEX_HEAD.pack(index.fingerprint, *counts))
         write_pair_table(fh, index.corpus)
         _binio.write_array(fh, index.dense)
         _binio.write_array(fh, index.sparse_indptr, "<u4")
@@ -739,11 +735,7 @@ def load_index(path: str | Path) -> RetrievalIndex:
     """Read an index written by :func:`save_index`. A corrupt or structurally
     invalid file, and an ``AFSPIDX1`` file, raise VersionMismatch."""
     reader = _binio.Reader.open(path, INDEX_MAGIC, hint="rebuild with `afsp index`")
-    fingerprint = reader.take(32, "fingerprint")
-    n, dim, n_rows, nnz, n_ids = (
-        reader.u32(what)
-        for what in ("entry count", "dim", "row count", "sparse count", "row id count")
-    )
+    fingerprint, n, dim, n_rows, nnz, n_ids = reader.unpack(_INDEX_HEAD, "index header")
     corpus = read_pair_table(reader, n)
     # the float32 product of _dense_bounds needs aligned rows for BLAS
     reader.align()

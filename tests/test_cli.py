@@ -242,6 +242,13 @@ def test_evaluate_command(workspace, capsys, tmp_path):
     assert 0 <= report["corpus"]["rougeL"] <= 100  # reported x100
 
 
+def test_evaluate_with_no_metrics_exits_2(tmp_path, capsys):
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("one line\n", encoding="utf-8")
+    assert main(["evaluate", "--hyp", str(hyp), "--ref", str(hyp), "--metrics", ","]) == 2
+    assert "no metrics requested" in capsys.readouterr().err
+
+
 def test_evaluate_length_mismatch_exit_2(tmp_path):
     hyp = tmp_path / "hyp.txt"
     ref = tmp_path / "ref.txt"
@@ -401,6 +408,20 @@ def test_bad_weights_or_k_leave_translate_outputs_alone(workspace, tmp_path, fla
     ]) == 2
     assert out.read_text(encoding="utf-8") == "earlier output\n"
     assert audit.read_text(encoding="utf-8") == "earlier audit\n"
+
+
+def test_translate_onto_its_own_input_exits_2_and_leaves_it_alone(workspace, tmp_path, capsys):
+    root, pairs = workspace
+    inp = tmp_path / "in.txt"
+    inp.write_text(pairs[0].src_text + "\n", encoding="utf-8")
+    script = tmp_path / "script.json"
+    script.write_text("{}", encoding="utf-8")
+    assert main([
+        "translate", "--config", str(write_translate_config(root, tmp_path / "cfg.yaml")),
+        "--input", str(inp), "--out", str(inp), "--mock-script", str(script),
+    ]) == 2
+    assert "must name different files" in capsys.readouterr().err
+    assert inp.read_text(encoding="utf-8") == pairs[0].src_text + "\n"
 
 
 def test_translate_input_not_utf8_exits_2_naming_the_path(workspace, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -253,6 +254,18 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "corpus.bin"
     save(corpus, path)
     assert load(path) == corpus
+
+
+def test_saved_corpus_bytes_match_golden(tmp_path):
+    # digest of the corpus file written when its pair count was written by
+    # a one-field helper; a change here means the format moved
+    pairs = synthetic_pairs(12, seed=4)
+    pairs.append(DemoPair("x", "双方 mutual trust 2024", "both sides", "zh", "en"))
+    path = tmp_path / "corpus.bin"
+    save(Corpus(pairs), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "f20bcb39d6fe5dc1e39e4589042f4169676702154d46784db0c09f9ea34eea02"
+    )
 
 
 def test_save_load_full_scale(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import mmap
 import re
@@ -24,6 +25,7 @@ from afsp.embedding import (
     synthetic_table,
 )
 from afsp.errors import AfspError, EmptyText, VersionMismatch, ZeroVector
+from afsp.retrieval import table_fingerprint
 from helpers import corpus_table, draw_corruption, en_sentence, zh_sentence
 
 import random
@@ -279,6 +281,48 @@ def test_table_save_deterministic(tmp_path):
     save_table(table, a)
     save_table(table, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_saved_table_bytes_match_golden(tmp_path):
+    # digest of the table file written when each header field was written
+    # on its own; a change here means the format moved
+    path = tmp_path / "table.bin"
+    save_table(corpus_table(dim=8, oov_seed=2**64 - 3), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "35082daeffad305badff0e31815d162682836a3e9dcd0c0eded8026799d837a7"
+    )
+
+
+def test_table_fingerprint_of_largest_seeds_matches_golden():
+    table = corpus_table(dim=8, oov_seed=2**64 - 3)
+    assert table_fingerprint(table, init_projections(8, seed=2**64 - 1)).hex() == (
+        "369ede4f0ef5d245c7ea522648a14b90f710e82a1cd02d0cf813f25116885b3a"
+    )
+
+
+@pytest.mark.parametrize("oov_seed", [0, 2**64 - 1])
+def test_table_oov_seed_survives_save_and_load(tmp_path, oov_seed):
+    table = corpus_table(dim=8, oov_seed=oov_seed)
+    path = tmp_path / "table.bin"
+    save_table(table, path)
+    loaded = load_table(path)
+    assert loaded.oov_seed == oov_seed
+    assert np.array_equal(loaded.oov_vector("zzz"), table.oov_vector("zzz"))
+    proj = init_projections(8, seed=1)
+    assert table_fingerprint(loaded, proj) == table_fingerprint(table, proj)
+
+
+@pytest.mark.parametrize(
+    "seed, message", [(-1, "must be >= 0, got -1"), (2**64, r"must be < 2\*\*64")]
+)
+def test_seeds_outside_u64_are_rejected(seed, message):
+    with pytest.raises(ValueError, match="oov seed " + message):
+        corpus_table(dim=8, oov_seed=seed)
+    with pytest.raises(ValueError, match="projection seed " + message):
+        init_projections(4, seed=seed)
+    w = np.ones(4, dtype=np.float32)
+    with pytest.raises(ValueError, match="projection seed " + message):
+        ProjectionSet(w_sparse=w, w_multi=np.eye(4, dtype=np.float32), seed=seed)
 
 
 def test_table_bad_magic(tmp_path):

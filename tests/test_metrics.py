@@ -215,6 +215,11 @@ def test_rouge_unknown_variant():
         rouge(["a"], ["a"], "R3")
 
 
+def test_evaluate_needs_a_metric():
+    with pytest.raises(ValueError, match="no metrics requested"):
+        evaluate(["a"], ["a"], metrics=())
+
+
 # --- tokenization and report --------------------------------------------------
 
 def test_detect_mode():

@@ -424,6 +424,20 @@ def test_translate_file_input_not_utf8_leaves_outputs_alone(stack, tmp_path):
     assert out.read_text(encoding="utf-8") == "earlier output\n"
 
 
+@pytest.mark.parametrize("same", [("in", "out"), ("out", "audit"), ("in", "audit")])
+def test_translate_file_rejects_one_file_in_two_roles(stack, tmp_path, same):
+    corpus, *_ = stack
+    pipeline = make_pipeline(stack, client=MockClient({}), generation=GenerationConfig(n_candidates=1))
+    paths = {"in": tmp_path / "in.txt", "out": tmp_path / "out.txt", "audit": tmp_path / "a.jsonl"}
+    paths[same[1]] = tmp_path / "sub" / ".." / paths[same[0]].name  # the same file, spelt otherwise
+    (tmp_path / "sub").mkdir()
+    paths["in"].write_text(corpus[0].src_text + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="must name different files"):
+        pipeline.translate_file(paths["in"], paths["out"], audit_path=paths["audit"])
+    assert paths["in"].read_text(encoding="utf-8") == corpus[0].src_text + "\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt", "sub"]
+
+
 def test_translate_file_input_not_utf8_is_an_afsp_error(stack, tmp_path):
     pipeline = make_pipeline(stack, client=MockClient({}), generation=GenerationConfig(n_candidates=1))
     inp = tmp_path / "in.txt"

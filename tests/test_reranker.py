@@ -21,7 +21,10 @@ from afsp.errors import (
 )
 import afsp.reranker
 from afsp.reranker import (
+    _BIAS,
+    _MODEL_HEAD,
     DEFAULT_FEATURE_DIM,
+    MODEL_MAGIC,
     NGramRegressor,
     featurize,
     load_model,
@@ -271,9 +274,57 @@ def test_model_rejects_non_finite_weights(tmp_path, bad, where):
 
 def test_model_rejects_zero_feature_dim(tmp_path):
     path = tmp_path / "model.bin"
-    save_model(NGramRegressor(feature_dim=0, hash_seed=0, weights=np.zeros(2, np.float32), bias=0.0), path)
+    weights = np.zeros(2, dtype="<f4").tobytes()
+    path.write_bytes(MODEL_MAGIC + _MODEL_HEAD.pack(0, 0) + weights + _BIAS.pack(0.0))
     with pytest.raises(VersionMismatch, match="feature dim"):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"feature_dim": 0, "weights": np.zeros(2)}, "feature dim must be >= 1"),
+        ({"weights": np.zeros(4)}, "need feature dim \\+ 2 weights"),
+        ({"weights": np.zeros((5, 2))}, "need feature dim \\+ 2 weights"),
+        ({"weights": np.array([np.nan] + [0.0] * 9)}, "non-finite"),
+        ({"bias": np.inf}, "non-finite"),
+        ({"hash_seed": -1}, "hash seed must be >= 0"),
+        ({"hash_seed": 2**64}, "hash seed must be < 2"),
+        ({"hash_seed": 1.0}, "hash seed must be an integer"),
+    ],
+)
+def test_model_checks_its_fields_when_built(kwargs, message):
+    fields = dict(feature_dim=8, hash_seed=0, weights=np.zeros(10), bias=0.0) | kwargs
+    with pytest.raises(ValueError, match=message):
+        NGramRegressor(**fields)
+
+
+@pytest.mark.parametrize(
+    "hash_seed, fingerprint",
+    [
+        (0, "76c42e277f9dd2dab6017589a5d5b5568fdf433d68fc8bd4ec5a137ddb4ec9a0"),
+        (2**64 - 1, "785ca5bad625b9cbde5d7fcf4376649ff1448ea6df28b9d28a7825ea6e33dfff"),
+    ],
+)
+def test_model_hash_seed_survives_save_and_load(tmp_path, hash_seed, fingerprint):
+    # fingerprints of the models trained when each seed was masked to u64
+    model, report = train(
+        small_dataset(), epochs=2, seed=9, feature_dim=FEATURE_DIM, hash_seed=hash_seed
+    )
+    assert report.fingerprint == fingerprint
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.hash_seed == hash_seed
+    assert loaded.score_many(["some text", "其他"]) == model.score_many(["some text", "其他"])
+
+
+@pytest.mark.parametrize("hash_seed", [-1, 2**64])
+def test_hash_seed_outside_u64_is_rejected(hash_seed):
+    with pytest.raises(ValueError, match="hash seed"):
+        train(small_dataset(), epochs=1, feature_dim=FEATURE_DIM, hash_seed=hash_seed)
+    with pytest.raises(ValueError, match="hash seed"):
+        featurize(["text"], FEATURE_DIM, hash_seed)
 
 
 @pytest.fixture(scope="module")
