@@ -49,6 +49,9 @@ _TOKEN_RE = re.compile(rf"[{_CJK}]|[^\W{_CJK}]+")
 
 _NORM_EPS = 1e-12
 
+# entries per block of the table's finiteness check
+_FINITE_BLOCK = 1 << 16
+
 
 def _stable_hash64(*parts: str) -> int:
     h = hashlib.blake2b("\x1f".join(parts).encode("utf-8"), digest_size=8)
@@ -95,7 +98,12 @@ class EmbeddingTable:
             raise ValueError("vocab entries must be unique")
         if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.vocab):
             raise ValueError("matrix must be 2-D with one row per vocab entry")
-        if not np.all(np.isfinite(self.matrix)):
+        # a block of rows at a time, so the check's temporary stays small
+        # however large the table is
+        rows = max(1, _FINITE_BLOCK // max(1, self.dim))
+        if not all(
+            np.isfinite(self.matrix[a : a + rows]).all() for a in range(0, len(self.vocab), rows)
+        ):
             raise ValueError("embedding matrix has non-finite entries")
         object.__setattr__(self, "matrix", _frozen(self.matrix))
         object.__setattr__(self, "_ids", ids)

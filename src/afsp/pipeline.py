@@ -33,6 +33,7 @@ from pathlib import Path
 
 import yaml
 
+from . import retrieval
 from .corpus import read_lines
 from .embedding import EmbeddingTable, ProjectionSet, init_projections, load_table
 from .errors import AfspError, StageError, check_seed, check_type
@@ -173,12 +174,21 @@ class BatchSummary:
 def load_retrieval_stack(
     config: PipelineConfig,
 ) -> tuple[RetrievalIndex, EmbeddingTable, ProjectionSet]:
-    """The index, table and projections named in the config."""
+    """The index, table and projections named in the config, the index
+    bound to the pair (:meth:`RetrievalIndex.bind`): a table or projection
+    seed other than the index's raises FingerprintMismatch here, not at the
+    first query. The pair is hashed on a second thread while the index
+    loads, as hashlib releases the GIL while it hashes."""
     if not config.table_path or not config.index_path:
         raise ValueError("config must name an embedding table and an index")
     table = load_table(config.table_path)
     projections = init_projections(table.dim, config.projection_seed)
-    return load_index(config.index_path), table, projections
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        # looked up on its module, so a wrapper put there sees the call
+        fingerprint = pool.submit(retrieval.table_fingerprint, table, projections)
+        index = load_index(config.index_path)
+        index.bind(table, projections, fingerprint.result())
+    return index, table, projections
 
 
 class TranslationPipeline:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -211,10 +212,11 @@ class RetrievalIndex:
         self._bound: tuple[EmbeddingTable, ProjectionSet] | None = None
 
         # the dense bounds' margin per unit of query norm (see _dense_bounds)
-        norms = np.sqrt(np.einsum("ij,ij->i", dense, dense, dtype=np.float64))
         h = dense.shape[1]
+        squares = float(np.einsum("ij,ij->i", dense, dense).max(initial=0.0))
+        max_norm = math.sqrt(squares / (1 - _gamma(h, 2.0**-24)))
         self._dense_margin = (
-            (_gamma(h, 2.0**-24) + _gamma(h, 2.0**-53)) * norms.max(initial=0.0) * (1 + 2.0**-20)
+            (_gamma(h, 2.0**-24) + _gamma(h, 2.0**-53)) * max_norm * (1 + 2.0**-20)
         )
         # large, so in a memory map of its own (see _binio)
         self._rows64 = _binio.empty(multi_rows.shape, np.float64)
@@ -253,15 +255,21 @@ class RetrievalIndex:
     def __len__(self) -> int:
         return len(self.corpus)
 
-    def _check_binding(self, table: EmbeddingTable, proj: ProjectionSet) -> None:
+    def bind(
+        self, table: EmbeddingTable, proj: ProjectionSet, fingerprint: bytes | None = None
+    ) -> None:
         """Raise FingerprintMismatch unless (table, proj) built this index.
+        ``fingerprint`` is the pair's :func:`table_fingerprint` where the
+        caller has hashed it already; without it the pair is hashed here.
         The last pair that passed is not hashed again: it is compared by
         identity, and its arrays are read-only, so the same objects always
         hold the same content."""
         bound = self._bound
         if bound is not None and bound[0] is table and bound[1] is proj:
             return
-        if self.fingerprint != table_fingerprint(table, proj):
+        if fingerprint is None:
+            fingerprint = table_fingerprint(table, proj)
+        if self.fingerprint != fingerprint:
             raise FingerprintMismatch(
                 "index was built with a different embedding table or projections"
             )
@@ -386,10 +394,14 @@ class RetrievalIndex:
         H u)`` (Higham, Accuracy and Stability of Numerical Algorithms,
         section 3.1). So the kernel's value is at most the float32 value
         plus ``(gamma_H(2^-24) + gamma_H(2^-53)) * |q| * max |d|``, the
-        margin, which carries a relative slack of 2^-20 for the rounding
-        of the norms and of the margin itself, and for underflow. The
-        kernel's value is a float64, so the float64 sum rounds to no less
-        than it either."""
+        margin. ``max |d|`` comes from the rows' float32 sums of squares:
+        by the same bound, with ``P = |d|^2`` as every term is
+        non-negative, a row's sum s is at least ``(1 - gamma_H(2^-24)) *
+        |d|^2``, so ``|d| <= sqrt(s / (1 - gamma_H(2^-24)))``. The margin
+        carries a relative slack of 2^-20 for the rounding of that root,
+        of the query norms and of the margin itself, and for underflow.
+        The kernel's value is a float64, so the float64 sum rounds to no
+        less than it either."""
         bounds = (q32 @ self.dense.T).astype(np.float64)
         bounds += self._dense_margin * np.linalg.norm(q32.astype(np.float64), axis=1)[:, None]
         return bounds
@@ -520,57 +532,63 @@ def build_index(
     the functions that embed one query, and each pair gathers its entries
     from those rows: the index's bytes equal those of embedding each pair
     alone.
+
+    The table and projections are hashed into the index's fingerprint on
+    a second thread while the build runs: hashlib releases the GIL while
+    it hashes.
     """
-    # each token string gets a dense id in order of first appearance; tok is
-    # the id of every token occurrence, pair after pair, and owner its pair
-    ids: dict[str, int] = {}
-    occurrences: list[int] = []
-    lengths = []
-    for row, text in enumerate(corpus.strings("src_text")):
-        tokens = segment(text)
-        if not tokens:
-            raise EmptyText(f"pair {corpus[row].id!r}: no tokens in {text!r}")
-        occurrences += [ids.setdefault(t, len(ids)) for t in tokens]
-        lengths.append(len(tokens))
-    tok = np.array(occurrences, dtype=np.intp)
-    owner = np.repeat(np.arange(len(corpus)), lengths)
-    emb = lookup_tokens(table, list(ids))
-    dense = _pool_dense(corpus, emb.vectors, tok, _offsets(lengths).astype(np.intp))
-    try:
-        rows = multi_embed(emb, proj).rows
-    except ZeroVector as exc:
-        first = owner[np.flatnonzero(tok == exc.row)[0]]
-        raise ZeroVector(f"pair {corpus[first].id!r}: {exc}") from exc
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        fingerprint = pool.submit(table_fingerprint, table, proj)
+        # each token string gets a dense id in order of first appearance; tok is
+        # the id of every token occurrence, pair after pair, and owner its pair
+        ids: dict[str, int] = {}
+        occurrences: list[int] = []
+        lengths = []
+        for row, text in enumerate(corpus.strings("src_text")):
+            tokens = segment(text)
+            if not tokens:
+                raise EmptyText(f"pair {corpus[row].id!r}: no tokens in {text!r}")
+            occurrences += [ids.setdefault(t, len(ids)) for t in tokens]
+            lengths.append(len(tokens))
+        tok = np.array(occurrences, dtype=np.intp)
+        owner = np.repeat(np.arange(len(corpus)), lengths)
+        emb = lookup_tokens(table, list(ids))
+        dense = _pool_dense(corpus, emb.vectors, tok, _offsets(lengths).astype(np.intp))
+        try:
+            rows = multi_embed(emb, proj).rows
+        except ZeroVector as exc:
+            first = owner[np.flatnonzero(tok == exc.row)[0]]
+            raise ZeroVector(f"pair {corpus[first].id!r}: {exc}") from exc
 
-    # sparse: each pair's positive weight per token id, ids ascending; the
-    # max where two of its tokens share an id (OOV ids are hashes and can
-    # collide), as sparse_embed keeps
-    weight = token_weights(emb, proj)[tok]
-    tid = np.array(emb.tokens, dtype=np.int64)[tok]
-    hit = np.flatnonzero(weight > 0)
-    key = owner[hit] * (len(table.vocab) + OOV_ID_SPACE) + tid[hit]
-    order = np.lexsort((-weight[hit], key))
-    _, first = np.unique(key[order], return_index=True)
-    sparse = hit[order[first]]
+        # sparse: each pair's positive weight per token id, ids ascending; the
+        # max where two of its tokens share an id (OOV ids are hashes and can
+        # collide), as sparse_embed keeps
+        weight = token_weights(emb, proj)[tok]
+        tid = np.array(emb.tokens, dtype=np.int64)[tok]
+        hit = np.flatnonzero(weight > 0)
+        key = owner[hit] * (len(table.vocab) + OOV_ID_SPACE) + tid[hit]
+        order = np.lexsort((-weight[hit], key))
+        _, first = np.unique(key[order], return_index=True)
+        sparse = hit[order[first]]
 
-    # exact dedupe of multi-vector rows by their float32 bytes (_row_keys),
-    # numbered in order of first appearance; two tokens with equal rows
-    # share one; a pair lists its distinct rows in order of first appearance
-    seen: dict[bytes, int] = {}
-    row = np.array([seen.setdefault(k, len(seen)) for k in _row_keys(rows)], dtype=np.intp)[tok]
-    _, first = np.unique(owner * len(seen) + row, return_index=True)
-    multi = np.sort(first)
-    return RetrievalIndex(
-        corpus,
-        table_fingerprint(table, proj),
-        dense=dense,
-        sparse_indptr=_offsets(np.bincount(owner[sparse], minlength=len(corpus))),
-        sparse_ids=tid[sparse].astype(np.uint32),
-        sparse_weights=weight[sparse],
-        multi_rows=np.frombuffer(b"".join(seen), dtype=np.float32).reshape(len(seen), -1),
-        multi_offsets=_offsets(np.bincount(owner[multi], minlength=len(corpus))),
-        multi_row_ids=row[multi].astype(np.uint32),
-    )
+        # exact dedupe of multi-vector rows by their float32 bytes (_row_keys),
+        # numbered in order of first appearance; two tokens with equal rows
+        # share one; a pair lists its distinct rows in order of first appearance
+        seen: dict[bytes, int] = {}
+        row = np.array([seen.setdefault(k, len(seen)) for k in _row_keys(rows)], dtype=np.intp)[tok]
+        _, first = np.unique(owner * len(seen) + row, return_index=True)
+        multi = np.sort(first)
+        return RetrievalIndex(
+            corpus,
+            fingerprint.result(),
+            dense=dense,
+            sparse_indptr=_offsets(np.bincount(owner[sparse], minlength=len(corpus))),
+            sparse_ids=tid[sparse].astype(np.uint32),
+            sparse_weights=weight[sparse],
+            multi_rows=np.frombuffer(b"".join(seen), dtype=np.float32).reshape(len(seen), -1),
+            multi_offsets=_offsets(np.bincount(owner[multi], minlength=len(corpus))),
+            multi_row_ids=row[multi].astype(np.uint32),
+        )
 
 
 def _pool_dense(
@@ -644,7 +662,7 @@ def retrieve_many(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    index._check_binding(table, proj)
+    index.bind(table, proj)
     results: list = []
     queries = []
     for text in texts:

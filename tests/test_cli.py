@@ -379,6 +379,21 @@ def test_translate_without_a_reranker_exits_2_before_any_output(workspace, tmp_p
     assert not out.exists() and not audit.exists()
 
 
+def test_translate_with_another_seed_exits_2_before_any_output(workspace, tmp_path, capsys):
+    root, pairs = workspace
+    inp, out, audit = tmp_path / "in.txt", tmp_path / "out.txt", tmp_path / "a.jsonl"
+    inp.write_text(pairs[0].src_text + "\n" + pairs[1].src_text + "\n", encoding="utf-8")
+    script = tmp_path / "script.json"
+    script.write_text("{}", encoding="utf-8")
+    assert main([
+        "translate", "--index", str(root / "index.bin"), "--embeddings", str(root / "table.bin"),
+        "--seed", "18", "--n-candidates", "1", "--mock-script", str(script),
+        "--input", str(inp), "--out", str(out), "--audit", str(audit),
+    ]) == 2
+    assert "error: index was built with a different" in capsys.readouterr().err
+    assert not out.exists() and not audit.exists()
+
+
 @pytest.mark.parametrize("command", ["index", "retrieve"])
 def test_negative_projection_seed_exits_2_naming_it(workspace, tmp_path, capsys, command):
     root, _ = workspace

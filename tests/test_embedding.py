@@ -2,6 +2,7 @@ import hashlib
 import math
 import mmap
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -424,3 +425,18 @@ def test_corrupt_table_raises_only_afsp_errors(tmp_path, small_table_file, data)
         load_table(path)
     except AfspError:
         pass
+
+
+def test_loading_a_table_allocates_no_temporary_the_size_of_its_matrix(tmp_path):
+    # the matrix stays a view of the file's map, and the finiteness check
+    # runs over blocks of rows: a V x H bool temporary would be 8x the bound
+    v, h = 512, 4096
+    path = tmp_path / "table.bin"
+    save_table(make_table(np.ones((v, h)), [f"t{i}" for i in range(v)]), path)
+    tracemalloc.start()
+    try:
+        load_table(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < v * h / 8

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import afsp.retrieval
 from afsp.corpus import Corpus, DemoPair
 from afsp.embedding import EmbeddingTable, ProjectionSet, init_projections, segment, synthetic_table
 from afsp.errors import EmptyText, ZeroVector
@@ -191,3 +193,20 @@ def test_saved_index_bytes_match_golden():
     assert hashlib.sha256(index_bytes(index)).hexdigest() == (
         "afdbe79c61a59389c85b45fe2740af3fd5345f6d4a0134f3a2349bcefef509c8"
     )
+
+
+def test_build_joins_its_hash_thread_and_reraises_its_error(monkeypatch):
+    # the fingerprint is hashed on a second thread: the build still writes
+    # the golden bytes, and the thread is gone when the build returns or
+    # raises
+    before = threading.active_count()
+    test_saved_index_bytes_match_golden()
+    assert threading.active_count() == before
+
+    def fail(*args):
+        raise RuntimeError("hash failed")
+
+    monkeypatch.setattr(afsp.retrieval, "table_fingerprint", fail)
+    with pytest.raises(RuntimeError, match="hash failed"):
+        build_index(golden_corpus(), corpus_table(dim=32), init_projections(32, seed=13))
+    assert threading.active_count() == before

@@ -9,9 +9,10 @@ import requests
 import yaml
 
 import afsp.pipeline
+import afsp.retrieval
 from afsp.degeneration import DegenerationOp, apply_op, generate_dataset
 from afsp.embedding import init_projections, save_table
-from afsp.errors import AfspError, InputNotUtf8, StageError
+from afsp.errors import AfspError, FingerprintMismatch, InputNotUtf8, StageError, VersionMismatch
 from afsp.llm_client import (
     CandidateSet,
     ChatCompletionsClient,
@@ -727,3 +728,44 @@ def test_from_config_loads_artifacts(stack, tmp_path):
 
     with pytest.raises(ValueError):
         TranslationPipeline.from_config(PipelineConfig())
+
+
+@pytest.mark.parametrize("k", [3, 0])
+def test_from_config_rejects_another_projection_seed(saved_config, k):
+    # checked when the stack loads, so a zero-shot run that never retrieves
+    # is rejected too; the hashing thread is joined on the way out
+    before = threading.active_count()
+    with pytest.raises(FingerprintMismatch):
+        TranslationPipeline.from_config(
+            replace(saved_config, projection_seed=18, k=k), client=MockClient({})
+        )
+    assert threading.active_count() == before
+
+
+def test_from_config_over_a_corrupt_index_joins_its_hashing_thread(saved_config):
+    with open(saved_config.index_path, "r+b") as fh:
+        fh.write(b"AFSPIDX0")
+    before = threading.active_count()
+    with pytest.raises(VersionMismatch):
+        TranslationPipeline.from_config(saved_config, client=MockClient({}))
+    assert threading.active_count() == before
+
+
+def test_from_config_hashes_the_table_once_and_the_first_query_not_at_all(
+    stack, saved_config, monkeypatch
+):
+    calls = []
+    real = afsp.retrieval.table_fingerprint
+    monkeypatch.setattr(
+        afsp.retrieval, "table_fingerprint", lambda *a: calls.append(a) or real(*a)
+    )
+    text = stack[0][3].src_text
+    before = threading.active_count()
+    for _ in range(2):
+        pipeline = TranslationPipeline.from_config(saved_config, client=MockClient({}))
+        assert threading.active_count() == before
+        hashed = len(calls)
+        pipeline.client = MockClient({fingerprint(pipeline.build_prompt(text)): ["done"]})
+        assert pipeline.translate(text).best == "done"
+        assert len(calls) == hashed
+    assert len(calls) == 2
