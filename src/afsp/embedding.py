@@ -98,14 +98,17 @@ class EmbeddingTable:
             raise ValueError("vocab entries must be unique")
         if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.vocab):
             raise ValueError("matrix must be 2-D with one row per vocab entry")
+        # checked as stored: an entry beyond float32's range casts to inf
+        with np.errstate(over="ignore"):
+            matrix = _frozen(self.matrix)
         # a block of rows at a time, so the check's temporary stays small
         # however large the table is
         rows = max(1, _FINITE_BLOCK // max(1, self.dim))
         if not all(
-            np.isfinite(self.matrix[a : a + rows]).all() for a in range(0, len(self.vocab), rows)
+            np.isfinite(matrix[a : a + rows]).all() for a in range(0, len(self.vocab), rows)
         ):
-            raise ValueError("embedding matrix has non-finite entries")
-        object.__setattr__(self, "matrix", _frozen(self.matrix))
+            raise ValueError("embedding matrix has non-finite entries as float32")
+        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_ids", ids)
 
     @property

@@ -8,12 +8,12 @@ which override defaults.
 
 Any error a stage raises is wrapped in StageError with a stage label
 (retrieval / prompt / generation / rerank) so batch runs stay debuggable; in
-a batch it fails its own line only. A file is retrieved block by block on the
-calling thread, one scoring pass per block, while a pool of workers prompts
-and generates for each line already retrieved; the worker that finishes a
-block's last generation reranks the whole block in one ``rank_many`` pass.
-With everything seeded and a mock client, a translation run is fully
-deterministic.
+a batch it fails its own line only. A file is translated block by block,
+one stage per thread: the calling thread retrieves each block in one scoring
+pass and reranks it in one ``rank_many`` pass, while a pool of workers only
+prompts and generates, one task per line, each handing its result back
+through its future. With everything seeded and a mock client, a translation
+run is fully deterministic.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ from __future__ import annotations
 import json
 import logging
 import os
-import threading
+import re
 import time
 from collections import deque
-from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass, field, fields, replace
 from itertools import islice
@@ -54,6 +53,9 @@ logger = logging.getLogger(__name__)
 # lines per retrieval block of translate_file, shared among the workers: the
 # one block-size decision, as a block is one multi-vector product
 _BLOCK_LINES = 16
+
+# a line break in a completion: translate_file writes each as one space
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 
 @dataclass(frozen=True)
@@ -348,40 +350,17 @@ class TranslationPipeline:
             )
         return results
 
-    def _submit_block(
-        self, pool: ThreadPoolExecutor, lines: list[str]
-    ) -> Callable[[], list[TranslationResult | StageError]]:
-        """Retrieve a block of lines, submit each line's prompt and
-        generation to the pool and return a function that waits for the
-        block and gives each line's result. The worker that finishes the
-        block's last generation ranks the whole block."""
-        retrieved = self._retrieve_block(lines)
-        generated: list = list(retrieved)
-        results: list = []
-        left = len(lines)
-        lock = threading.Lock()
-
-        def generate(i: int) -> None:
-            nonlocal left
-            if not isinstance(retrieved[i], StageError):
-                try:
-                    generated[i] = self._generate(lines[i], *retrieved[i])
-                except StageError as exc:
-                    generated[i] = exc
-            with lock:
-                left -= 1
-                last = not left
-            if last:
-                results.extend(self._rank_block(generated, retrieved))
-
-        futures = [pool.submit(generate, i) for i in range(len(lines))]
-
-        def wait() -> list[TranslationResult | StageError]:
-            for future in futures:
-                future.result()
-            return results
-
-        return wait
+    def _generate_line(
+        self, line: str, retrieved: tuple | StageError
+    ) -> TranslationResult | list[str] | StageError:
+        """A worker's task: prompt and generate for one retrieved line, and
+        return its candidates, its result or the StageError that failed it."""
+        if isinstance(retrieved, StageError):
+            return retrieved
+        try:
+            return self._generate(line, *retrieved)
+        except StageError as exc:
+            return exc
 
     def translate_file(
         self,
@@ -396,11 +375,16 @@ class TranslationPipeline:
         The input is read in blocks of ``max(1, 16 // max_in_flight)``
         lines. The calling thread retrieves a block in one pass
         (:func:`retrieve_many`) and submits each line's prompt and
-        generation to ``max_in_flight`` workers; the worker that finishes
-        the block's last generation reranks the whole block in one
-        :func:`rank_many` pass. The calling thread retrieves the next block
-        while they work and writes a block once it is ranked; at most two
-        blocks are in flight.
+        generation to ``max_in_flight`` workers as one task, whose future
+        holds the line's candidates or the error that failed it. When it
+        comes to write a block, it waits for the block's futures and ranks
+        the block in one :func:`rank_many` pass while the workers generate
+        the next block. At most two blocks are in flight, and a worker hands
+        back its line's result only through the future.
+
+        Each line break in a completion (CR LF, CR or LF) is written as one
+        space, so output line n translates input line n; the audit record
+        keeps the text as generated.
 
         A run that needs a scorer and has none, input that is not UTF-8, or
         two of the input, output and audit paths that name one file, raises
@@ -417,7 +401,7 @@ class TranslationPipeline:
         workers = self.config.generation.max_in_flight
         block = max(1, _BLOCK_LINES // workers)
         summary = BatchSummary()
-        pending: deque[tuple[list[str], Callable]] = deque()
+        pending: deque[tuple[list[str], list, list[Future]]] = deque()
         audit = open(audit_path, "w", encoding="utf-8") if audit_path else nullcontext()
         with (
             closing(read_lines(input_path)) as in_lines,
@@ -427,22 +411,25 @@ class TranslationPipeline:
         ):
 
             def write_next() -> None:
-                lines, wait = pending.popleft()
-                for line, result in zip(lines, wait()):
+                lines, retrieved, futures = pending.popleft()
+                generated = [future.result() for future in futures]
+                for line, result in zip(lines, self._rank_block(generated, retrieved)):
                     summary.count += 1
                     if isinstance(result, StageError):
                         summary.failures += 1
                         logger.error("line failed: %s", result)
                         out_fh.write("\n")
                     else:
-                        out_fh.write(result.best + "\n")
+                        out_fh.write(_LINE_BREAK.sub(" ", result.best) + "\n")
                     if audit_fh:
                         audit_fh.write(audit_record(line, result))
                         audit_fh.flush()
                     out_fh.flush()
 
             while lines := [line.rstrip("\n") for line in islice(in_lines, block)]:
-                pending.append((lines, self._submit_block(pool, lines)))
+                retrieved = self._retrieve_block(lines)
+                futures = [pool.submit(self._generate_line, *args) for args in zip(lines, retrieved)]
+                pending.append((lines, retrieved, futures))
                 while len(pending) > 1:
                     write_next()
             while pending:

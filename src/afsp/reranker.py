@@ -234,6 +234,11 @@ def _hash_grams(grams: list[str], base, feature_dim: int) -> np.ndarray:
     return (np.frombuffer(digests, dtype="<u8") % feature_dim).astype(_int_type(feature_dim))
 
 
+def _fits_float32(values: np.ndarray) -> bool:
+    """Whether every value is finite and stays finite cast to float32."""
+    return bool(np.all(np.abs(values) <= np.finfo(np.float32).max))
+
+
 def _sigmoid(z: float) -> float:
     z = max(-30.0, min(30.0, z))
     return 1.0 / (1.0 + math.exp(-z))
@@ -255,8 +260,9 @@ class NGramRegressor:
             raise ValueError(f"feature dim must be >= 1, got {self.feature_dim}")
         if np.shape(self.weights) != (self.feature_dim + DENSE_SLOTS,):
             raise ValueError(f"need feature dim + {DENSE_SLOTS} weights in one row")
-        if not (np.all(np.isfinite(self.weights)) and math.isfinite(self.bias)):
-            raise ValueError("non-finite weights or bias")
+        # checked as stored: save_model writes them as float32
+        if not _fits_float32(np.append(self.weights, self.bias)):
+            raise ValueError("non-finite weights or bias, or one beyond float32's range")
 
     def score(self, text: str) -> float:
         """Quality estimate strictly inside (0, 1)."""
@@ -347,7 +353,7 @@ def train(
         report.epoch_mse.append(float(np.mean(batch_losses)))
 
     # checked before the float32 cast, which would overflow to inf
-    if not np.all(np.abs(np.append(weights, bias)) <= np.finfo(np.float32).max):
+    if not _fits_float32(np.append(weights, bias)):
         raise NonFiniteLoss("a weight or the bias does not fit a finite float32")
     model = NGramRegressor(
         feature_dim=feature_dim,

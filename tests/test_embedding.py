@@ -355,6 +355,15 @@ def test_table_rejects_duplicate_vocab():
         make_table([[1.0], [2.0]], ["dup", "dup"])
 
 
+@pytest.mark.parametrize("entry", [1e300, -1e39, np.nan])
+def test_table_checks_its_entries_as_stored_in_float32(entry):
+    # a float64 entry beyond float32's range would be stored, and saved, as
+    # inf; it is rejected when built, and without an overflow warning
+    with pytest.raises(ValueError, match="non-finite entries as float32"):
+        EmbeddingTable(("a",), np.array([[entry, 0.0]]), 0)
+    assert make_table([[np.finfo(np.float32).max, 0.0]], ["a"]).matrix[0, 0] < np.inf
+
+
 def test_table_file_with_repeated_token_is_version_mismatch(tmp_path):
     path = tmp_path / "table.bin"
     save_table(make_table([[1.0], [2.0]], ["a", "b"]), path)

@@ -369,6 +369,57 @@ def test_translate_file_generation_failure_does_not_stall_the_blocks_rank(stack,
     assert [produced[i] for i in (0, 1, 2)] == [pipeline.translate(lines[i]).best for i in (0, 1, 2)]
 
 
+def test_translate_file_ranks_on_the_calling_thread_while_workers_generate(stack, tmp_path):
+    corpus, *_, scorer = stack
+    pipeline = make_pipeline(
+        stack, client=None, generation=GenerationConfig(n_candidates=3, max_in_flight=1)
+    )
+    lines = [corpus[i].src_text for i in range(32)]  # two blocks of 16
+    mock = scripted_client(pipeline, stack, lines, three_candidates(corpus))
+    second_block = fingerprint(pipeline.build_prompt(lines[16]))
+    generating = threading.Event()
+    caller = threading.current_thread()
+    on_caller, overlapped = [], []
+
+    class Client:
+        def generate_candidates(self, prompt, cfg):
+            if fingerprint(prompt) == second_block:
+                generating.set()
+            return mock.generate_candidates(prompt, cfg)
+
+    class Scorer:
+        def score_many(self, texts):
+            on_caller.append(threading.current_thread() is caller)
+            # the only worker must be free to generate the second block
+            # while the first is ranked
+            overlapped.append(generating.wait(timeout=5))
+            return scorer.score_many(texts)
+
+    pipeline.client, pipeline.scorer = Client(), Scorer()
+    summary, produced, _ = run_file(pipeline, tmp_path, lines)
+    assert (summary.count, summary.failures) == (32, 0)
+    assert on_caller and all(on_caller)
+    assert all(overlapped)
+    pipeline.scorer = scorer
+    assert produced == [pipeline.translate(line).best for line in lines]
+
+
+def test_translate_file_writes_a_completion_that_spans_lines_on_one_line(stack, tmp_path):
+    corpus, *_ = stack
+    pipeline = make_pipeline(stack, client=None, generation=GenerationConfig(n_candidates=1))
+    lines = [corpus[i].src_text for i in range(3)]
+    completions = ["first line\nsecond line", "a\r\nb\rc", "plain"]
+    pipeline.client = scripted_client(
+        pipeline, stack, lines, lambda t: [completions[lines.index(t)]]
+    )
+    summary, produced, records = run_file(pipeline, tmp_path, lines)
+    assert (summary.count, summary.failures) == (3, 0)
+    assert produced == ["first line second line", "a b c", "plain"]
+    # the audit record and the single caller keep the text as generated
+    assert [json.loads(r)["best"] for r in records] == completions
+    assert pipeline.translate(lines[0]).best == completions[0]
+
+
 def test_a_run_without_a_scorer_fails_before_any_work(stack, tmp_path, monkeypatch):
     corpus, table, proj, index, _ = stack
     config = PipelineConfig(projection_seed=17, k=2, generation=GenerationConfig(n_candidates=2))
