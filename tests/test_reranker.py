@@ -288,12 +288,12 @@ def test_model_rejects_zero_feature_dim(tmp_path):
         ({"weights": np.zeros((5, 2))}, "need feature dim \\+ 2 weights"),
         ({"weights": np.array([np.nan] + [0.0] * 9)}, "non-finite"),
         ({"bias": np.inf}, "non-finite"),
-        # beyond float32's range: save_model would write inf or overflow
-        ({"weights": np.array([0.0] * 9 + [1e300])}, "beyond float32's range"),
-        ({"bias": -1e300}, "beyond float32's range"),
         ({"hash_seed": -1}, "hash seed must be >= 0"),
         ({"hash_seed": 2**64}, "hash seed must be < 2"),
         ({"hash_seed": 1.0}, "hash seed must be an integer"),
+        # beyond float32's range: save_model would write inf or overflow
+        ({"weights": np.array([0.0] * 9 + [1e300])}, "beyond float32's range"),
+        ({"bias": -1e300}, "beyond float32's range"),
     ],
 )
 def test_model_checks_its_fields_when_built(kwargs, message):
