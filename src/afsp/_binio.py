@@ -13,10 +13,10 @@ before it slices them, so a corrupt or truncated file raises
 VersionMismatch and never IndexError, struct.error, UnicodeDecodeError or
 an allocation sized by a corrupt count.
 
-Every loaded file's bytes, and every array made by :func:`empty`, live in
-an anonymous memory map of their own rather than on the malloc heap. Once
-the last array over a map is freed, the map is kept as a spare and handed
-to the next buffer of exactly its size. Reloading the same artifacts then
+Every loaded file's bytes live in an anonymous memory map of their own
+rather than on the malloc heap. Once the last array over a map is freed,
+the map is kept as a spare and handed to the next file of exactly its
+size. Reloading the same artifacts then
 reuses the same pages, and a reload never depends on how the heap is
 fragmented: on the heap, a small long-lived allocation that lands in the
 hole a freed buffer left can push the next buffer of that size past the
@@ -25,15 +25,17 @@ in between. A spare is only freed with the process.
 
 A loader can have the arrays that follow some point of its file start at
 an address that is a multiple of ``_ALIGN`` bytes, whatever length the
-strings before them have (:meth:`Reader.align`): numpy hands a matrix
-product to BLAS only if its operands' items are aligned, and is many times
-slower without it. The unread bytes move up, in memory only, into room
-that the file's map has past its end.
+strings or arrays before them have (:meth:`Reader.align`), at up to two
+points: numpy hands a matrix product to BLAS only if its operands' items
+are aligned, and BLAS runs faster on rows that start on a cache line. The
+unread bytes move up, in memory only, into room that the file's map has
+past its end, enough for two such moves. The index aligns its dense
+matrix and its multi-vector rows, the two operands of its float32
+products.
 """
 
 from __future__ import annotations
 
-import math
 import mmap
 import os
 import struct
@@ -47,8 +49,9 @@ from .errors import VersionMismatch
 
 U32 = struct.Struct("<I")
 
-# a file's map has this many bytes past its end, room for Reader.align to
-# move the unread bytes to an address that is a multiple of it
+# a file's map has twice this many bytes past its end, room for two
+# Reader.align calls to move the unread bytes to an address that is a
+# multiple of it
 _ALIGN = 64
 
 # freed maps by size, each kept for the next buffer of that size
@@ -78,13 +81,6 @@ def _map_array(buf: mmap.mmap, dtype) -> np.ndarray:
     root = np.frombuffer(buf, dtype=dtype)
     weakref.finalize(root, _spare_maps.setdefault(len(buf), []).append, buf).atexit = False
     return root
-
-
-def empty(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """An uninitialised C-contiguous array in a memory map of its own (see
-    the module docstring)."""
-    dt = np.dtype(dtype)
-    return _map_array(_map(math.prod(shape) * dt.itemsize), dt).reshape(shape)
 
 
 def sealed(arr: np.ndarray) -> bool:
@@ -141,7 +137,7 @@ class Reader:
         the error for a wrong magic."""
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
-            buf = _map(size + _ALIGN)
+            buf = _map(size + 2 * _ALIGN)
             if fh.readinto(memoryview(buf)[:size]) != size or fh.read(1):
                 raise VersionMismatch("file changed size while it was read")
             reader = cls(buf, size)

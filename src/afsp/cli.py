@@ -1,7 +1,9 @@
 """Command-line interface: every pipeline stage as a subcommand.
 
 Settings resolve as flags > config file > defaults. Exit codes: 0 success,
-2 validation error, 3 external-service failure.
+2 validation error, 3 external-service failure. A command whose output
+path names one of its inputs exits 2 before it writes, and so does one
+asked for more memory than the machine has.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import (
     RateLimited,
     ScriptMiss,
     StageError,
+    check_outputs,
 )
 from .llm_client import ChatCompletionsClient, EndpointTranslator, GenerationConfig, MockClient
 from .pipeline import (
@@ -60,6 +63,7 @@ def _base_config(args) -> PipelineConfig:
 
 
 def cmd_ingest(args) -> int:
+    check_outputs({"--input": args.input}, {"--out": args.out})
     loaded = corpus_mod.ingest(args.input, format=args.format)
     corpus_mod.save(loaded, args.out)
     print(
@@ -76,6 +80,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_index(args) -> int:
+    check_outputs({"--corpus": args.corpus, "--embeddings": args.embeddings}, {"--out": args.out})
     loaded = corpus_mod.load(args.corpus)
     table = load_table(args.embeddings)
     proj = init_projections(table.dim, args.seed)
@@ -120,6 +125,8 @@ def cmd_prompt(args) -> int:
 
 
 def cmd_degrade(args) -> int:
+    inputs = {"--corpus": args.corpus, "--embeddings": args.embeddings, "--synonyms": args.synonyms}
+    check_outputs(inputs, {"--out": args.out})
     loaded = corpus_mod.load(args.corpus)
     table = load_table(args.embeddings) if args.embeddings else None
     synonyms = degeneration.load_synonyms(args.synonyms) if args.synonyms else None
@@ -145,6 +152,7 @@ def cmd_degrade(args) -> int:
 
 
 def cmd_train_reranker(args) -> int:
+    check_outputs({"--data": args.data}, {"--out": args.out})
     dataset = degeneration.load_examples(args.data)
     model, report = reranker.train(
         dataset,
@@ -187,6 +195,15 @@ def cmd_translate(args) -> int:
     cfg = _base_config(args)
     if args.text is None and not (args.input and args.out):
         raise ValueError("translate needs --text, or both --input and --out")
+    inputs = {
+        "--config": args.config,
+        "the index": cfg.index_path,
+        "the embedding table": cfg.table_path,
+        "the reranker": cfg.reranker_path,
+        "--mock-script": args.mock_script,
+        "--input": args.input,
+    }
+    check_outputs(inputs, {"--out": args.out, "--audit": args.audit})
     client = None
     if args.mock_script:
         client = MockClient(_mock_script(args.mock_script))
@@ -340,6 +357,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_SERVICE
     except (AfspError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        # a size asked for that this machine cannot hold, such as a huge
+        # --feature-dim
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -3,10 +3,16 @@
 Plain I/O problems (missing files, permissions, disk errors) surface as the
 built-in ``OSError`` family; the exceptions below mark contract violations
 specific to this package. :func:`check_type` is the type check the config
-dataclasses share, :func:`check_seed` the range check of a stored seed.
+dataclasses share, :func:`check_seed` the range check of a stored seed and
+:func:`check_outputs` the check that an output never overwrites an input.
 """
 
 from __future__ import annotations
+
+import os
+from pathlib import Path
+
+_PathArg = str | os.PathLike | None
 
 
 class AfspError(Exception):
@@ -26,6 +32,21 @@ def check_seed(value, name: str) -> None:
     check_type(value, name, "an integer", int)
     if not 0 <= value < 1 << 64:
         raise ValueError(f"{name} must be {'>= 0' if value < 0 else '< 2**64'}, got {value}")
+
+
+def check_outputs(inputs: dict[str, _PathArg], outputs: dict[str, _PathArg]) -> None:
+    """Raise ValueError if an output path names the same file as an input
+    or another output, however the paths are spelt. ``inputs`` and
+    ``outputs`` map each path's name, as the message gives it, to the path,
+    or to None or "" for one not given. A caller checks before it opens
+    anything for writing, so the file it would overwrite is left as it
+    was."""
+    named = {Path(path).resolve(): name for name, path in inputs.items() if path}
+    for name, path in outputs.items():
+        if path:
+            other = named.setdefault(Path(path).resolve(), name)
+            if other != name:
+                raise ValueError(f"{other} and {name} must name different files")
 
 
 # --- corpus ---------------------------------------------------------------

@@ -35,7 +35,7 @@ import yaml
 from . import retrieval
 from .corpus import read_lines
 from .embedding import EmbeddingTable, ProjectionSet, init_projections, load_table
-from .errors import AfspError, StageError, check_seed, check_type
+from .errors import AfspError, StageError, check_outputs, check_seed, check_type
 from .llm_client import ChatCompletionsClient, GenerationConfig
 from .prompting import lang_display_name, render_prompt
 from .reranker import QualityScorer, load_model, rank, rank_many
@@ -391,9 +391,8 @@ class TranslationPipeline:
         before any output file is opened.
         """
         started = time.monotonic()
-        files = [Path(path).resolve() for path in (input_path, output_path, audit_path) if path]
-        if len(set(files)) < len(files):
-            raise ValueError("the input, output and audit paths must name different files")
+        outputs = {"the output": output_path, "the audit": audit_path}
+        check_outputs({"the input": input_path}, outputs)
         self._check_scorer()
         # input that is not UTF-8 fails here, before any output is touched
         for _ in read_lines(input_path):

@@ -57,6 +57,8 @@ from .errors import (
 MODEL_MAGIC = b"AFSPRRK1"
 # the model file: this header, feature_dim + DENSE_SLOTS float32 weights, the bias
 _MODEL_HEAD = struct.Struct("<IQ")  # feature dim, hash seed
+# the largest feature dim the header's u32 holds
+_MAX_FEATURE_DIM = (1 << 32) - 1
 _BIAS = struct.Struct("<f")
 
 DEFAULT_FEATURE_DIM = 1 << 18
@@ -258,6 +260,8 @@ class NGramRegressor:
         check_seed(self.hash_seed, "hash seed")
         if self.feature_dim < 1:
             raise ValueError(f"feature dim must be >= 1, got {self.feature_dim}")
+        if self.feature_dim > _MAX_FEATURE_DIM:
+            raise ValueError(f"feature dim must be <= {_MAX_FEATURE_DIM}, got {self.feature_dim}")
         if np.shape(self.weights) != (self.feature_dim + DENSE_SLOTS,):
             raise ValueError(f"need feature dim + {DENSE_SLOTS} weights in one row")
         # checked as stored: save_model writes them as float32
@@ -298,14 +302,18 @@ def train(
     """Seeded gradient descent on the squared-error objective, in
     mini-batches of ``DEFAULT_BATCH_SIZE`` examples.
 
-    Deterministic for a fixed (dataset, seed). Raises ValueError when
-    epochs or feature_dim is below 1 or learning_rate is not finite and > 0,
+    Deterministic for a fixed (dataset, seed). Raises ValueError, before
+    anything is allocated, when epochs or feature_dim is below 1,
+    feature_dim is beyond the model file's u32 or learning_rate is not
+    finite and > 0,
     DegenerateDataset when the data cannot supervise a regressor and
     NonFiniteLoss if optimization diverges past finite float32 weights.
     """
     for name, value in (("epochs", epochs), ("feature_dim", feature_dim)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+    if feature_dim > _MAX_FEATURE_DIM:
+        raise ValueError(f"feature_dim must be at most {_MAX_FEATURE_DIM}, got {feature_dim}")
     if not 0 < learning_rate < math.inf:
         raise ValueError(f"learning_rate must be a finite number > 0, got {learning_rate!r}")
     examples = list(dataset)

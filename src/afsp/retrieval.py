@@ -18,12 +18,15 @@ are those of scoring every entry, in float64 on the stored float32
 representations, so a built and a reloaded index give the same results.
 Queries are scored in blocks: :func:`retrieve_many` scores a list of texts
 in one pass, and :func:`retrieve_topk` is a block of one. A block's queries
-share one multi-vector product, and with raw fusion and k below the corpus
-size most entries are only bounded from above and never scored exactly
-(:meth:`RetrievalIndex._top`). The gather-max runs over the entries' jagged
-diagonals of row ids (:meth:`RetrievalIndex._multi`). :func:`build_index`
-embeds each distinct token once, and the index's arrays are its file
-format.
+share one float32 dense product and one float32 multi-vector product, which
+only bound and choose: every exact score is a float64 kernel value whose
+bits depend on the two rows alone, so a query scores the same alone and in
+any block. With raw fusion and k below the corpus size most entries are
+only bounded from above and never scored exactly
+(:meth:`RetrievalIndex._top`); a full scan runs its gather-max over the
+entries' jagged diagonals of row ids (:meth:`RetrievalIndex._scan`).
+:func:`build_index` embeds each distinct token once, and the index's arrays
+are its file format.
 """
 
 from __future__ import annotations
@@ -33,7 +36,9 @@ import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,8 +85,9 @@ _NORM_TOL = 1e-3
 # size of its temporaries
 _POOL_CHUNK = 512
 
-# entries per tile of the late-interaction gather-max, in length order,
-# which bounds its working memory to _TILE x (product rows) float64
+# entries per tile of a full scan's late-interaction gather-max, in length
+# order, and rows per float64 upcast of the exact kernels, which bounds
+# their working memory to _TILE x (product columns) and _TILE x H float64
 _TILE = 2048
 
 
@@ -178,10 +184,12 @@ class RetrievalIndex:
       token row.
 
     The constructor builds the scan arrays once, so every query scans the
-    same arrays and the first one pays nothing extra: the dense bounds'
-    margin, a float64 copy of the distinct rows, inverted sparse lists,
-    the postings of each distinct row, and the multi-vector row ids as
-    jagged diagonals. Entries are sorted by their count of distinct rows,
+    same arrays and the first one pays nothing extra: the bounds' margins,
+    inverted sparse lists, the postings of each distinct row, and the
+    multi-vector row ids as jagged diagonals. The index holds no float64
+    copy of the rows: queries take the float32 rows' products for bounds
+    and exact float64 dot products only of the pairs that need them
+    (:meth:`_top`). Entries are sorted by their count of distinct rows,
     longest first (``_by_len``), and column k of ``_columns`` holds the
     k-th row id of each entry with more than k rows, a prefix of that
     order; there are as many columns as the longest entry has rows.
@@ -211,16 +219,10 @@ class RetrievalIndex:
         self.multi_row_ids = multi_row_ids
         self._bound: tuple[EmbeddingTable, ProjectionSet] | None = None
 
-        # the dense bounds' margin per unit of query norm (see _dense_bounds)
-        h = dense.shape[1]
-        squares = float(np.einsum("ij,ij->i", dense, dense).max(initial=0.0))
-        max_norm = math.sqrt(squares / (1 - _gamma(h, 2.0**-24)))
-        self._dense_margin = (
-            (_gamma(h, 2.0**-24) + _gamma(h, 2.0**-53)) * max_norm * (1 + 2.0**-20)
-        )
-        # large, so in a memory map of its own (see _binio)
-        self._rows64 = _binio.empty(multi_rows.shape, np.float64)
-        self._rows64[...] = multi_rows
+        # the dense and multi-vector bounds' margins per unit of query norm
+        # (see _dense_bounds and _upper_bounds)
+        self._dense_margin = _margin(dense)
+        self._multi_margin = _margin(multi_rows)
         # the jagged diagonals (see above); longer[k] counts the entries
         # with more than k rows
         counts = np.diff(multi_offsets.astype(np.intp))
@@ -229,7 +231,6 @@ class RetrievalIndex:
         ids = multi_row_ids.astype(np.intp)
         longer = len(counts) - np.cumsum(np.bincount(counts))[:-1]
         self._columns = [ids[starts[:n] + k] for k, n in enumerate(longer.tolist())]
-        self._column_lengths = longer
         # postings: the entries holding distinct row r are
         # _holders[_held[r]:_held[r + 1]], in no particular order (one
         # unstable sort of the row ids)
@@ -285,17 +286,17 @@ class RetrievalIndex:
         """Each query's top k as (entry ids, dense, sparse, multi and fused
         scores), best first, for a block of queries.
 
-        One float32 product of the block's dense vectors gives the dense
-        bounds, and one float64 product the block's multi-vector
-        similarities. A block repeats token rows (the embedding layer is
-        context-free and text is Zipfian), so its queries share product
-        rows: a row that an earlier query of the block brought, keyed by
-        its float32 bytes, is reused, and the query's other rows, repeats
-        included, are new product rows in its order. A block of one is the
-        query's own rows, so it keeps a lone query's multi scores; in a
-        larger block a row may sit elsewhere in the product, where BLAS may
-        round it differently (see :meth:`_dense`), so exact multi ties may
-        come apart, and the reverse.
+        One float32 product of the block's dense vectors with the stored
+        rows bounds the dense scores, and one float32 product of the stored
+        distinct rows with the block's multi-vector rows, (U, H) @ (H, m),
+        bounds the multi-vector similarities; it is laid out by distinct
+        row, as the scans read it. A block repeats token rows (the embedding
+        layer is context-free and text is Zipfian), so its queries share
+        product columns (:meth:`_block`). The products only bound and
+        choose: every exact score comes from a kernel whose bits depend on
+        the two rows alone (:meth:`_dense`, :meth:`_kernel`), so a query's
+        scores are the same in any block, in a pruned and a full scan, and
+        in a built and a loaded index.
 
         With raw fusion and k below the corpus size, every entry's sparse
         score is taken and its dense and multi scores are bounded from above
@@ -303,26 +304,62 @@ class RetrievalIndex:
         is monotone, so a sum or product of terms each at least as large
         rounds to no less, and the fused score of the bounds, summed as the
         exact one is, is never below the exact fused score. Round 1 scores
-        the k entries of best bounded score exactly, and the k-th best of
-        the exact fused scores that round takes is a threshold theta: k
-        entries reach it, so every entry of the top k does too, ties at the
-        cut included, and so does its bounded score. Round 2 scores each
-        query's survivors, the entries whose bounded score reaches its
-        theta, and the top k are taken among them in corpus order; an
-        entry's score does not depend on which others are scored with it.
-        ``normalize`` needs every entry's scores for the min-max range, so
-        every entry is scored then, as it is when k is at least the corpus
+        a query's k entries of best bounded score exactly, and the worst of
+        their exact fused scores is a threshold theta: k entries reach it,
+        so every entry of the top k does too, ties at the cut included, and
+        so does its bounded score. Round 2 scores the query's survivors, the
+        entries whose bounded score reaches theta, and the top k are taken
+        among them in corpus order; an entry's score does not depend on
+        which others are scored with it (:meth:`_multi`). ``normalize``
+        needs every entry's scores for the min-max range, so every entry is
+        scored then (:meth:`_scan`), as it is when k is at least the corpus
         size."""
         if not queries:
             return []
         q32 = np.stack([d.values for d, _, _ in queries])
         qs = q32.astype(np.float64)
         sparse = [self._sparse(s) for _, s, _ in queries]
-        # the block's product rows and each query's columns of it
+        block = self._block([multi for _, _, multi in queries])
+        a1, a2, a3 = weights.alpha1, weights.alpha2, weights.alpha3
+        if normalize or k >= len(self):
+            every = np.arange(len(self))
+            scored = list(zip(repeat(every), self._dense(qs, every), sparse, self._scan(block)))
+        else:
+            # each query's fused score with its dense and multi scores
+            # bounded, as a1 * sd + a2 * ss + a3 * ub rounds it (products and
+            # sums commute bit for bit)
+            bounds = self._upper_bounds(block)
+            for sd, ss, bound in zip(self._dense_bounds(q32), sparse, bounds):
+                bound *= a3
+                bound += a1 * sd + a2 * ss
+            scored = []
+            for q, ss, cs, bound in zip(qs, sparse, block.cols, bounds):
+                # round 1 on the k best bounded entries, round 2 on the
+                # survivors
+                mine = block.of_query(cs)
+                top = np.sort(np.argpartition(-bound, k - 1)[:k])
+                sd, sm = self._dense(q[None], top)[0], self._multi(mine, top)
+                own = np.flatnonzero(bound >= (a1 * sd + a2 * ss[top] + a3 * sm).min())
+                sd, sm = self._dense(q[None], own)[0], self._multi(mine, own)
+                scored.append((own, sd, ss[own], sm))
+        out = []
+        for own, sd, ss, sm in scored:
+            if normalize:
+                sd, ss, sm = _minmax(sd), _minmax(ss), _minmax(sm)
+            fused = a1 * sd + a2 * ss + a3 * sm
+            top = _top_k_stable(fused, k)
+            out.append((own[top], sd[top], ss[top], sm[top], fused[top]))
+        return out
+
+    def _block(self, multis: list[MultiVec]) -> _Block:
+        """The multi-vector product of a block of queries. A row that an
+        earlier query of the block brought, keyed by its float32 bytes, is
+        reused, and the query's other rows, repeats included, are new
+        columns in its order."""
         seen: dict[bytes, int] = {}
         parts, cols = [], []
         size = 0
-        for _, _, multi in queries:
+        for multi in multis:
             keys = _row_keys(multi.rows)
             new = [j for j, key in enumerate(keys) if key not in seen]
             fresh = iter(range(size, size + len(new)))
@@ -331,55 +368,14 @@ class RetrievalIndex:
                 seen.setdefault(key, c)
             parts.append(multi.rows[new])
             size += len(new)
-        # the product must be (product rows, distinct rows): rows64 @ q.T
-        # rounds some entries differently
-        product = np.concatenate(parts).astype(np.float64) @ self._rows64.T
-        a1, a2, a3 = weights.alpha1, weights.alpha2, weights.alpha3
-        keep = np.ones(len(self), dtype=bool)
-        survivors = None
-        if not normalize and k < len(self):
-            # each query's fused score with its dense and multi scores
-            # bounded, as a1 * sd + a2 * ss + a3 * ub rounds it (products and
-            # sums commute bit for bit)
-            bounds = self._upper_bounds(product, cols)
-            for sd, ss, bound in zip(self._dense_bounds(q32), sparse, bounds):
-                bound *= a3
-                bound += a1 * sd + a2 * ss
-            # both rounds scan the product by distinct row (see _multi): lay
-            # it out so once, and its transpose there is a view
-            product = np.ascontiguousarray(product.T).T
-            # round 1: each query's k best bounded entries
-            keep[:] = False
-            for bound in bounds:
-                keep[np.argpartition(-bound, k - 1)[:k]] = True
-            ids, sms = self._exact(product, cols, keep)
-            sds = self._dense(qs, ids)
-            # round 2: each query's survivors
-            survivors = []
-            for ss, sd, sm, bound in zip(sparse, sds, sms, bounds):
-                fused = a1 * sd + a2 * ss[ids] + a3 * sm
-                survivors.append(bound >= np.partition(fused, len(fused) - k)[len(fused) - k])
-            keep = np.any(survivors, axis=0)
-        # the gather-max scores every entry some query needs; the dense
-        # kernel, per query, only its own survivors
-        ids, sms = self._exact(product, cols, keep)
-        if survivors is None:
-            sds = self._dense(qs, ids)
-        out = []
-        for i, (ss, sm) in enumerate(zip(sparse, sms)):
-            if survivors is None:
-                own, sd = ids, sds[i]
-            else:
-                mine = survivors[i][ids]
-                own, sm = ids[mine], sm[mine]
-                sd = self._dense(qs[i : i + 1], own)[0]
-            ss = ss[own]
-            if normalize:
-                sd, ss, sm = _minmax(sd), _minmax(ss), _minmax(sm)
-            fused = a1 * sd + a2 * ss + a3 * sm
-            top = _top_k_stable(fused, k)
-            out.append((own[top], sd[top], ss[top], sm[top], fused[top]))
-        return out
+        rows = np.concatenate(parts)
+        rows64 = rows.astype(np.float64)
+        return _Block(
+            self.multi_rows @ rows.T,
+            rows64,
+            self._multi_margin * np.linalg.norm(rows64, axis=1),
+            cols,
+        )
 
     def _dense_bounds(self, q32: np.ndarray) -> np.ndarray:
         """An upper bound on each query's exact dense score (:meth:`_dense`)
@@ -392,43 +388,50 @@ class RetrievalIndex:
         multiply-adds, is within ``gamma_H(2^-24) * P`` of S, and the float64
         kernel within ``gamma_H(2^-53) * P``, where ``gamma_H(u) = H u / (1 -
         H u)`` (Higham, Accuracy and Stability of Numerical Algorithms,
-        section 3.1). So the kernel's value is at most the float32 value
-        plus ``(gamma_H(2^-24) + gamma_H(2^-53)) * |q| * max |d|``, the
-        margin. ``max |d|`` comes from the rows' float32 sums of squares:
-        by the same bound, with ``P = |d|^2`` as every term is
-        non-negative, a row's sum s is at least ``(1 - gamma_H(2^-24)) *
-        |d|^2``, so ``|d| <= sqrt(s / (1 - gamma_H(2^-24)))``. The margin
-        carries a relative slack of 2^-20 for the rounding of that root,
-        of the query norms and of the margin itself, and for underflow.
-        The kernel's value is a float64, so the float64 sum rounds to no
-        less than it either."""
+        section 3.1). So the kernel's value is within ``(gamma_H(2^-24) +
+        gamma_H(2^-53)) * |q| * max |d|`` of the float32 value, the margin
+        (:func:`_margin`, per unit of ``|q|``). ``max |d|`` comes from the
+        rows' float32 sums of squares: by the same bound, with ``P = |d|^2``
+        as every term is non-negative, a row's sum s is at least ``(1 -
+        gamma_H(2^-24)) * |d|^2``, so ``|d| <= sqrt(s / (1 -
+        gamma_H(2^-24)))``. The margin carries a relative slack of 2^-20 for
+        the rounding of that root, of the query norms, of the margin itself
+        and of a value it is added to or subtracted from, and for underflow.
+        The kernel's value is a float64, so the float64 sum of the float32
+        value and the margin rounds to no less than it either."""
         bounds = (q32 @ self.dense.T).astype(np.float64)
         bounds += self._dense_margin * np.linalg.norm(q32.astype(np.float64), axis=1)[:, None]
         return bounds
 
-    def _upper_bounds(self, product: np.ndarray, cols: list[list[int]]) -> list[np.ndarray]:
+    def _upper_bounds(self, block: _Block) -> list[np.ndarray]:
         """An upper bound on every entry's multi score, for each query of a
         block.
 
-        Of the similarities of product row c to every distinct row, let
-        ``top_c`` be the largest, at row ``r_c``, and ``second_c`` the second
-        largest counting repeats (``top_c`` when there is one distinct row).
-        An entry that holds ``r_c`` matches c at ``top_c``, any other entry at
-        most at ``second_c``. The bound is the mean of these, summed in the
-        query's own order of rows: it adds the same terms as the exact mean
-        in the same order, each at least as large, so it rounds to no less
-        than the exact score (see :meth:`_top`). The entries that
-        hold ``r_c`` come from the postings ``_holders``."""
-        rows = np.arange(len(product))
-        best = product.argmax(axis=1)
-        top = product[rows, best]
+        The kernel's value of product column c and a distinct row is at most
+        their float32 similarity plus the column's margin ``delta_c``
+        (:meth:`_dense_bounds`). Of the similarities of column c to every
+        distinct row, let ``top_c`` be the largest, at row ``r_c``, and
+        ``second_c`` the second largest counting repeats (``top_c`` when
+        there is one distinct row). An entry that holds ``r_c`` matches c at
+        most at ``top_c + delta_c``, any other entry at most at ``second_c +
+        delta_c``. The bound is the mean of these, summed in the query's own
+        order of rows: it adds the same terms as the exact mean in the same
+        order, each at least as large, so it rounds to no less than the
+        exact score (see :meth:`_top`). The entries that hold ``r_c`` come
+        from the postings ``_holders``."""
+        sims, _, margins, cols = block
+        columns = np.arange(sims.shape[1])
+        best = sims.argmax(axis=0)
+        top = sims[best, columns]
         second = top
-        if product.shape[1] > 1:
+        if len(sims) > 1:
             # the largest once the best is masked, which is the best again
             # where two distinct rows tie for it
-            product[rows, best] = -np.inf
-            second = product.max(axis=1)
-            product[rows, best] = top
+            sims[best, columns] = -np.inf
+            second = sims[sims.argmax(axis=0), columns]
+            sims[best, columns] = top
+        top = top + margins
+        second = second + margins
         holders = [self._holders[self._held[r] : self._held[r + 1]] for r in best.tolist()]
         out = []
         part = np.empty(len(self))
@@ -441,17 +444,6 @@ class RetrievalIndex:
                 total += part
             out.append(total / len(cs))
         return out
-
-    def _exact(
-        self, product: np.ndarray, cols: list[list[int]], keep: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The entries where ``keep`` is set, ascending, and each query's
-        exact multi scores of them, one row per query."""
-        ids = np.flatnonzero(keep)
-        positions = np.flatnonzero(keep[self._by_len])
-        scores = np.empty((len(cols), len(self)))
-        scores[:, self._by_len[positions]] = self._multi(product, cols, positions)
-        return ids, scores[:, ids]
 
     def _dense(self, qs: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """Each query's exact dense score of the entries ``ids``: float64 dot
@@ -479,47 +471,117 @@ class RetrievalIndex:
                 ss[self._sparse_pos[hit]] += w * self._sparse_w[hit]
         return ss
 
-    def _multi(
-        self, product: np.ndarray, cols: list[list[int]], positions: np.ndarray
-    ) -> np.ndarray:
-        """Late-interaction score of the entries at ``positions`` (ascending,
-        in length order), one row per query of a block, from the block's
-        (product rows, distinct rows) similarities; query i's rows are the
-        product rows ``cols[i]``, in its order.
+    def _multi(self, block: _Block, ids: np.ndarray) -> np.ndarray:
+        """The exact multi scores of the entries ``ids`` for the one query
+        of ``block`` (:meth:`_Block.of_query`).
 
-        The gather-max walks the positions in tiles of ``_TILE``, so its
-        maxima, one float64 per entry of the tile and row of the product,
-        stay small however large the corpus is. Neither the tile nor the
-        block moves a bit beyond what the product rows hold: a max is exact
-        in any order, and each query's mean adds the maxima of its rows in
-        its order, as when it is scored alone."""
-        # the transpose, copied, holds each distinct row's sims contiguously,
-        # so one gather per diagonal column serves every row of the product,
-        # and the running max over a column's prefix of entries needs no
-        # padding
-        by_row = np.ascontiguousarray(product.T)
-        out = np.empty((len(cols), len(positions)))
-        for a in range(0, len(positions), _TILE):
-            # a column covers a prefix of the length order, so of the tile's
-            # positions too, and the columns that reach it are the first
-            # ones: a column that reaches none ends the tile's scan
-            tile = positions[a : a + _TILE]
-            reach = np.searchsorted(tile, self._column_lengths).tolist()
-            best = by_row[self._columns[0][tile]]
-            for col, n in zip(self._columns[1:], reach[1:]):
-                if not n:
-                    break
-                head = best[:n]
-                np.maximum(head, by_row[col[tile[:n]]], out=head)
-            # each query's mean sums its rows in order, one at a time, as a
-            # mean over axis 0 of its (query rows, entries) maxima does;
-            # best.mean(axis=1) sums pairwise and rounds differently
-            for sm, cs in zip(out, cols):
-                total = best[:, cs[0]].copy()
-                for c in cs[1:]:
-                    total += best[:, c]
-                sm[a : a + len(tile)] = total / len(cs)
+        An entry's score is the mean, over the query's rows in its order, of
+        the entry's largest kernel value of each (:meth:`_kernel`). The
+        kernel is taken only for the rows that can hold such a maximum. A
+        kernel value lies within ``delta_c`` of the float32 similarity
+        (:meth:`_upper_bounds`), so an entry's row of largest similarity s
+        has a kernel value of at least ``s - delta_c``, and a row whose
+        similarity is below ``s - 2 delta_c`` has a value below that:
+        leaving it out changes no maximum, and a max is exact in any order.
+        The entries' rows are gathered one entry after another, which on
+        the few entries that pruning leaves is faster than the diagonals of
+        :meth:`_scan`; parts of ``_TILE // m`` entries bound the gathered
+        similarities, (rows, m) for the query's m distinct rows."""
+        sims, rows, margins, (cs,) = block
+        m = len(rows)
+        out = np.empty(len(ids))
+        step = max(1, _TILE // m)
+        for a in range(0, len(ids), step):
+            part = ids[a : a + step]
+            # the part's row ids, entry after entry, and the entry of each
+            starts = self.multi_offsets[part].astype(np.intp)
+            lengths = self.multi_offsets[part + 1].astype(np.intp) - starts
+            heads = np.cumsum(lengths) - lengths
+            flat = self.multi_row_ids[np.repeat(starts - heads, lengths) + np.arange(lengths.sum())]
+            owner = np.repeat(np.arange(len(part)), lengths)
+            near = sims[flat]
+            floor = np.maximum.reduceat(near, heads) - 2 * margins
+            # np.nonzero of a 2-d mask is several times slower
+            at, c = np.divmod(np.flatnonzero(near >= floor[owner]), m)
+            # each (column, distinct row) pair's kernel value once, and each
+            # entry's maxima of them
+            pairs, where = np.unique(c * len(sims) + flat[at], return_inverse=True)
+            exact = self._kernel(pairs % len(sims), rows[pairs // len(sims)])[where]
+            best = np.full(len(part) * m, -np.inf)
+            np.maximum.at(best, owner[at] * m + c, exact)
+            out[a : a + len(part)] = _mean_of_rows(best.reshape(len(part), m), cs)
         return out
+
+    def _scan(self, block: _Block) -> np.ndarray:
+        """Every entry's exact multi score, in corpus order, one row per
+        query of a block: the kernel on every distinct row and product
+        column (one einsum loop of :meth:`_kernel`'s, over ``_TILE`` rows
+        upcast at a time), and the gather-max over the entries' jagged
+        diagonals of row ids (see the class docstring).
+
+        The gather-max walks the length order in tiles of ``_TILE`` entries,
+        so its maxima, one per entry of the tile and product column, stay
+        small however large the corpus is. Column k of ``_columns`` covers a
+        prefix of the length order, so its slice of a tile is a prefix of
+        the tile, and the running max over it needs no padding."""
+        exact = np.empty((len(self.multi_rows), len(block.rows)))
+        for a in range(0, len(exact), _TILE):
+            chunk = self.multi_rows[a : a + _TILE].astype(np.float64)
+            np.einsum("ij,kj->ik", chunk, block.rows, out=exact[a : a + len(chunk)])
+        out = np.empty((len(block.cols), len(self)))
+        for a in range(0, len(self), _TILE):
+            diagonals = [col[a : a + _TILE] for col in self._columns if len(col) > a]
+            best = exact[diagonals[0]]
+            for ids in diagonals[1:]:
+                head = best[: len(ids)]
+                np.maximum(head, exact[ids], out=head)
+            entries = self._by_len[a : a + len(best)]
+            for sm, cs in zip(out, block.cols):
+                sm[entries] = _mean_of_rows(best, cs)
+        return out
+
+    def _kernel(self, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The exact similarity of each distinct row ``ids[i]`` with the
+        float64 row ``rows[i]``: float64 dot products of the stored float32
+        rows, upcast ``_TILE`` at a time. One einsum loop sums every pair in
+        the same order, the loop of :meth:`_dense`'s ``"ij,j->i"`` and of
+        :meth:`_scan`, so a value's bits depend on the two rows alone."""
+        out = np.empty(len(ids))
+        for a in range(0, len(ids), _TILE):
+            chunk = self.multi_rows[ids[a : a + _TILE]].astype(np.float64)
+            np.einsum("ij,ij->i", chunk, rows[a : a + _TILE], out=out[a : a + len(chunk)])
+        return out
+
+
+class _Block(NamedTuple):
+    """A block's multi-vector product: ``sims[u, c]`` is the float32
+    similarity of distinct row u to product column c, the query row
+    ``rows[c]`` (float64), whose kernel value lies within ``margins[c]`` of
+    it; query i's rows are the columns ``cols[i]``, in its order."""
+
+    sims: np.ndarray
+    rows: np.ndarray
+    margins: np.ndarray
+    cols: list[list[int]]
+
+    def of_query(self, cs: list[int]) -> _Block:
+        """The block of the one query whose rows are the columns ``cs``:
+        its distinct columns alone, in ascending order."""
+        u, inv = np.unique(cs, return_inverse=True)
+        return self._replace(
+            sims=self.sims[:, u], rows=self.rows[u], margins=self.margins[u], cols=[inv.tolist()]
+        )
+
+
+def _mean_of_rows(best: np.ndarray, cs) -> np.ndarray:
+    """Each entry's mean of its maxima ``best[:, c]`` over the query's
+    columns ``cs``, summed in their order, one at a time, as a mean over
+    axis 0 of the (query rows, entries) maxima does; ``best.mean(axis=1)``
+    sums pairwise and rounds differently."""
+    total = best[:, cs[0]].copy()
+    for c in cs[1:]:
+        total += best[:, c]
+    return total / len(cs)
 
 
 def build_index(
@@ -621,6 +683,15 @@ def _pool_dense(
 def _row_keys(rows: np.ndarray) -> list[bytes]:
     """Each row's float32 bytes, as one key (through a void view)."""
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+
+
+def _margin(rows: np.ndarray) -> float:
+    """The bounds' rounding margin per unit of query norm for the float32
+    ``rows`` (see :meth:`RetrievalIndex._dense_bounds`)."""
+    h = rows.shape[1]
+    squares = float(np.einsum("ij,ij->i", rows, rows).max(initial=0.0))
+    max_norm = math.sqrt(squares / (1 - _gamma(h, 2.0**-24)))
+    return (_gamma(h, 2.0**-24) + _gamma(h, 2.0**-53)) * max_norm * (1 + 2.0**-20)
 
 
 def _gamma(n: int, u: float) -> float:
@@ -762,6 +833,10 @@ def load_index(path: str | Path) -> RetrievalIndex:
         sparse_indptr=reader.array("<u4", n + 1, "sparse offsets"),
         sparse_ids=reader.array("<u4", nnz, "sparse ids"),
         sparse_weights=reader.array("<f4", nnz, "sparse weights"),
+    )
+    # and so does the float32 multi-vector product of _top
+    reader.align()
+    arrays.update(
         multi_rows=reader.array("<f4", n_rows * dim, "multi-vector rows").reshape(n_rows, dim),
         multi_offsets=reader.array("<u4", n + 1, "multi-vector offsets"),
         multi_row_ids=reader.array("<u4", n_ids, "multi-vector row ids"),

@@ -169,10 +169,10 @@ def reference_build_index(corpus, table, proj) -> RetrievalIndex:
 def per_row_scan(query, corpus, table, proj):
     """Float64 scores from a scan over every token row of every entry, with
     rows deduped over the corpus only: the scan the columnar index replaced,
-    whose values it must keep bit for bit. Dense scores are einsum row
-    dots, whose bits depend on the two rows alone, as the index's exact
-    dense scores are; a BLAS product may round a row apart by its
-    position."""
+    whose values it must keep bit for bit. Dense scores and multi-vector
+    similarities are einsum row dots, whose bits depend on the two rows
+    alone, as the index's exact scores are; a BLAS product may round a row
+    apart by its position."""
     emb = embed_tokens(table, query)
     qd, qs, qm = dense_embed(emb), sparse_embed(emb, proj), multi_embed(emb, proj)
     reps = [embed_tokens(table, p.src_text) for p in corpus]
@@ -189,7 +189,8 @@ def per_row_scan(query, corpus, table, proj):
         for pos, weights in enumerate(sparse):
             if tid in weights:
                 ss[pos] += w * weights[tid]
-    sims = qm.rows.astype(np.float64) @ uniq.astype(np.float64).T
+    rows64 = uniq.astype(np.float64)
+    sims = np.stack([np.einsum("ij,j->i", rows64, q) for q in qm.rows.astype(np.float64)])
     sm = np.stack([np.maximum.reduceat(s[row_ids], starts) for s in sims]).mean(axis=0)
     return sd, ss, sm
 

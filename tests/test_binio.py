@@ -1,5 +1,5 @@
-"""Loaded files and scan buffers in memory maps of their own, recycled by
-size (afsp._binio)."""
+"""Loaded files in memory maps of their own, recycled by size
+(afsp._binio)."""
 
 import gc
 import mmap
@@ -68,25 +68,9 @@ def test_freed_file_map_is_reused_by_the_next_load(tmp_path, no_spares):
     address = matrix.ctypes.data
     del matrix
     gc.collect()
-    # a file's map has room past its end to align arrays (Reader.align)
-    assert len(_binio._spare_maps[path.stat().st_size + _binio._ALIGN]) == 1
+    # a file's map has room past its end to align arrays twice (Reader.align)
+    assert len(_binio._spare_maps[path.stat().st_size + 2 * _binio._ALIGN]) == 1
     assert load_table(path).matrix.ctypes.data == address
-
-
-def test_empty_maps_a_large_array_and_recycles_it_after_its_last_view(no_spares):
-    a = _binio.empty((4, 8), np.float64)
-    assert a.shape == (4, 8) and a.flags.c_contiguous and a.flags.writeable
-    assert isinstance(_root(a), mmap.mmap)
-    view = a[1:]
-    address = a.ctypes.data
-    del a
-    gc.collect()
-    assert not _binio._spare_maps.get(256)
-    del view
-    gc.collect()
-    assert _binio.empty((32,), np.float64).ctypes.data == address
-    small = _binio.empty((2,), np.float64)
-    assert isinstance(_root(small), mmap.mmap) and small.flags.writeable
 
 
 def test_a_callers_read_only_view_of_a_map_is_not_sealed():
@@ -107,7 +91,7 @@ def test_mapped_index_scores_equal_the_built_index_bit_for_bit(tmp_path, no_spar
     save_index(index, path)
     loaded = load_index(path)
     assert isinstance(_root(loaded.dense), mmap.mmap)
-    assert isinstance(_root(loaded._rows64), mmap.mmap)
+    assert isinstance(_root(loaded.multi_rows), mmap.mmap)
     assert loaded.dense.ctypes.data % _binio._ALIGN == 0
     rng = random.Random(4)
     for query in [en_sentence(rng) for _ in range(12)]:
@@ -116,6 +100,19 @@ def test_mapped_index_scores_equal_the_built_index_bit_for_bit(tmp_path, no_spar
         assert [(s.pair.id, s.s_dense, s.s_sparse, s.s_multi, s.s_rank) for s in got] == [
             (s.pair.id, s.s_dense, s.s_sparse, s.s_multi, s.s_rank) for s in want
         ]
+
+
+def test_a_loaded_index_holds_no_float64_copy_of_its_multi_vector_rows(tmp_path):
+    # the float32 rows serve the bounds and the exact kernel alike, and
+    # are aligned for the float32 product
+    index = build_index(synthetic_corpus(40, seed=8), corpus_table(dim=32), init_projections(32, seed=13))
+    save_index(index, tmp_path / "index.bin")
+    loaded = load_index(tmp_path / "index.bin")
+    assert loaded.multi_rows.dtype == np.float32
+    assert loaded.multi_rows.ctypes.data % _binio._ALIGN == 0
+    arrays = [v for v in vars(loaded).values() if isinstance(v, np.ndarray)]
+    arrays += [a for v in vars(loaded).values() if isinstance(v, list) for a in v]
+    assert not [a for a in arrays if a.dtype == np.float64 and a.size == loaded.multi_rows.size]
 
 
 def scored(results):
@@ -152,6 +149,7 @@ def test_loaded_dense_rows_are_aligned_whatever_the_pair_table_length(tmp_path, 
         loaded = load_index(path)
         assert isinstance(_root(loaded.dense), mmap.mmap)
         assert loaded.dense.ctypes.data % _binio._ALIGN == 0
+        assert loaded.multi_rows.ctypes.data % _binio._ALIGN == 0
         assert loaded.dense.tobytes() == built.dense.tobytes()
         # the file's bytes are unchanged, and so are the ones saved again
         assert path.read_bytes() == data

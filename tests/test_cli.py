@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 import yaml
@@ -276,6 +277,8 @@ def test_train_reranker_reports_progress(workspace, capsys, tmp_path):
         ("--epochs", "0", "epochs must be at least 1"),
         ("--feature-dim", "0", "feature_dim must be at least 1"),
         ("--lr", "inf", "learning_rate must be a finite number > 0"),
+        # the model file's u32 cannot hold it; refused before any allocation
+        ("--feature-dim", "4294967296", "feature_dim must be at most 4294967295"),
     ],
 )
 def test_train_reranker_bad_limits_exit_2(workspace, capsys, tmp_path, flag, value, message):
@@ -283,6 +286,20 @@ def test_train_reranker_bad_limits_exit_2(workspace, capsys, tmp_path, flag, val
     out = tmp_path / "m.bin"
     assert main(["train-reranker", "--data", str(root / "degraded.jsonl"), flag, value, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_reranker_out_of_memory_exits_2(workspace, capsys, tmp_path, monkeypatch):
+    # numpy's allocation failure, as a --feature-dim in the billions gives
+    def train(*args, **kwargs):
+        raise MemoryError("Unable to allocate 22.4 GiB for an array with shape (3000000002,)")
+
+    monkeypatch.setattr("afsp.reranker.train", train)
+    root, _ = workspace
+    out = tmp_path / "m.bin"
+    argv = ["train-reranker", "--data", str(root / "degraded.jsonl"), "--feature-dim", "3000000000"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "error: Unable to allocate 22.4 GiB" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -437,6 +454,43 @@ def test_translate_onto_its_own_input_exits_2_and_leaves_it_alone(workspace, tmp
     ]) == 2
     assert "must name different files" in capsys.readouterr().err
     assert inp.read_text(encoding="utf-8") == pairs[0].src_text + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "--input", "@pairs.jsonl", "--out", "@pairs.jsonl"],
+        ["index", "--corpus", "@corpus.bin", "--embeddings", "@table.bin", "--out", "@corpus.bin"],
+        ["index", "--corpus", "@corpus.bin", "--embeddings", "@table.bin", "--out", "@table.bin"],
+        ["degrade", "--corpus", "@corpus.bin", "--out", "@corpus.bin"],
+        ["degrade", "--corpus", "@corpus.bin", "--embeddings", "@table.bin", "--out", "@table.bin"],
+        ["train-reranker", "--data", "@degraded.jsonl", "--out", "@degraded.jsonl"],
+        ["translate", "--config", "@cfg.yaml", "--input", "@in.txt", "--out", "@cfg.yaml"],
+        # the index, table and reranker that the config file names
+        ["translate", "--config", "@cfg.yaml", "--input", "@in.txt", "--out", "@index.bin"],
+        ["translate", "--config", "@cfg.yaml", "--text", "hi", "--audit", "@table.bin"],
+        ["translate", "--config", "@cfg.yaml", "--input", "@in.txt", "--out", "@o.txt",
+         "--audit", "@model.bin"],
+        ["translate", "--config", "@cfg.yaml", "--index", "@index.bin", "--text", "hi",
+         "--audit", "@index.bin"],
+        ["translate", "--config", "@cfg.yaml", "--text", "hi", "--mock-script", "@script.json",
+         "--audit", "@script.json"],
+        ["translate", "--config", "@cfg.yaml", "--input", "@in.txt", "--out", "@o.txt",
+         "--audit", "@in.txt"],
+    ],
+)
+def test_an_output_naming_an_input_exits_2_and_leaves_it_alone(workspace, tmp_path, capsys, argv):
+    root, pairs = workspace
+    for name in ("pairs.jsonl", "corpus.bin", "table.bin", "degraded.jsonl", "index.bin", "model.bin"):
+        shutil.copy(root / name, tmp_path / name)
+    write_translate_config(tmp_path, tmp_path / "cfg.yaml")
+    (tmp_path / "in.txt").write_text(pairs[0].src_text + "\n", encoding="utf-8")
+    (tmp_path / "script.json").write_text("{}", encoding="utf-8")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert main([str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]) == 2
+    assert "must name different files" in capsys.readouterr().err
+    # the input is byte-identical, and nothing else was written
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_translate_input_not_utf8_exits_2_naming_the_path(workspace, tmp_path, capsys):

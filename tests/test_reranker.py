@@ -294,6 +294,8 @@ def test_model_rejects_zero_feature_dim(tmp_path):
         # beyond float32's range: save_model would write inf or overflow
         ({"weights": np.array([0.0] * 9 + [1e300])}, "beyond float32's range"),
         ({"bias": -1e300}, "beyond float32's range"),
+        # beyond the model file's u32 feature dim, checked before the weights
+        ({"feature_dim": 1 << 32, "weights": np.zeros(2)}, "feature dim must be <= 4294967295"),
     ],
 )
 def test_model_checks_its_fields_when_built(kwargs, message):

@@ -661,28 +661,27 @@ def test_diagonal_scan_equals_per_row_scan_on_jagged_corpora(tmp_path, corpus, q
                 assert g.s_rank == w.alpha1 * sd[p] + w.alpha2 * ss[p] + w.alpha3 * sm[p]
 
 
-def assert_same_top(got, want, abs_tol=1e-12):
-    """Each entry's dense score equal to its per-query one, its other scores
-    within abs_tol of theirs, and the per-query order, except that entries
-    whose scores tie within abs_tol may swap places: BLAS may round a
-    similarity of the multi-vector product differently at another row
-    position or block shape, so exact ties can split."""
+def assert_same_top(got, want):
+    """Each entry's four scores equal to its per-query ones, and the
+    per-query order, except that entries whose fused scores tie exactly may
+    swap places: every exact score comes from a kernel whose bits depend on
+    the two rows alone, wherever they sit in a block."""
     assert len(got) == len(want)
     by_id = {w.pair.id: w for w in want}
     for g, w in zip(got, want):
         mine = by_id[g.pair.id]
-        assert g.s_dense == mine.s_dense
-        assert (g.s_dense, g.s_sparse, g.s_multi, g.s_rank) == pytest.approx(
-            (mine.s_dense, mine.s_sparse, mine.s_multi, mine.s_rank), abs=abs_tol
+        assert (g.s_dense, g.s_sparse, g.s_multi, g.s_rank) == (
+            mine.s_dense, mine.s_sparse, mine.s_multi, mine.s_rank
         )
-        assert g.pair.id == w.pair.id or g.s_rank == pytest.approx(w.s_rank, abs=abs_tol)
+        assert g.pair.id == w.pair.id or g.s_rank == w.s_rank
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(corpus=jagged_corpora(), block=st.lists(queries, min_size=1, max_size=20))
 def test_retrieve_many_equals_per_query_retrieve_topk(corpus, block):
     # blocks of up to 20 queries of up to 12 rows put several queries in one
-    # multi-vector product, whose sums may round apart from a query's own
+    # multi-vector product, where a query's rows sit at other columns than
+    # when it is scored alone
     table = corpus_table(dim=16)
     proj = init_projections(16, seed=3)
     index = build_index(corpus, table, proj)
@@ -871,19 +870,15 @@ def test_any_tile_scores_jagged_corpora_as_the_default_tile(corpus, block, tile)
 
 
 def spy_groups(monkeypatch):
-    """Record each multi-vector product as (product rows, cols), once
-    however many times it is scored."""
+    """Record each multi-vector product as (product columns, cols)."""
     groups = []
-    products = []
-    multi = afsp.retrieval.RetrievalIndex._multi
+    block = afsp.retrieval._Block
 
-    def spy(self, product, cols, positions):
-        if not products or products[-1] is not product:
-            products.append(product)
-            groups.append((product.shape[0], cols))
-        return multi(self, product, cols, positions)
+    def spy(sims, rows, margins, cols):
+        groups.append((sims.shape[1], cols))
+        return block(sims, rows, margins, cols)
 
-    monkeypatch.setattr(afsp.retrieval.RetrievalIndex, "_multi", spy)
+    monkeypatch.setattr(afsp.retrieval, "_Block", spy)
     return groups
 
 
@@ -1013,9 +1008,8 @@ def test_pruned_top_k_equals_a_full_stable_sort(corpus, query, w):
     w=st.sampled_from(PRUNING_WEIGHTS),
 )
 def test_pruned_blocks_equal_a_full_scan_of_the_block(corpus, block, w):
-    # BLAS may round a block's dot products apart from a query's own (see
-    # assert_same_top), so a block is held to its own full scan, which
-    # k = len(corpus) runs; a block of one is held to per_row_scan
+    # a block is held to its own full scan, which k = len(corpus) runs,
+    # and a block of one to per_row_scan
     table = corpus_table(dim=16)
     proj = init_projections(16, seed=3)
     index = build_index(corpus, table, proj)
@@ -1026,6 +1020,27 @@ def test_pruned_blocks_equal_a_full_scan_of_the_block(corpus, block, w):
         (alone,) = retrieve_many(block[:1], index, table, proj, w, k=k)
         scores = per_row_scan(block[0], corpus, table, proj)
         assert as_tuples(alone) == full_sort_top(scores, corpus, w, k)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    corpus=corpora_with_repeats(),
+    block=st.lists(queries, min_size=1, max_size=20),
+    w=st.sampled_from(PRUNING_WEIGHTS),
+    normalize=st.booleans(),
+    dim=st.sampled_from([5, 16]),
+)
+def test_a_block_of_n_queries_equals_n_lone_queries(corpus, block, w, normalize, dim):
+    # every exact score comes from a kernel whose bits depend on the two
+    # rows alone, so a query's rows score the same at any column of a
+    # block's product, pruned or scanned in full
+    table = corpus_table(dim=dim)
+    proj = init_projections(dim, seed=3)
+    index = build_index(corpus, table, proj)
+    for k in top_ks(len(corpus)):
+        got = retrieve_many(block, index, table, proj, w, k=k, normalize_scores=normalize)
+        alone = [retrieve_topk(q, index, table, proj, w, k=k, normalize_scores=normalize) for q in block]
+        assert [as_tuples(top) for top in got] == [as_tuples(top) for top in alone]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -1217,12 +1232,10 @@ def spy_bounds(monkeypatch):
     pairs = []
     bounds = afsp.retrieval.RetrievalIndex._upper_bounds
 
-    def spy(self, product, cols):
-        got = bounds(self, product, cols)
-        exact = np.empty(len(self))
-        for ub, sm in zip(got, self._multi(product, cols, np.arange(len(self)))):
-            exact[self._by_len] = sm
-            pairs.append((ub.copy(), exact.copy()))
+    def spy(self, block):
+        got = bounds(self, block)
+        for ub, sm in zip(got, self._scan(block)):
+            pairs.append((ub.copy(), sm))
         return got
 
     monkeypatch.setattr(afsp.retrieval.RetrievalIndex, "_upper_bounds", spy)
@@ -1247,6 +1260,21 @@ def test_bound_is_at_least_the_exact_multi_score(corpus, block):
         assert np.all(ub >= sm)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=near_tie_cases())
+def test_multi_margin_holds_the_kernel_on_near_ties(case):
+    # the multi bounds add delta_c to the float32 product, and _multi drops
+    # the rows more than 2 delta_c below an entry's best: both need every
+    # (query row, distinct row) pair's kernel value within delta_c of it
+    qs, rows = case
+    index = dense_index(rows)
+    block = index._block([MultiVec(qs), MultiVec(rows[:3])])
+    n, m = block.sims.shape
+    exact = index._kernel(np.repeat(np.arange(n), m), np.tile(block.rows, (n, 1))).reshape(n, m)
+    assert np.all(block.sims + block.margins >= exact)
+    assert np.all(block.sims - block.margins <= exact)
+
+
 def test_bound_is_at_least_the_exact_multi_score_on_a_large_corpus(large_stack, monkeypatch):
     corpus, table, proj, index = large_stack
     rng = random.Random(19)
@@ -1254,10 +1282,12 @@ def test_bound_is_at_least_the_exact_multi_score_on_a_large_corpus(large_stack, 
     pairs = spy_bounds(monkeypatch)
     retrieve_many(block, index, table, proj, Weights(), k=3)
     assert len(pairs) == len(block)
+    # the bound is within twice the margin of the exact score where an
+    # entry holds each row's best match (query rows have unit norm)
+    delta = index._multi_margin * (1 + 1e-6)
     for ub, sm in pairs:
         assert np.all(ub >= sm)
-        # the bound is tight where an entry holds each row's best match
-        assert np.any(ub == sm)
+        assert np.any(ub - sm <= 2 * delta)
 
 
 def test_bound_leaves_few_entries_to_score_exactly(monkeypatch):
@@ -1271,9 +1301,9 @@ def test_bound_leaves_few_entries_to_score_exactly(monkeypatch):
     multi = afsp.retrieval.RetrievalIndex._multi
     dense = afsp.retrieval.RetrievalIndex._dense
 
-    def spy(self, product, cols, positions):
-        sent.append(len(positions))
-        return multi(self, product, cols, positions)
+    def spy(self, block, ids):
+        sent.append(len(ids))
+        return multi(self, block, ids)
 
     def spy_dense(self, qs, ids):
         dense_sent.append(len(ids))
