@@ -352,23 +352,13 @@ class RetrievalIndex:
         return out
 
     def _block(self, multis: list[MultiVec]) -> _Block:
-        """The multi-vector product of a block of queries. A row that an
-        earlier query of the block brought, keyed by its float32 bytes, is
-        reused, and the query's other rows, repeats included, are new
-        columns in its order."""
-        seen: dict[bytes, int] = {}
-        parts, cols = [], []
-        size = 0
-        for multi in multis:
-            keys = _row_keys(multi.rows)
-            new = [j for j, key in enumerate(keys) if key not in seen]
-            fresh = iter(range(size, size + len(new)))
-            cols.append([seen[key] if key in seen else next(fresh) for key in keys])
-            for key, c in zip(keys, cols[-1]):
-                seen.setdefault(key, c)
-            parts.append(multi.rows[new])
-            size += len(new)
-        rows = np.concatenate(parts)
+        """The multi-vector product of a block of queries: one column per
+        distinct row of the block (:func:`_distinct_rows`, as the index
+        dedupes corpus rows), however often a query or the block repeats
+        it, and each query's rows as columns in its order."""
+        rows, ids = _distinct_rows(np.concatenate([multi.rows for multi in multis]))
+        ends = np.cumsum([len(multi.rows) for multi in multis])
+        cols = [part.tolist() for part in np.split(ids, ends[:-1])]
         rows64 = rows.astype(np.float64)
         return _Block(
             self.multi_rows @ rows.T,
@@ -446,22 +436,8 @@ class RetrievalIndex:
         return out
 
     def _dense(self, qs: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """Each query's exact dense score of the entries ``ids``: float64 dot
-        products of the stored float32 rows, upcast ``_TILE`` rows at a
-        time. One einsum loop sums every row in the same order, wherever
-        the row sits and whatever is scored with it, so byte-identical rows
-        tie exactly and a query's dense scores are the same in any block. A
-        BLAS product may round a row's dot product apart by the row's
-        position, so it serves only for bounds."""
-        out = np.empty((len(qs), len(ids)))
-        # every entry, in order, is read by slices rather than gathered
-        every = len(ids) == len(self)
-        for a in range(0, len(ids), _TILE):
-            rows = self.dense[a : a + _TILE] if every else self.dense[ids[a : a + _TILE]]
-            rows = rows.astype(np.float64)
-            for q, sd in zip(qs, out):
-                np.einsum("ij,j->i", rows, q, out=sd[a : a + len(rows)])
-        return out
+        """Each query's exact dense scores of the entries ``ids`` (:func:`_dots`)."""
+        return _dots(self.dense, ids, qs).T
 
     def _sparse(self, q_sparse: SparseWeights) -> np.ndarray:
         ss = np.zeros(len(self))
@@ -514,20 +490,16 @@ class RetrievalIndex:
 
     def _scan(self, block: _Block) -> np.ndarray:
         """Every entry's exact multi score, in corpus order, one row per
-        query of a block: the kernel on every distinct row and product
-        column (one einsum loop of :meth:`_kernel`'s, over ``_TILE`` rows
-        upcast at a time), and the gather-max over the entries' jagged
-        diagonals of row ids (see the class docstring).
+        query of a block: the exact similarity of every distinct row and
+        product column (:func:`_dots`), and the gather-max over the
+        entries' jagged diagonals of row ids (see the class docstring).
 
         The gather-max walks the length order in tiles of ``_TILE`` entries,
         so its maxima, one per entry of the tile and product column, stay
         small however large the corpus is. Column k of ``_columns`` covers a
         prefix of the length order, so its slice of a tile is a prefix of
         the tile, and the running max over it needs no padding."""
-        exact = np.empty((len(self.multi_rows), len(block.rows)))
-        for a in range(0, len(exact), _TILE):
-            chunk = self.multi_rows[a : a + _TILE].astype(np.float64)
-            np.einsum("ij,kj->ik", chunk, block.rows, out=exact[a : a + len(chunk)])
+        exact = _dots(self.multi_rows, np.arange(len(self.multi_rows)), block.rows)
         out = np.empty((len(block.cols), len(self)))
         for a in range(0, len(self), _TILE):
             diagonals = [col[a : a + _TILE] for col in self._columns if len(col) > a]
@@ -542,10 +514,8 @@ class RetrievalIndex:
 
     def _kernel(self, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The exact similarity of each distinct row ``ids[i]`` with the
-        float64 row ``rows[i]``: float64 dot products of the stored float32
-        rows, upcast ``_TILE`` at a time. One einsum loop sums every pair in
-        the same order, the loop of :meth:`_dense`'s ``"ij,j->i"`` and of
-        :meth:`_scan`, so a value's bits depend on the two rows alone."""
+        float64 row ``rows[i]``, ``_TILE`` pairs at a time, by the einsum
+        loop of :func:`_dots`, so a value's bits depend on the two rows alone."""
         out = np.empty(len(ids))
         for a in range(0, len(ids), _TILE):
             chunk = self.multi_rows[ids[a : a + _TILE]].astype(np.float64)
@@ -573,6 +543,21 @@ class _Block(NamedTuple):
         )
 
 
+def _dots(rows: np.ndarray, ids: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """The exact similarity of each float32 row ``rows[ids[i]]`` with each
+    float64 row ``qs[c]``, at ``[i, c]``: float64 dot products of ``_TILE``
+    rows upcast at a time, sliced when ``ids`` covers every row and gathered
+    otherwise. One einsum loop sums every pair in the same order, so a
+    value's bits depend on the two rows alone; a BLAS product may round a
+    dot product apart by the row's position, so it serves only for bounds."""
+    out = np.empty((len(ids), len(qs)))
+    every = len(ids) == len(rows)
+    for a in range(0, len(ids), _TILE):
+        chunk = rows[a : a + _TILE] if every else rows[ids[a : a + _TILE]]
+        np.einsum("ij,kj->ik", chunk.astype(np.float64), qs, out=out[a : a + len(chunk)])
+    return out
+
+
 def _mean_of_rows(best: np.ndarray, cs) -> np.ndarray:
     """Each entry's mean of its maxima ``best[:, c]`` over the query's
     columns ``cs``, summed in their order, one at a time, as a mean over
@@ -597,7 +582,8 @@ def build_index(
 
     The table and projections are hashed into the index's fingerprint on
     a second thread while the build runs: hashlib releases the GIL while
-    it hashes.
+    it hashes. The index is bound to that pair (:meth:`RetrievalIndex.bind`),
+    so its first query hashes nothing.
     """
     with ThreadPoolExecutor(max_workers=1) as pool:
         fingerprint = pool.submit(table_fingerprint, table, proj)
@@ -633,24 +619,25 @@ def build_index(
         _, first = np.unique(key[order], return_index=True)
         sparse = hit[order[first]]
 
-        # exact dedupe of multi-vector rows by their float32 bytes (_row_keys),
-        # numbered in order of first appearance; two tokens with equal rows
-        # share one; a pair lists its distinct rows in order of first appearance
-        seen: dict[bytes, int] = {}
-        row = np.array([seen.setdefault(k, len(seen)) for k in _row_keys(rows)], dtype=np.intp)[tok]
-        _, first = np.unique(owner * len(seen) + row, return_index=True)
+        # two tokens with equal rows share one; a pair lists its distinct
+        # rows in order of first appearance
+        rows, row = _distinct_rows(rows)
+        row = row[tok]
+        _, first = np.unique(owner * len(rows) + row, return_index=True)
         multi = np.sort(first)
-        return RetrievalIndex(
+        index = RetrievalIndex(
             corpus,
             fingerprint.result(),
             dense=dense,
             sparse_indptr=_offsets(np.bincount(owner[sparse], minlength=len(corpus))),
             sparse_ids=tid[sparse].astype(np.uint32),
             sparse_weights=weight[sparse],
-            multi_rows=np.frombuffer(b"".join(seen), dtype=np.float32).reshape(len(seen), -1),
+            multi_rows=rows,
             multi_offsets=_offsets(np.bincount(owner[multi], minlength=len(corpus))),
             multi_row_ids=row[multi].astype(np.uint32),
         )
+    index.bind(table, proj, index.fingerprint)
+    return index
 
 
 def _pool_dense(
@@ -680,9 +667,14 @@ def _pool_dense(
     return dense
 
 
-def _row_keys(rows: np.ndarray) -> list[bytes]:
-    """Each row's float32 bytes, as one key (through a void view)."""
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the float32 ``rows``, compared by their bytes
+    (each row one key, through a void view), in order of first appearance,
+    and the index of each row among them."""
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+    seen: dict[bytes, int] = {}
+    ids = np.array([seen.setdefault(key, len(seen)) for key in keys], dtype=np.intp)
+    return rows[np.unique(ids, return_index=True)[1]], ids
 
 
 def _margin(rows: np.ndarray) -> float:
@@ -723,9 +715,9 @@ def retrieve_many(
 ) -> list[list[ScoredDemo] | AfspError]:
     """:func:`retrieve_topk` for each text, scored as one block, whose
     queries share the entries that are scanned in full and one
-    multi-vector product. The block bounds the work: the product has a row
-    for each query row that no earlier query brought, and the dense bounds
-    and sparse scores a row of N entries per query.
+    multi-vector product. The block bounds the work: the product has a
+    column for each distinct row of the block's queries, and the dense
+    bounds and sparse scores a row of N entries per query.
 
     A text that cannot be embedded (EmptyQuery for a blank one) holds its
     error in its place of the result, and the others are still scored.

@@ -893,13 +893,27 @@ def test_copies_of_a_query_share_one_product(stack, monkeypatch):
     got = retrieve_many([query] * 20, index, table, proj, w, k=len(corpus))
     assert len(groups) == 1
     size, cols = groups[0]
-    # the first copy's rows, the repeat included, are the product; the
-    # other copies reuse them
-    assert size == 10 and len(cols) == 20
-    assert cols[0] == list(range(10))
-    assert all(c == [0, 0] + list(range(2, 10)) for c in cols[1:])
+    # the first copy's distinct rows are the product, its repeat at the
+    # column of its first "好"; every copy has that layout
+    assert size == 9 and len(cols) == 20
+    assert cols[0] == [0, 0] + list(range(1, 9))
+    assert all(c == cols[0] for c in cols[1:])
     assert got[0] == alone
     assert all(top == got[0] for top in got[1:])
+
+
+def test_a_blocks_product_holds_each_distinct_row_once(stack, monkeypatch):
+    corpus, table, proj, index = stack
+    query = "好好双方同意加强合作"
+    groups = spy_groups(monkeypatch)
+    assert retrieve_topk(query, index, table, proj, Weights(), k=3)
+    # 10 query rows, 9 distinct: the repeated "好" is one column
+    ((size, (cs,)),) = groups
+    assert size == 9 and cs == [0, 0] + list(range(1, 9))
+    groups.clear()
+    retrieve_many([query] * 20, index, table, proj, Weights(), k=3)
+    ((size, cols),) = groups
+    assert size == 9 and len(cols) == 20 and all(c == cs for c in cols)
 
 
 def test_rows_seen_earlier_in_the_group_add_no_product_rows(stack, monkeypatch):
@@ -1203,10 +1217,15 @@ def test_dense_bound_is_at_least_the_kernel_on_near_ties(case):
     qs, dense = case
     index = dense_index(dense)
     q64 = qs.astype(np.float64)
-    exact = index._dense(q64, np.arange(len(index)))
+
+    def dots(ids):
+        # each query's exact dense score of the entries ids, one row per query
+        return afsp.retrieval._dots(index.dense, ids, q64).T
+
+    exact = dots(np.arange(len(index)))
     # an entry's exact score is its own, wherever its row is scored
     for i in range(len(index)):
-        assert index._dense(q64, np.array([i]))[:, 0].tolist() == exact[:, i].tolist()
+        assert dots(np.array([i]))[:, 0].tolist() == exact[:, i].tolist()
     # a block's product and a lone query's
     assert np.all(index._dense_bounds(qs) >= exact)
     for i in range(len(qs)):
@@ -1386,8 +1405,25 @@ def test_fingerprint_checked_once_per_pair(monkeypatch):
     monkeypatch.setattr(
         afsp.retrieval, "table_fingerprint", lambda *a: calls.append(a) or real(*a)
     )
+    # an equal pair of other objects than the build's is hashed once
+    equal = init_projections(16, seed=8)
     for pair in list(corpus)[:8]:
-        retrieve_topk(pair.src_text, index, table, proj, Weights(), k=2)
+        retrieve_topk(pair.src_text, index, table, equal, Weights(), k=2)
+    assert len(calls) == 1
+
+
+def test_a_built_index_is_bound_to_the_pair_it_hashed(monkeypatch):
+    calls = []
+    real = afsp.retrieval.table_fingerprint
+    monkeypatch.setattr(
+        afsp.retrieval, "table_fingerprint", lambda *a: calls.append(a) or real(*a)
+    )
+    corpus = synthetic_corpus(20, seed=4)
+    table = corpus_table(dim=16)
+    proj = init_projections(16, seed=8)
+    index = build_index(corpus, table, proj)
+    assert retrieve_topk(corpus[0].src_text, index, table, proj, Weights(), k=2)
+    # the build hashes the pair, and the first query does not again
     assert len(calls) == 1
 
 
