@@ -112,6 +112,7 @@ def cmd_retrieve(args) -> int:
                 for s in scored
             ],
             ensure_ascii=False,
+            allow_nan=False,
         )
     )
     return EXIT_OK

@@ -30,8 +30,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, replace
-
-import requests
+from typing import TYPE_CHECKING
 
 from .errors import (
     AllCandidatesEmpty,
@@ -43,6 +42,9 @@ from .errors import (
     check_type,
 )
 from .prompting import extract_translation, lang_display_name, render_prompt
+
+if TYPE_CHECKING:
+    import requests
 
 API_KEY_ENV = "AFSP_API_KEY"
 
@@ -123,12 +125,16 @@ class ChatCompletionsClient:
 
     A client built without a session opens its own and closes it in
     ``close()``, which ``with`` calls on exit; a session passed in stays the
-    caller's to close.
+    caller's to close. ``requests`` is imported by the first client built,
+    so a run without one does not load it.
     """
 
     def __init__(self, session: requests.Session | None = None):
+        import requests
+
         self._owns_session = session is None
         self._session = session or requests.Session()
+        self._request_error = requests.RequestException
 
     def close(self) -> None:
         if self._owns_session:
@@ -195,7 +201,7 @@ class ChatCompletionsClient:
                 resp = self._session.post(
                     url, json=body, headers=headers, timeout=min(cfg.timeout, left)
                 )
-            except requests.RequestException as exc:
+            except self._request_error as exc:
                 last_error = exc
                 continue
             if resp.status_code == 429:

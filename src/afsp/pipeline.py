@@ -30,8 +30,6 @@ from dataclasses import dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
 
-import yaml
-
 from . import retrieval
 from .corpus import read_lines
 from .embedding import EmbeddingTable, ProjectionSet, init_projections, load_table
@@ -150,6 +148,8 @@ def load_config(path: str | Path) -> PipelineConfig:
     """The defaults with a YAML file's sections (paths, retrieval, seeds,
     lang_names, generation) applied. Invalid YAML or settings raise
     ValueError; a file that is not UTF-8 raises InputNotUtf8."""
+    import yaml
+
     try:
         raw = yaml.safe_load("".join(read_lines(path)))
     except yaml.YAMLError as exc:

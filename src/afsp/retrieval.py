@@ -33,8 +33,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -90,6 +93,16 @@ _POOL_CHUNK = 512
 # their working memory to _TILE x (product columns) and _TILE x H float64
 _TILE = 2048
 
+# the range of a positive fusion weight, from the range of the scores. A
+# dense or multi score is at most 1 in size, and a sparse score, a sum of
+# fewer than 2**32 products of float32 weights below 2**128, is below
+# 2**288; so three terms of weight at most 2**734 sum below 2**1024, where
+# float64 overflows. A nonzero dense or sparse score is a sum of products
+# of float32 values, all multiples of 2**-298, so it is at least 2**-298 in
+# size, and a weight of at least 2**-724 keeps its term a normal float64
+# rather than a subnormal one or 0, which rank too coarsely to order entries
+_ALPHA_MIN, _ALPHA_MAX = 2.0**-724, 2.0**734
+
 
 @dataclass(frozen=True)
 class Weights:
@@ -109,6 +122,11 @@ class Weights:
             raise ValueError(f"weights must be non-negative, got {alphas}")
         if not any(a > 0 for a in alphas):
             raise ValueError("at least one weight must be positive")
+        if any(a and not _ALPHA_MIN <= a <= _ALPHA_MAX for a in alphas):
+            raise ValueError(
+                f"weights must be 0 or in [2**-724, 2**734], so that fused scores neither "
+                f"overflow nor underflow, got {alphas}"
+            )
 
 
 @dataclass(frozen=True)
@@ -300,11 +318,15 @@ class RetrievalIndex:
 
         With raw fusion and k below the corpus size, every entry's sparse
         score is taken and its dense and multi scores are bounded from above
-        (:meth:`_dense_bounds`, :meth:`_upper_bounds`). Rounding to nearest
-        is monotone, so a sum or product of terms each at least as large
-        rounds to no less, and the fused score of the bounds, summed as the
-        exact one is, is never below the exact fused score. Round 1 scores
-        a query's k entries of best bounded score exactly, and the worst of
+        (:meth:`_dense_bounds`, :meth:`_upper_bounds`); the dense bounds'
+        product runs on a worker thread while this thread takes the sparse
+        scores and the multi-vector bounds (:func:`_beside`), as the two
+        products read different matrices and release the GIL. Rounding to
+        nearest is monotone, so a sum or product of terms each at least as
+        large rounds to no less, and the fused score of the bounds, summed
+        as the exact one is, is never below the exact fused score. Round 1
+        scores a query's k entries of best bounded score exactly, and the
+        worst of
         their exact fused scores is a threshold theta: k entries reach it,
         so every entry of the top k does too, ties at the cut included, and
         so does its bounded score. Round 2 scores the query's survivors, the
@@ -318,18 +340,25 @@ class RetrievalIndex:
             return []
         q32 = np.stack([d.values for d, _, _ in queries])
         qs = q32.astype(np.float64)
-        sparse = [self._sparse(s) for _, s, _ in queries]
-        block = self._block([multi for _, _, multi in queries])
+        multis = [multi for _, _, multi in queries]
         a1, a2, a3 = weights.alpha1, weights.alpha2, weights.alpha3
         if normalize or k >= len(self):
             every = np.arange(len(self))
-            scored = list(zip(repeat(every), self._dense(qs, every), sparse, self._scan(block)))
+            sparse = [self._sparse(s) for _, s, _ in queries]
+            scan = self._scan(self._block(multis))
+            scored = list(zip(repeat(every), self._dense(qs, every), sparse, scan))
         else:
+            # the worker writes the dense product into this thread's buffer
+            sims = np.empty((len(q32), len(self)), dtype=np.float32)
+            with _beside(np.matmul, q32, self.dense.T, sims) as product:
+                sparse = [self._sparse(s) for _, s, _ in queries]
+                block = self._block(multis)
+                bounds = self._upper_bounds(block)
+                product()
             # each query's fused score with its dense and multi scores
             # bounded, as a1 * sd + a2 * ss + a3 * ub rounds it (products and
             # sums commute bit for bit)
-            bounds = self._upper_bounds(block)
-            for sd, ss, bound in zip(self._dense_bounds(q32), sparse, bounds):
+            for sd, ss, bound in zip(self._dense_bounds(q32, sims), sparse, bounds):
                 bound *= a3
                 bound += a1 * sd + a2 * ss
             scored = []
@@ -367,10 +396,10 @@ class RetrievalIndex:
             cols,
         )
 
-    def _dense_bounds(self, q32: np.ndarray) -> np.ndarray:
+    def _dense_bounds(self, q32: np.ndarray, sims: np.ndarray) -> np.ndarray:
         """An upper bound on each query's exact dense score (:meth:`_dense`)
-        of every entry: one float32 product of the block with the stored
-        rows, widened by a margin.
+        of every entry: ``sims``, the float32 product ``q32 @ dense.T`` of
+        the block with the stored rows, widened by a margin.
 
         For query q and row d, let S be the true dot product and
         ``P = sum |q_j d_j| <= |q| |d|`` (Cauchy-Schwarz). A float32 dot
@@ -389,7 +418,7 @@ class RetrievalIndex:
         and of a value it is added to or subtracted from, and for underflow.
         The kernel's value is a float64, so the float64 sum of the float32
         value and the margin rounds to no less than it either."""
-        bounds = (q32 @ self.dense.T).astype(np.float64)
+        bounds = sims.astype(np.float64)
         bounds += self._dense_margin * np.linalg.norm(q32.astype(np.float64), axis=1)[:, None]
         return bounds
 
@@ -567,6 +596,54 @@ def _mean_of_rows(best: np.ndarray, cs) -> np.ndarray:
     for c in cs[1:]:
         total += best[:, c]
     return total / len(cs)
+
+
+# the worker thread of _beside: one per process, so no query pays for a
+# thread's start, started at the first query, and lent to one caller at a
+# time; _worker_free is held while a caller has it
+_worker: ThreadPoolExecutor | None = None
+_worker_free = threading.Lock()
+
+
+def _forget_worker() -> None:
+    """In a forked child, which has none of its parent's threads: drop the
+    parent's worker, so the child's first query starts its own rather than
+    wait for a thread that is not there."""
+    global _worker, _worker_free
+    _worker, _worker_free = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+@contextmanager
+def _beside(fn, *args):
+    """Run ``fn(*args)`` on the worker thread while the ``with`` body runs,
+    and yield a function that waits for its result.
+
+    A caller that finds the worker lent to another caller, or the pool
+    refusing work (as it does at interpreter shutdown), gets ``fn`` run
+    inline when it waits instead, so concurrent callers never queue behind
+    each other. Leaving the body, by an exception too, waits for ``fn``, so
+    it never writes into a caller's buffer unseen and the next caller finds
+    the worker free."""
+    global _worker
+    free = _worker_free
+    if free.acquire(blocking=False):
+        try:
+            if _worker is None:
+                _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="afsp-bounds")
+            future = _worker.submit(fn, *args)
+        except RuntimeError:
+            free.release()
+        else:
+            try:
+                yield future.result
+            finally:
+                wait((future,))
+                free.release()
+            return
+    yield lambda: fn(*args)
 
 
 def build_index(

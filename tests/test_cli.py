@@ -1,9 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import afsp
 from afsp.cli import main
 from afsp.embedding import save_table
 from afsp.llm_client import fingerprint
@@ -367,6 +372,47 @@ def test_bad_weights_or_k_exit_2_before_loading(workspace, tmp_path, capsys, com
     argv += ["--text", "你好"] if command == "translate" else ["--query", "你好"]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alphas", ["1.7e308,1.7e308,1.7e308", "5e-324,0,0"])
+def test_fusion_weights_that_overflow_or_underflow_exit_2(workspace, capsys, alphas):
+    # the fused scores of such weights are inf, or 0 and 5e-324, so ranking
+    # fell back to corpus order
+    root, pairs = workspace
+    assert main([
+        "retrieve", "--index", str(root / "index.bin"),
+        "--embeddings", str(root / "table.bin"), "--seed", "17",
+        "--query", pairs[4].src_text, "--alphas", alphas,
+    ]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "weights must be 0 or in [2**-724, 2**734]" in err
+
+
+def test_commands_that_send_no_request_do_not_import_requests(workspace, tmp_path):
+    root, _ = workspace
+    (tmp_path / "hyp.txt").write_text("the cat sat\n", encoding="utf-8")
+    commands = [
+        [],
+        ["ingest", "--input", str(root / "pairs.jsonl"), "--out", str(tmp_path / "corpus.bin")],
+        [
+            "index", "--corpus", str(root / "corpus.bin"), "--embeddings", str(root / "table.bin"),
+            "--seed", "17", "--out", str(tmp_path / "index.bin"),
+        ],
+        ["evaluate", "--hyp", str(tmp_path / "hyp.txt"), "--ref", str(tmp_path / "hyp.txt")],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(afsp.__file__).parents[1])}
+    for argv in commands:
+        script = (
+            "import sys\n"
+            "import afsp.cli\n"
+            f"code = afsp.cli.main({argv!r}) if {argv!r} else 0\n"
+            "print(code, 'requests' in sys.modules, 'yaml' in sys.modules)\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout.split()[-3:] == ["0", "False", "False"], (argv, run.stdout)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,10 @@
 import math
+import multiprocessing
 import random
 import struct
 import sys
+import threading
+import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -137,6 +140,14 @@ def test_weights_validation():
     for bad in (True, "0.5", float("nan"), float("inf"), None):
         with pytest.raises(ValueError, match="alphas must be a finite number"):
             Weights(bad, 0, 0)
+
+
+def test_weights_that_could_overflow_or_underflow_are_rejected():
+    for a in (2.0**-724, 2.0**734):
+        assert Weights(0.4, a, 0).alpha2 == a
+    for bad in (1.7e308, math.nextafter(2.0**734, math.inf), math.nextafter(2.0**-724, 0), 5e-324):
+        with pytest.raises(ValueError, match=r"weights must be 0 or in \[2\*\*-724, 2\*\*734\]"):
+            Weights(0.4, bad, 0)
 
 
 @pytest.fixture(scope="module")
@@ -1227,9 +1238,11 @@ def test_dense_bound_is_at_least_the_kernel_on_near_ties(case):
     for i in range(len(index)):
         assert dots(np.array([i]))[:, 0].tolist() == exact[:, i].tolist()
     # a block's product and a lone query's
-    assert np.all(index._dense_bounds(qs) >= exact)
+    assert np.all(index._dense_bounds(qs, qs @ index.dense.T) >= exact)
     for i in range(len(qs)):
-        assert np.all(index._dense_bounds(qs[i : i + 1]) >= exact[i])
+        assert np.all(
+            index._dense_bounds(qs[i : i + 1], qs[i : i + 1] @ index.dense.T) >= exact[i]
+        )
     queries = [(DenseVec(q), SparseWeights({}), MultiVec(q[None])) for q in qs]
     for w in PRUNING_WEIGHTS + (Weights(1.0, 0.0, 0.0),):
         # k = len(index) scores every entry; the pruned top k is the first
@@ -1500,3 +1513,155 @@ def test_binding_check_holds_under_concurrent_queries():
     finally:
         sys.setswitchinterval(interval)
     assert len(results) == 300 and all(results)
+
+
+def lone_results(texts, stack):
+    """Each text's top 3 as (id, four scores) tuples, queried alone with raw
+    fusion, so the pruned path and its worker thread run."""
+    _, table, proj, index = stack
+    return [
+        [(d.pair.id, d.s_dense, d.s_sparse, d.s_multi, d.s_rank) for d in found]
+        for found in (retrieve_topk(text, index, table, proj, Weights(), k=3) for text in texts)
+    ]
+
+
+def spy_dense_products(monkeypatch):
+    """Record the thread of each dense bound product: the pruned path calls
+    np.matmul, which nothing else in the package calls."""
+    threads = []
+    matmul = np.matmul
+
+    def spy(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return threads
+
+
+def test_the_dense_bound_product_runs_beside_the_calling_thread(stack, monkeypatch):
+    texts = stack[0].strings("src_text")[:5]
+    want = lone_results(texts, stack)
+    threads = spy_dense_products(monkeypatch)
+    assert lone_results(texts, stack) == want
+    assert len(threads) == len(texts)
+    assert threading.get_ident() not in threads
+
+
+def test_a_query_after_one_that_raised_before_the_join_still_runs_beside(stack, monkeypatch):
+    texts = stack[0].strings("src_text")[:3]
+    want = lone_results(texts, stack)
+    block = afsp.retrieval.RetrievalIndex._block
+
+    def fail(self, multis):
+        raise MemoryError("between submit and join")
+
+    monkeypatch.setattr(afsp.retrieval.RetrievalIndex, "_block", fail)
+    with pytest.raises(MemoryError):
+        lone_results(texts[:1], stack)
+    monkeypatch.setattr(afsp.retrieval.RetrievalIndex, "_block", block)
+    threads = spy_dense_products(monkeypatch)
+    assert lone_results(texts, stack) == want
+    assert len(threads) == len(texts) and threading.get_ident() not in threads
+
+
+def test_a_pool_that_refuses_work_leaves_the_product_inline(stack, monkeypatch):
+    texts = stack[0].strings("src_text")[:3]
+    want = lone_results(texts, stack)
+    refusing = ThreadPoolExecutor(max_workers=1)
+    refusing.shutdown()  # submit raises RuntimeError, as at interpreter exit
+    monkeypatch.setattr(afsp.retrieval, "_worker", refusing)
+    threads = spy_dense_products(monkeypatch)
+    assert lone_results(texts, stack) == want
+    assert threads == [threading.get_ident()] * len(texts)
+    assert afsp.retrieval._worker_free.acquire(blocking=False)
+    afsp.retrieval._worker_free.release()
+
+
+def test_a_caller_does_not_queue_behind_another_callers_product(stack, monkeypatch):
+    texts = stack[0].strings("src_text")[:2]
+    want = lone_results(texts, stack)
+    matmul = np.matmul
+    held, release = threading.Event(), threading.Event()
+
+    def hold_the_worker(*args, **kwargs):
+        # the first product on the worker waits until the second caller is done
+        if threading.current_thread().name.startswith("afsp-bounds") and not held.is_set():
+            held.set()
+            release.wait(60)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", hold_the_worker)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        try:
+            first = pool.submit(lone_results, texts[:1], stack)
+            assert held.wait(30)
+            second = pool.submit(lone_results, texts[1:], stack)
+            assert second.result(timeout=30) == want[1:]
+            assert not first.done()
+        finally:
+            release.set()
+        assert first.result(timeout=30) == want[:1]
+
+
+def test_concurrent_callers_get_their_lone_results(stack):
+    texts = stack[0].strings("src_text")[:50]
+    want = lone_results(texts, stack)
+    start = threading.Barrier(4)
+
+    def caller(_):
+        start.wait(30)
+        return lone_results(texts, stack)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(caller, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 4 and all(got == want for got in results)
+
+
+def query_in_child(send, texts, stack):
+    send.send(lone_results(texts, stack))
+    send.close()
+
+
+def test_a_forked_childs_query_returns_its_parents_top_k(stack):
+    texts = stack[0].strings("src_text")[:3]
+    # the parent's queries leave its worker thread idle, which the child
+    # does not have
+    want = lone_results(texts, stack)
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    with warnings.catch_warnings():
+        # Python 3.12 warns that forking a process with threads may deadlock,
+        # which is what this test checks does not happen
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child = ctx.Process(target=query_in_child, args=(send, texts, stack))
+        child.start()
+    send.close()
+    try:
+        assert recv.poll(60), "the forked child's query did not finish"
+        assert recv.recv() == want
+    finally:
+        recv.close()
+        child.join(30)
+        if child.is_alive():
+            child.kill()
+            child.join(30)
+    assert child.exitcode == 0
+
+
+@pytest.mark.parametrize("scale", [2.0**-724, 2.0**734])
+def test_weights_at_their_bounds_rank_as_unit_weights(stack, scale):
+    # a power of two scales every fused score exactly, with no overflow or
+    # underflow, so the top k, their scores and ties are those of unit weights
+    corpus, table, proj, index = stack
+    for text in corpus.strings("src_text")[:10]:
+        unit = retrieve_topk(text, index, table, proj, Weights(1, 1, 1), k=5)
+        scaled = retrieve_topk(text, index, table, proj, Weights(scale, scale, scale), k=5)
+        assert [(d.pair.id, d.s_dense, d.s_sparse, d.s_multi, d.s_rank / scale) for d in scaled] == [
+            (d.pair.id, d.s_dense, d.s_sparse, d.s_multi, d.s_rank) for d in unit
+        ]
