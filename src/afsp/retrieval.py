@@ -93,6 +93,11 @@ _POOL_CHUNK = 512
 # their working memory to _TILE x (product columns) and _TILE x H float64
 _TILE = 2048
 
+# the distinct rows per product column whose holders the multi-vector bound
+# gives their own similarity (see RetrievalIndex._upper_bounds); every other
+# entry gets the (_T_BEST + 1)-th similarity
+_T_BEST = 16
+
 # the range of a positive fusion weight, from the range of the scores. A
 # dense or multi score is at most 1 in size, and a sparse score, a sum of
 # fewer than 2**32 products of float32 weights below 2**128, is below
@@ -207,10 +212,12 @@ class RetrievalIndex:
     multi-vector row ids as jagged diagonals. The index holds no float64
     copy of the rows: queries take the float32 rows' products for bounds
     and exact float64 dot products only of the pairs that need them
-    (:meth:`_top`). Entries are sorted by their count of distinct rows,
-    longest first (``_by_len``), and column k of ``_columns`` holds the
-    k-th row id of each entry with more than k rows, a prefix of that
-    order; there are as many columns as the longest entry has rows.
+    (:meth:`_top`); the postings give the multi-vector bound the holders
+    of each product column's t best rows (:meth:`_upper_bounds`). Entries
+    are sorted by their count of distinct rows, longest first
+    (``_by_len``), and column k of ``_columns`` holds the k-th row id of
+    each entry with more than k rows, a prefix of that order; there are as
+    many columns as the longest entry has rows.
     """
 
     def __init__(
@@ -251,10 +258,9 @@ class RetrievalIndex:
         self._columns = [ids[starts[:n] + k] for k, n in enumerate(longer.tolist())]
         # postings: the entries holding distinct row r are
         # _holders[_held[r]:_held[r + 1]], in no particular order (one
-        # unstable sort of the row ids)
-        self._holders = np.repeat(np.arange(len(counts), dtype=np.int32), counts)[
-            np.argsort(multi_row_ids)
-        ]
+        # unstable sort of the row ids); as intp, which numpy gathers and
+        # scatters with two to three times faster than int32
+        self._holders = np.repeat(np.arange(len(counts)), counts)[np.argsort(multi_row_ids)]
         self._held = np.concatenate(
             ([0], np.cumsum(np.bincount(multi_row_ids, minlength=len(multi_rows))))
         )
@@ -325,14 +331,15 @@ class RetrievalIndex:
         nearest is monotone, so a sum or product of terms each at least as
         large rounds to no less, and the fused score of the bounds, summed
         as the exact one is, is never below the exact fused score. Round 1
-        scores a query's k entries of best bounded score exactly, and the
-        worst of
-        their exact fused scores is a threshold theta: k entries reach it,
-        so every entry of the top k does too, ties at the cut included, and
-        so does its bounded score. Round 2 scores the query's survivors, the
-        entries whose bounded score reaches theta, and the top k are taken
-        among them in corpus order; an entry's score does not depend on
-        which others are scored with it (:meth:`_multi`). ``normalize``
+        bounds the exact fused scores of a query's k entries of best bounded
+        score from below, from the same products and with no kernel
+        (:meth:`_lower_bounds`), and the worst of these lower bounds is a
+        threshold theta: k entries reach it, so every entry of the top k
+        does too, ties at the cut included, and so does its bounded score.
+        Round 2 scores the query's survivors exactly, the entries whose
+        bounded score reaches theta, and the top k are taken among them in
+        corpus order; an entry's score does not depend on which others are
+        scored with it (:meth:`_multi`). ``normalize``
         needs every entry's scores for the min-max range, so every entry is
         scored then (:meth:`_scan`), as it is when k is at least the corpus
         size."""
@@ -362,13 +369,12 @@ class RetrievalIndex:
                 bound *= a3
                 bound += a1 * sd + a2 * ss
             scored = []
-            for q, ss, cs, bound in zip(qs, sparse, block.cols, bounds):
-                # round 1 on the k best bounded entries, round 2 on the
-                # survivors
-                mine = block.of_query(cs)
-                top = np.sort(np.argpartition(-bound, k - 1)[:k])
-                sd, sm = self._dense(q[None], top)[0], self._multi(mine, top)
-                own = np.flatnonzero(bound >= (a1 * sd + a2 * ss[top] + a3 * sm).min())
+            for q, d32, ss, cs, bound in zip(qs, sims, sparse, block.cols, bounds):
+                # round 1 bounds the k best bounded entries from below, round
+                # 2 scores the survivors
+                mine = block._replace(cols=[cs])
+                top = np.argpartition(-bound, k - 1)[:k]
+                own = np.flatnonzero(bound >= self._lower_bounds(mine, top, q, d32, ss, weights).min())
                 sd, sm = self._dense(q[None], own)[0], self._multi(mine, own)
                 scored.append((own, sd, ss[own], sm))
         out = []
@@ -424,44 +430,84 @@ class RetrievalIndex:
 
     def _upper_bounds(self, block: _Block) -> list[np.ndarray]:
         """An upper bound on every entry's multi score, for each query of a
-        block.
+        block, from each product column's t best distinct rows (``t`` is
+        ``_T_BEST``).
 
         The kernel's value of product column c and a distinct row is at most
         their float32 similarity plus the column's margin ``delta_c``
         (:meth:`_dense_bounds`). Of the similarities of column c to every
-        distinct row, let ``top_c`` be the largest, at row ``r_c``, and
-        ``second_c`` the second largest counting repeats (``top_c`` when
-        there is one distinct row). An entry that holds ``r_c`` matches c at
-        most at ``top_c + delta_c``, any other entry at most at ``second_c +
-        delta_c``. The bound is the mean of these, summed in the query's own
-        order of rows: it adds the same terms as the exact mean in the same
-        order, each at least as large, so it rounds to no less than the
-        exact score (see :meth:`_top`). The entries that hold ``r_c`` come
-        from the postings ``_holders``."""
+        distinct row, take the t + 1 largest, counting repeats, or all of
+        them when there are at most t + 1 distinct rows; let ``base_c`` be
+        the least of them, and the rows of the others the column's t best.
+        An entry that holds some of the t best matches c at most at the
+        largest of their similarities plus ``delta_c``; every other row's
+        similarity is at most ``base_c``, so any other entry matches c at
+        most at ``base_c + delta_c``. These are the entry's terms of the
+        bound; rounding to nearest is monotone, so each rounded sum is at
+        least the kernel value it bounds, and the max of rounded sums is the
+        rounded sum of the max. The bound is the mean of the terms, summed in
+        the query's own order of rows: it adds the same terms as the exact
+        mean in the same order, each at least as large, so it rounds to no
+        less than the exact score (see :meth:`_top`).
+
+        Each column's t + 1 rows are taken once per block, and ``block.sims``
+        is only read: a floor under each column's (t + 1)-th similarity from
+        the maxima of groups of rows leaves a few rows per column to sort,
+        and the rows at or above it are found a few product rows at a time,
+        so the temporaries stay well below the product's size. A query's
+        running sums take each column's term without a vector of the terms:
+        every entry adds ``base_c``, the holders of the column's 2nd to t-th
+        rows keep the max with their own sum, and the holders of the best
+        row, from the postings ``_holders`` and often a long list, get the
+        sum with the largest term. Each query gathers its columns' 2nd to
+        t-th rows' holders once, which keeps the gather to the rows it uses."""
         sims, _, margins, cols = block
-        columns = np.arange(sims.shape[1])
-        best = sims.argmax(axis=0)
-        top = sims[best, columns]
-        second = top
-        if len(sims) > 1:
-            # the largest once the best is masked, which is the best again
-            # where two distinct rows tie for it
-            sims[best, columns] = -np.inf
-            second = sims[sims.argmax(axis=0), columns]
-            sims[best, columns] = top
-        top = top + margins
-        second = second + margins
-        holders = [self._holders[self._held[r] : self._held[r + 1]] for r in best.tolist()]
+        n_rows, n_cols = sims.shape
+        w = min(_T_BEST + 1, n_rows)
+        # a floor under each column's w-th best similarity: the w-th best of
+        # the maxima of g groups of rows (row i in group i mod g), as w
+        # groups, so w rows, reach it; four groups per row taken leave about
+        # 20 rows per column above it on perfbench's products
+        g = min(4 * w, n_rows)
+        maxima = sims[: n_rows // g * g].reshape(-1, g, n_cols).max(axis=0)
+        floor = np.partition(maxima, g - w, axis=0)[g - w]
+        # the rows at or above it, from masks of at most 64 _TILE (128 Ki)
+        # elements of the product at a time
+        step = max(1, 64 * _TILE // n_cols)
+        at = np.concatenate(
+            [a * n_cols + np.flatnonzero(sims[a : a + step] >= floor) for a in range(0, n_rows, step)]
+        )
+        rows, col = np.divmod(at, n_cols)
+        terms = sims.ravel()[at] + margins[col]
+        # each column's w best rows of those at or above its floor and their
+        # terms, best first: base_c last
+        order = np.lexsort((-terms, col))
+        counts = np.bincount(col, minlength=n_cols)
+        keep = order[np.arange(len(at)) - np.repeat(np.cumsum(counts) - counts, counts) < w]
+        best, terms = rows[keep].reshape(n_cols, w), terms[keep].reshape(n_cols, w)
+        top = [self._holders[self._held[r] : self._held[r + 1]] for r in best[:, 0].tolist()]
         out = []
-        part = np.empty(len(self))
         for cs in cols:
-            total = np.full(len(self), second[cs[0]])
-            total[holders[cs[0]]] = top[cs[0]]
-            for c in cs[1:]:
-                part.fill(second[c])
-                part[holders[c]] = top[c]
-                total += part
-            out.append(total / len(cs))
+            # the holders of the query's columns' other rows and their terms,
+            # column after column
+            at, _, lengths = _spans(self._held, best[cs, 1:-1].ravel())
+            held, held_terms = self._holders[at], np.repeat(terms[cs, 1:-1].ravel(), lengths)
+            ends = np.cumsum(lengths.reshape(len(cs), -1).sum(axis=1)).tolist()
+            # each entry's running sum plus its term of column c, as a sum
+            # with a vector of the terms would round it: base_c for all, the
+            # max with the other rows' terms where held, and the best row's
+            # term, the largest, where held
+            total = np.zeros(len(self))
+            for c, a, b in zip(cs, [0] + ends, ends):
+                others = held[a:b]
+                best_held, others_held = total[top[c]], total[others]
+                total += terms[c, -1]
+                others_held += held_terms[a:b]
+                np.maximum.at(total, others, others_held)
+                best_held += terms[c, 0]
+                total[top[c]] = best_held
+            total /= len(cs)
+            out.append(total)
         return out
 
     def _dense(self, qs: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -476,9 +522,45 @@ class RetrievalIndex:
                 ss[self._sparse_pos[hit]] += w * self._sparse_w[hit]
         return ss
 
+    def _lower_bounds(
+        self,
+        block: _Block,
+        ids: np.ndarray,
+        q: np.ndarray,
+        sims: np.ndarray,
+        sparse: np.ndarray,
+        weights: Weights,
+    ) -> np.ndarray:
+        """A lower bound on the exact fused score of each entry ``ids`` for
+        the one query of ``block``, whose dense vector is ``q`` (float64),
+        dense product with the stored rows ``sims`` (float32) and sparse
+        scores ``sparse``, from the float32 products alone, with no kernel.
+
+        It mirrors the upper bounds. The dense part is the float32 dense
+        product minus the margin that :meth:`_dense_bounds` adds: the
+        kernel's value lies within it. The multi part is the mean, over the
+        query's rows in its order, of the entry's largest float32 similarity
+        s to each product column c minus ``delta_c``: the row holding s has
+        a kernel value of at least ``s - delta_c`` (:meth:`_upper_bounds`),
+        and the entry's largest kernel value is at least that one. Rounding
+        to nearest is monotone and each exact value is a float64, so each
+        rounded difference is at most the exact value it bounds, and the
+        mean, which adds the same terms in the same order as the exact mean
+        (:meth:`_multi`), each at most as large, rounds to no more than the
+        exact multi score. The parts are fused as the exact scores are, with
+        the same sparse score and non-negative weights, so the result rounds
+        to no more than the exact fused score."""
+        multi, _, margins, (cs,) = block
+        u, cs = np.unique(cs, return_inverse=True)
+        sm = np.empty(len(ids))
+        for at, _, heads, _, near in self._near(multi, u, ids):
+            sm[at] = _mean_of_rows(np.maximum.reduceat(near, heads) - margins[u], cs.tolist())
+        sd = sims[ids].astype(np.float64) - self._dense_margin * np.linalg.norm(q)
+        return weights.alpha1 * sd + weights.alpha2 * sparse[ids] + weights.alpha3 * sm
+
     def _multi(self, block: _Block, ids: np.ndarray) -> np.ndarray:
         """The exact multi scores of the entries ``ids`` for the one query
-        of ``block`` (:meth:`_Block.of_query`).
+        of ``block``, the block with that query's ``cols`` alone.
 
         An entry's score is the mean, over the query's rows in its order, of
         the entry's largest kernel value of each (:meth:`_kernel`). The
@@ -490,32 +572,38 @@ class RetrievalIndex:
         leaving it out changes no maximum, and a max is exact in any order.
         The entries' rows are gathered one entry after another, which on
         the few entries that pruning leaves is faster than the diagonals of
-        :meth:`_scan`; parts of ``_TILE // m`` entries bound the gathered
-        similarities, (rows, m) for the query's m distinct rows."""
+        :meth:`_scan`, with their similarities to the query's distinct
+        columns read from the block's product in place (:meth:`_near`)."""
         sims, rows, margins, (cs,) = block
-        m = len(rows)
+        u, cs = np.unique(cs, return_inverse=True)
+        rows, margins, m, n_rows = rows[u], margins[u], len(u), len(sims)
         out = np.empty(len(ids))
-        step = max(1, _TILE // m)
-        for a in range(0, len(ids), step):
-            part = ids[a : a + step]
-            # the part's row ids, entry after entry, and the entry of each
-            starts = self.multi_offsets[part].astype(np.intp)
-            lengths = self.multi_offsets[part + 1].astype(np.intp) - starts
-            heads = np.cumsum(lengths) - lengths
-            flat = self.multi_row_ids[np.repeat(starts - heads, lengths) + np.arange(lengths.sum())]
-            owner = np.repeat(np.arange(len(part)), lengths)
-            near = sims[flat]
+        for at, flat, heads, lengths, near in self._near(sims, u, ids):
+            owner = np.repeat(np.arange(len(heads)), lengths)
             floor = np.maximum.reduceat(near, heads) - 2 * margins
             # np.nonzero of a 2-d mask is several times slower
-            at, c = np.divmod(np.flatnonzero(near >= floor[owner]), m)
+            on, c = np.divmod(np.flatnonzero(near >= floor[owner]), m)
             # each (column, distinct row) pair's kernel value once, and each
             # entry's maxima of them
-            pairs, where = np.unique(c * len(sims) + flat[at], return_inverse=True)
-            exact = self._kernel(pairs % len(sims), rows[pairs // len(sims)])[where]
-            best = np.full(len(part) * m, -np.inf)
-            np.maximum.at(best, owner[at] * m + c, exact)
-            out[a : a + len(part)] = _mean_of_rows(best.reshape(len(part), m), cs)
+            pairs, where = np.unique(c * n_rows + flat[on], return_inverse=True)
+            exact = self._kernel(pairs % n_rows, rows[pairs // n_rows])[where]
+            best = np.full(len(heads) * m, -np.inf)
+            np.maximum.at(best, owner[on] * m + c, exact)
+            out[at] = _mean_of_rows(best.reshape(len(heads), m), cs.tolist())
         return out
+
+    def _near(self, sims: np.ndarray, u: np.ndarray, ids: np.ndarray):
+        """For parts of ``_TILE // len(u)`` entries of ``ids``: the part's
+        slice of ``ids``, its entries' row ids one entry after another, where
+        each entry's rows begin and how many it has, and the rows' float32
+        similarities to the product columns ``u``, (rows, len(u)), which
+        bounds their size."""
+        step = max(1, _TILE // len(u))
+        for a in range(0, len(ids), step):
+            part = ids[a : a + step]
+            at, heads, lengths = _spans(self.multi_offsets, part)
+            flat = self.multi_row_ids[at]
+            yield slice(a, a + len(part)), flat, heads, lengths, sims[flat[:, None], u]
 
     def _scan(self, block: _Block) -> np.ndarray:
         """Every entry's exact multi score, in corpus order, one row per
@@ -556,20 +644,15 @@ class _Block(NamedTuple):
     """A block's multi-vector product: ``sims[u, c]`` is the float32
     similarity of distinct row u to product column c, the query row
     ``rows[c]`` (float64), whose kernel value lies within ``margins[c]`` of
-    it; query i's rows are the columns ``cols[i]``, in its order."""
+    it; query i's rows are the columns ``cols[i]``, in its order. The
+    block of one of its queries is the same block with that query's
+    ``cols`` alone, so each query's bounds and scans read the shared
+    product in place."""
 
     sims: np.ndarray
     rows: np.ndarray
     margins: np.ndarray
     cols: list[list[int]]
-
-    def of_query(self, cs: list[int]) -> _Block:
-        """The block of the one query whose rows are the columns ``cs``:
-        its distinct columns alone, in ascending order."""
-        u, inv = np.unique(cs, return_inverse=True)
-        return self._replace(
-            sims=self.sims[:, u], rows=self.rows[u], margins=self.margins[u], cols=[inv.tolist()]
-        )
 
 
 def _dots(rows: np.ndarray, ids: np.ndarray, qs: np.ndarray) -> np.ndarray:
@@ -585,6 +668,18 @@ def _dots(rows: np.ndarray, ids: np.ndarray, qs: np.ndarray) -> np.ndarray:
         chunk = rows[a : a + _TILE] if every else rows[ids[a : a + _TILE]]
         np.einsum("ij,kj->ik", chunk.astype(np.float64), qs, out=out[a : a + len(chunk)])
     return out
+
+
+def _spans(offsets: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The positions ``offsets[i]`` to ``offsets[i + 1] - 1`` of each i in
+    ``ids``, one span after another, where each span begins among them, and
+    each span's length."""
+    starts = offsets[ids].astype(np.intp)
+    lengths = offsets[ids + 1].astype(np.intp) - starts
+    heads = np.cumsum(lengths) - lengths
+    at = np.repeat(starts - heads, lengths)
+    at += np.arange(len(at))
+    return at, heads, lengths
 
 
 def _mean_of_rows(best: np.ndarray, cs) -> np.ndarray:

@@ -1362,6 +1362,131 @@ def test_bound_leaves_few_entries_to_score_exactly(monkeypatch):
     assert np.median(dense_sent) < len(corpus) / 2
 
 
+def test_the_t_best_bound_leaves_few_survivors(monkeypatch):
+    # the corpus and queries of the test above; the entries of each query's
+    # round 2 were median 6 with one best row per column and are median 4
+    # with its 16 best, so a return to the looser bound fails here
+    corpus = synthetic_corpus(2000, seed=31)
+    table = corpus_table(dim=32)
+    proj = init_projections(32, seed=13)
+    index = build_index(corpus, table, proj)
+    sent = []
+    multi = afsp.retrieval.RetrievalIndex._multi
+
+    def spy(self, block, ids):
+        sent.append(len(ids))
+        return multi(self, block, ids)
+
+    monkeypatch.setattr(afsp.retrieval.RetrievalIndex, "_multi", spy)
+    rng = random.Random(20)
+    survivors = []
+    for i in range(32):
+        sent.clear()
+        retrieve_topk(zh_sentence(rng) if i % 2 else en_sentence(rng), index, table, proj, Weights(), k=3)
+        survivors.append(sent[-1])
+    assert np.median(survivors) <= 4
+
+
+@st.composite
+def bound_cases(draw):
+    """An index over unit float32 rows and a block of queries, built to
+    stress the t-best multi-vector bound: fewer distinct rows than t + 1,
+    a row that every entry holds, or rows whose similarity to the first
+    axis ties, which the query row along that axis sees as ties at every
+    rank, the (t + 1)-th included."""
+    kind = draw(st.sampled_from(["few", "every", "ties", "free"]), label="kind")
+    dim = draw(st.sampled_from([2, 8, 32]), label="dim")
+    t = afsp.retrieval._T_BEST
+    n_rows = draw(st.integers(1, t) if kind == "few" else st.integers(t + 1, 3 * t), label="rows")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    # a row (c, sqrt(1 - c^2) v) with v a unit row: rows that share c have
+    # float32 similarity exactly c to the first axis
+    firsts = rng.choice([0.5, 0.25, -0.5], n_rows) if kind == "ties" else rng.uniform(-1, 1, n_rows)
+    rest = rng.standard_normal((n_rows, dim - 1))
+    rest /= np.linalg.norm(rest, axis=1, keepdims=True)
+    rows = np.concatenate([firsts[:, None], np.sqrt(1 - firsts**2)[:, None] * rest], axis=1)
+    rows = np.unique(rows.astype(np.float32), axis=0)
+    n = draw(st.integers(1, 30), label="entries")
+    entries = [
+        rng.choice(len(rows), rng.integers(1, min(len(rows), 6) + 1), replace=False).tolist()
+        for _ in range(n)
+    ]
+    if kind == "every":
+        entries = [[0] + [r for r in held if r] for held in entries]
+    ids = np.concatenate(entries).astype(np.uint32)
+    corpus = Corpus([DemoPair(f"b{i}", f"src {i}", f"tgt {i}", "zh", "en") for i in range(n)])
+    dense = rng.standard_normal((n, dim))
+    index = RetrievalIndex(
+        corpus,
+        bytes(32),
+        dense=(dense / np.linalg.norm(dense, axis=1, keepdims=True)).astype(np.float32),
+        sparse_indptr=np.zeros(n + 1, dtype=np.uint32),
+        sparse_ids=np.zeros(0, dtype=np.uint32),
+        sparse_weights=np.zeros(0, dtype=np.float32),
+        multi_rows=rows,
+        multi_offsets=np.concatenate(([0], np.cumsum([len(e) for e in entries]))).astype(np.uint32),
+        multi_row_ids=ids,
+    )
+    axis = np.eye(dim, dtype=np.float32)[0]
+    queries = []
+    for _ in range(draw(st.integers(1, 4), label="queries")):
+        picks = draw(st.lists(st.sampled_from(["axis", "copy", "free"]), min_size=1, max_size=6))
+        q = [
+            axis if p == "axis" else rows[rng.integers(len(rows))] if p == "copy"
+            else unit_f32(rng.standard_normal(dim))
+            for p in picks
+        ]
+        queries.append(
+            (DenseVec(unit_f32(rng.standard_normal(dim))), SparseWeights({}), MultiVec(np.stack(q)))
+        )
+    return index, queries
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=bound_cases())
+def test_t_best_bounds_hold_the_exact_scores(case):
+    index, queries = case
+    block = index._block([multi for _, _, multi in queries])
+    block.sims.flags.writeable = False
+    bounds = index._upper_bounds(block)
+    exact = index._scan(block)
+    for ub, sm in zip(bounds, exact):
+        assert np.all(ub >= sm)
+    # a query's bound is its own: the same from its own product columns
+    # taken alone
+    for i, cs in enumerate(block.cols):
+        u, inv = np.unique(cs, return_inverse=True)
+        alone = block._replace(
+            sims=np.ascontiguousarray(block.sims[:, u]), rows=block.rows[u],
+            margins=block.margins[u], cols=[inv.tolist()],
+        )
+        assert index._upper_bounds(alone)[0].tolist() == bounds[i].tolist()
+    # round 1's lower bounds are at most the exact fused scores
+    every = np.arange(len(index))
+    q32 = np.stack([d.values for d, _, _ in queries])
+    for w in PRUNING_WEIGHTS:
+        for i, (top, q, sims) in enumerate(
+            zip(index._top(queries, w, len(index), False), q32.astype(np.float64), q32 @ index.dense.T)
+        ):
+            fused = np.empty(len(index))
+            fused[top[0]] = top[4]
+            mine = block._replace(cols=[block.cols[i]])
+            low = index._lower_bounds(mine, every, q, sims, np.zeros(len(index)), w)
+            assert np.all(low <= fused)
+
+
+def test_upper_bounds_leave_the_product_unchanged(large_stack):
+    corpus, table, proj, index = large_stack
+    rng = random.Random(21)
+    multis = [multi_embed(embed_tokens(table, zh_sentence(rng)), proj) for _ in range(16)]
+    block = index._block(multis)
+    before = block.sims.copy()
+    # a write raises rather than being restored unseen
+    block.sims.flags.writeable = False
+    index._upper_bounds(block)
+    assert block.sims.tobytes() == before.tobytes()
+
+
 def test_alpha_scaling_preserves_order(stack):
     _, table, proj, index = stack
     rng = random.Random(7)
