@@ -13,10 +13,13 @@ before it slices them, so a corrupt or truncated file raises
 VersionMismatch and never IndexError, struct.error, UnicodeDecodeError or
 an allocation sized by a corrupt count.
 
-Every loaded file's bytes live in an anonymous memory map of their own
-rather than on the malloc heap. Once the last array over a map is freed,
-the map is kept as a spare and handed to the next file of exactly its
-size. Reloading the same artifacts then
+Every loaded file's bytes live in a private anonymous memory map of their
+own rather than on the malloc heap. A forked child gets its parent's pages
+copy-on-write, so a load in either process never writes into the other's
+arrays, and a map of 4 MiB or more is backed by huge pages where
+transparent huge pages are set to ``madvise`` (or ``always``). Once the
+last array over a map is freed, the map is kept as a spare and handed to
+the next file of exactly its size. Reloading the same artifacts then
 reuses the same pages, and a reload never depends on how the heap is
 fragmented: on the heap, a small long-lived allocation that lands in the
 hole a freed buffer left can push the next buffer of that size past the
@@ -68,7 +71,7 @@ def _map(nbytes: int) -> mmap.mmap:
         return _spare_maps[nbytes].pop()
     except (KeyError, IndexError):
         pass
-    buf = mmap.mmap(-1, nbytes)
+    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
     if nbytes >= 1 << 22 and hasattr(mmap, "MADV_HUGEPAGE"):
         # as numpy does for its own arrays this large
         buf.madvise(mmap.MADV_HUGEPAGE)

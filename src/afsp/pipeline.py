@@ -179,17 +179,16 @@ def load_retrieval_stack(
     """The index, table and projections named in the config, the index
     bound to the pair (:meth:`RetrievalIndex.bind`): a table or projection
     seed other than the index's raises FingerprintMismatch here, not at the
-    first query. The pair is hashed on a second thread while the index
+    first query. The pair is hashed on a pool thread while the index
     loads, as hashlib releases the GIL while it hashes."""
     if not config.table_path or not config.index_path:
         raise ValueError("config must name an embedding table and an index")
     table = load_table(config.table_path)
     projections = init_projections(table.dim, config.projection_seed)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        # looked up on its module, so a wrapper put there sees the call
-        fingerprint = pool.submit(retrieval.table_fingerprint, table, projections)
+    # looked up on its module, so a wrapper put there sees the call
+    with retrieval._beside(retrieval.table_fingerprint, table, projections) as fingerprint:
         index = load_index(config.index_path)
-        index.bind(table, projections, fingerprint.result())
+        index.bind(table, projections, fingerprint())
     return index, table, projections
 
 

@@ -13,8 +13,6 @@ import re
 
 from .errors import EmptyInput, EmptyOutput
 
-TEMPLATE_VERSION = 1
-
 PROMPT_TEMPLATE_V1 = (
     "You are a professional translator. I will give you one or more examples of "
     "text fragments, where the first one is in {src_lang} and the second one is "

@@ -35,7 +35,6 @@ import hashlib
 import math
 import os
 import struct
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -693,19 +692,19 @@ def _mean_of_rows(best: np.ndarray, cs) -> np.ndarray:
     return total / len(cs)
 
 
-# the worker thread of _beside: one per process, so no query pays for a
-# thread's start, started at the first query, and lent to one caller at a
-# time; _worker_free is held while a caller has it
-_worker: ThreadPoolExecutor | None = None
-_worker_free = threading.Lock()
+# the pool of _beside, one per process, so no call pays for a thread's
+# start: it starts none until the first call, keeps one for a lone caller
+# and starts another only when all it has are busy (up to the stdlib's
+# default width), so concurrent callers do not queue behind each other
+_worker = ThreadPoolExecutor(thread_name_prefix="afsp-bounds")
 
 
 def _forget_worker() -> None:
     """In a forked child, which has none of its parent's threads: drop the
-    parent's worker, so the child's first query starts its own rather than
-    wait for a thread that is not there."""
-    global _worker, _worker_free
-    _worker, _worker_free = None, threading.Lock()
+    parent's pool for a new one, so the child's first call starts its own
+    thread rather than wait for one that is not there."""
+    global _worker
+    _worker = ThreadPoolExecutor(thread_name_prefix="afsp-bounds")
 
 
 os.register_at_fork(after_in_child=_forget_worker)
@@ -713,32 +712,22 @@ os.register_at_fork(after_in_child=_forget_worker)
 
 @contextmanager
 def _beside(fn, *args):
-    """Run ``fn(*args)`` on the worker thread while the ``with`` body runs,
-    and yield a function that waits for its result.
+    """Run ``fn(*args)`` on a pool thread while the ``with`` body runs, and
+    yield a function that waits for its result.
 
-    A caller that finds the worker lent to another caller, or the pool
-    refusing work (as it does at interpreter shutdown), gets ``fn`` run
-    inline when it waits instead, so concurrent callers never queue behind
-    each other. Leaving the body, by an exception too, waits for ``fn``, so
-    it never writes into a caller's buffer unseen and the next caller finds
-    the worker free."""
-    global _worker
-    free = _worker_free
-    if free.acquire(blocking=False):
-        try:
-            if _worker is None:
-                _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="afsp-bounds")
-            future = _worker.submit(fn, *args)
-        except RuntimeError:
-            free.release()
-        else:
-            try:
-                yield future.result
-            finally:
-                wait((future,))
-                free.release()
-            return
-    yield lambda: fn(*args)
+    A pool that refuses work (as it does at interpreter shutdown) leaves
+    ``fn`` to run inline when the caller waits. Leaving the body, by an
+    exception too, waits for ``fn``, so it never writes into a caller's
+    buffer unseen."""
+    try:
+        future = _worker.submit(fn, *args)
+    except RuntimeError:
+        yield lambda: fn(*args)
+        return
+    try:
+        yield future.result
+    finally:
+        wait((future,))
 
 
 def build_index(
@@ -753,12 +742,11 @@ def build_index(
     alone.
 
     The table and projections are hashed into the index's fingerprint on
-    a second thread while the build runs: hashlib releases the GIL while
-    it hashes. The index is bound to that pair (:meth:`RetrievalIndex.bind`),
-    so its first query hashes nothing.
+    a pool thread while the build runs (:func:`_beside`): hashlib releases
+    the GIL while it hashes. The index is bound to that pair
+    (:meth:`RetrievalIndex.bind`), so its first query hashes nothing.
     """
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        fingerprint = pool.submit(table_fingerprint, table, proj)
+    with _beside(table_fingerprint, table, proj) as fingerprint:
         # each token string gets a dense id in order of first appearance; tok is
         # the id of every token occurrence, pair after pair, and owner its pair
         ids: dict[str, int] = {}
@@ -799,7 +787,7 @@ def build_index(
         multi = np.sort(first)
         index = RetrievalIndex(
             corpus,
-            fingerprint.result(),
+            fingerprint(),
             dense=dense,
             sparse_indptr=_offsets(np.bincount(owner[sparse], minlength=len(corpus))),
             sparse_ids=tid[sparse].astype(np.uint32),

@@ -3,14 +3,16 @@
 
 import gc
 import mmap
+import multiprocessing
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 from afsp import _binio
 from afsp.corpus import Corpus, DemoPair
-from afsp.embedding import EmbeddingTable, init_projections, load_table, save_table
+from afsp.embedding import EmbeddingTable, init_projections, load_table, save_table, synthetic_table
 from afsp.retrieval import (
     RetrievalIndex,
     Weights,
@@ -71,6 +73,84 @@ def test_freed_file_map_is_reused_by_the_next_load(tmp_path, no_spares):
     # a file's map has room past its end to align arrays twice (Reader.align)
     assert len(_binio._spare_maps[path.stat().st_size + 2 * _binio._ALIGN]) == 1
     assert load_table(path).matrix.ctypes.data == address
+
+
+def two_tables(tmp_path):
+    """Paths of two 64 x 16 tables of one file size and different rows."""
+    vocab = [f"w{i:02d}" for i in range(64)]
+    paths = tmp_path / "a.bin", tmp_path / "b.bin"
+    for seed, path in enumerate(paths):
+        save_table(synthetic_table(vocab, 16, seed=seed), path)
+    assert paths[0].stat().st_size == paths[1].stat().st_size
+    return paths
+
+
+def fork(target, *args):
+    """Run ``target(conn, *args)`` in a forked child; return the parent's
+    end of a two-way pipe to it, and the child."""
+    ctx = multiprocessing.get_context("fork")
+    mine, theirs = ctx.Pipe()
+    with warnings.catch_warnings():
+        # Python 3.12 warns that forking a process with threads may deadlock
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child = ctx.Process(target=target, args=(theirs, *args))
+        child.start()
+    theirs.close()
+    return mine, child
+
+
+def reap(conn, child):
+    conn.close()
+    child.join(30)
+    if child.is_alive():
+        child.kill()
+        child.join(30)
+    assert child.exitcode == 0
+
+
+def load_into_the_inherited_map(conn, held, path):
+    # the inherited table's map becomes this process's spare, and the next
+    # file of its size is read into it
+    address = held[0].matrix.ctypes.data
+    held.clear()
+    gc.collect()
+    conn.send(load_table(path).matrix.ctypes.data == address)
+
+
+def test_a_forked_childs_load_leaves_its_parents_arrays_alone(tmp_path, no_spares):
+    a, b = two_tables(tmp_path)
+    # held in a list, so the child can drop its reference
+    held = [load_table(a)]
+    want = held[0].matrix.tobytes()
+    conn, child = fork(load_into_the_inherited_map, held, b)
+    try:
+        assert conn.poll(60), "the forked child's load did not finish"
+        assert conn.recv()
+    finally:
+        reap(conn, child)
+    assert held[0].matrix.tobytes() == want
+
+
+def report_after_the_parents_load(conn, held):
+    conn.recv()
+    conn.send(held[0].matrix.tobytes())
+
+
+def test_a_parents_load_after_a_fork_leaves_its_childs_arrays_alone(tmp_path, no_spares):
+    a, b = two_tables(tmp_path)
+    held = [load_table(a)]
+    want = held[0].matrix.tobytes()
+    address = held[0].matrix.ctypes.data
+    conn, child = fork(report_after_the_parents_load, held)
+    try:
+        held.clear()
+        gc.collect()
+        assert load_table(b).matrix.ctypes.data == address
+        conn.send("loaded")
+        assert conn.poll(60), "the forked child did not report"
+        assert conn.recv() == want
+    finally:
+        reap(conn, child)
 
 
 def test_a_callers_read_only_view_of_a_map_is_not_sealed():

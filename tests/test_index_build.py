@@ -196,9 +196,10 @@ def test_saved_index_bytes_match_golden():
 
 
 def test_build_joins_its_hash_thread_and_reraises_its_error(monkeypatch):
-    # the fingerprint is hashed on a second thread: the build still writes
-    # the golden bytes, and the thread is gone when the build returns or
-    # raises
+    # the fingerprint is hashed on a pool thread: the build still writes the
+    # golden bytes, waits for the hash when it returns or raises, and starts
+    # no thread once the pool has one
+    test_saved_index_bytes_match_golden()
     before = threading.active_count()
     test_saved_index_bytes_match_golden()
     assert threading.active_count() == before

@@ -25,6 +25,7 @@ from afsp.pipeline import (
     TranslationPipeline,
     audit_record,
     load_config,
+    load_retrieval_stack,
 )
 from afsp.reranker import train
 from afsp.retrieval import Weights, build_index, save_index
@@ -560,6 +561,22 @@ def test_with_block_closes_the_client_the_pipeline_opened(saved_config, monkeypa
         session = pipeline.client._session
         pipeline.client = MockClient({})  # a swapped-in client is not the one it opened
     assert closed == [session]
+
+
+def test_the_stack_load_and_the_index_build_hash_on_the_pool_of_beside(stack, saved_config, monkeypatch):
+    corpus, table, proj, _, _ = stack
+    threads = []
+    table_fingerprint = afsp.retrieval.table_fingerprint
+
+    def spy(*args):
+        threads.append(threading.current_thread().name)
+        return table_fingerprint(*args)
+
+    monkeypatch.setattr(afsp.retrieval, "table_fingerprint", spy)
+    load_retrieval_stack(saved_config)
+    build_index(corpus, table, proj)
+    assert len(threads) == 2
+    assert all(name.startswith("afsp-bounds") for name in threads)
 
 
 def test_pipeline_closes_only_the_client_it_opened(stack, saved_config):

@@ -1699,8 +1699,6 @@ def test_a_pool_that_refuses_work_leaves_the_product_inline(stack, monkeypatch):
     threads = spy_dense_products(monkeypatch)
     assert lone_results(texts, stack) == want
     assert threads == [threading.get_ident()] * len(texts)
-    assert afsp.retrieval._worker_free.acquire(blocking=False)
-    afsp.retrieval._worker_free.release()
 
 
 def test_a_caller_does_not_queue_behind_another_callers_product(stack, monkeypatch):
